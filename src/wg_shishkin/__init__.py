@@ -11,7 +11,7 @@ from .driver import (TABLE_PRESETS, ConvergenceRecord, RunConfig,
 from .mesh import (Cell, Edge, MeshParams, ShishkinMesh, axis_partition,
                    build_mesh, transition_point)
 from .quadrature import QuadratureRule, gauss_legendre
-from .solver import SolveReport, SolverError, solve_spd
+from .solver import SeparatorTree, SolveReport, SolverError, solve_spd
 from .weak_ops import (LocalDofLayout, LocalOperators, local_stiffness,
                        stabilizer_matrix, weak_gradient_matrix,
                        weak_laplacian_matrix)
@@ -19,8 +19,9 @@ from .weak_ops import (LocalDofLayout, LocalOperators, local_stiffness,
 __all__ = [
     "Cell", "CellBasis", "ConvergenceRecord", "DofMap", "Edge", "EdgeBasis",
     "ExactSolution", "LocalDofLayout", "LocalOperators", "MeshParams",
-    "QuadratureRule", "RunConfig", "ShishkinMesh", "SolveReport",
-    "SolverError", "SparseSystem", "TABLE_PRESETS", "assemble_system",
+    "QuadratureRule", "RunConfig", "SeparatorTree", "ShishkinMesh",
+    "SolveReport", "SolverError", "SparseSystem", "TABLE_PRESETS",
+    "assemble_system",
     "axis_partition", "build_dof_map", "build_mesh", "condense_interior",
     "convergence_table", "default_quadrature", "dump_matrix_market", "eval_g",
     "eval_p", "forcing", "gauss_legendre", "local_stiffness", "project_cell",

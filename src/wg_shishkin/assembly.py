@@ -21,6 +21,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .basis import project_all_cells
 from .mesh import ShishkinMesh
+from .solver import SeparatorTree
 from .weak_ops import LocalDofLayout, LocalOperators, local_stiffness
 
 
@@ -238,43 +239,54 @@ def dump_matrix_market(system: SparseSystem, path) -> None:
     scipy.io.mmwrite(path, system.matrix.tocoo(), symmetry="symmetric")
 
 
-def _nested_dissection(points: np.ndarray, ids: np.ndarray, out: list,
-                       leaf: int = 24) -> None:
-    """Recursive geometric bisection on the entity lattice.
+#: Most entities in a leaf of the separator tree. On the condensed N=128,
+#: k=3 system leaves of 8 entities give 98M factor entries and 61 GFlop,
+#: leaves of 24 give 149M and 86 GFlop, and smaller leaves gain nothing.
+_LEAF_ENTITIES = 8
+
+
+def _nested_dissection(points: np.ndarray, ids: np.ndarray, groups: list,
+                       parents: list) -> int:
+    """Recursive geometric bisection on the entity lattice. Appends the
+    subtree's entity groups in postorder, with their parents (-1 for this
+    subtree's root, set by the caller), and returns the root's index.
 
     On the lattice (cells at odd/odd, edges at mixed-parity positions) every
     coupling either moves one step diagonally or jumps two steps along one
     axis through an in-between entity, so a single even-coordinate lattice
     line is a separator.
     """
-    if ids.size <= leaf:
-        out.append(ids)
-        return
-    p = points[ids]
-    lo = p.min(axis=0)
-    span = p.max(axis=0) - lo
-    axis = 0 if span[0] >= span[1] else 1
-    if span[axis] < 3:
-        out.append(ids)
-        return
-    mid = int(lo[axis]) + int(span[axis]) // 2
-    cut = mid if mid % 2 == 0 else mid + 1
-    if cut >= lo[axis] + span[axis]:
-        cut = mid - 1
-    coord = p[:, axis]
-    left = coord < cut
-    right = coord > cut
-    _nested_dissection(points, ids[left], out, leaf)
-    _nested_dissection(points, ids[right], out, leaf)
-    separator = ~(left | right)
-    if separator.any():
-        out.append(ids[separator])
+    children = []
+    if ids.size > _LEAF_ENTITIES:
+        p = points[ids]
+        lo = p.min(axis=0)
+        span = p.max(axis=0) - lo
+        axis = 0 if span[0] >= span[1] else 1
+        if span[axis] >= 3:
+            mid = int(lo[axis]) + int(span[axis]) // 2
+            cut = mid if mid % 2 == 0 else mid + 1
+            if cut >= lo[axis] + span[axis]:
+                cut = mid - 1
+            coord = p[:, axis]
+            left = coord < cut
+            right = coord > cut
+            children = [_nested_dissection(points, ids[side], groups, parents)
+                        for side in (left, right)]
+            ids = ids[~(left | right)]
+    node = len(groups)
+    groups.append(ids)
+    parents.append(-1)
+    for child in children:
+        parents[child] = node
+    return node
 
 
-def fill_reducing_ordering(system: SparseSystem) -> np.ndarray:
-    """Nested-dissection permutation of the system's DOFs, grouping each
-    entity's DOFs together; separators come last so a natural-order
-    factorization of the permuted matrix has near-minimal fill."""
+def fill_reducing_ordering(system: SparseSystem) -> SeparatorTree:
+    """Nested-dissection ordering of the system's DOFs with its separator
+    tree. Each entity's DOFs stay together, each subtree's DOFs are
+    contiguous and every separator follows the two halves it separates, so
+    the tree factorization of ``solver.solve_spd`` has near-minimal fill.
+    Nodes are numbered in postorder, the root last."""
     dofmap = system.dofmap
     mesh = dofmap.mesh
     n = mesh.params.n
@@ -282,38 +294,38 @@ def fill_reducing_ordering(system: SparseSystem) -> np.ndarray:
 
     # Logical lattice coordinates: cell (i, j) -> (2i+1, 2j+1), horizontal
     # edge (i, j) -> (2i+1, 2j), vertical edge (i, j) -> (2i, 2j+1).
-    entity_points = []
-    entity_dofs = []
-    shift = dofmap.n_interior_total if system.condensed else 0
-    if not system.condensed:
-        for i in range(n):
-            for j in range(n):
-                entity_points.append((2 * i + 1, 2 * j + 1))
+    e = np.arange(mesh.n_edges)
+    v = e - n * (n + 1)  # index among the vertical edges, < 0 if horizontal
+    points = np.where((v < 0)[:, None],
+                      np.stack([2 * (e % n) + 1, 2 * (e // n)], axis=1),
+                      np.stack([2 * (v // n), 2 * (v % n) + 1], axis=1))
+    raw = np.concatenate([base + e[:, None] * kk + np.arange(kk)
+                          for base in (dofmap.trace_base, dofmap.grad_x_base,
+                                       dofmap.grad_y_base)], axis=1)
+    dofs = dofmap.free_index[raw]  # -1 marks a constrained DOF
+    if system.condensed:
+        dofs = np.where(dofs >= 0, dofs - dofmap.n_interior_total, -1)
+    else:
+        c = np.arange(mesh.n_cells)
         ni = dofmap.layout.n_interior
-        for c in range(mesh.n_cells):
-            entity_dofs.append(np.arange(c * ni, (c + 1) * ni, dtype=np.int64))
-    for edge in mesh.edges:
-        e = edge.id
-        if e < n * (n + 1):
-            i, j = e % n, e // n
-            entity_points.append((2 * i + 1, 2 * j))
-        else:
-            rest = e - n * (n + 1)
-            i, j = rest // n, rest % n
-            entity_points.append((2 * i, 2 * j + 1))
-        raw = np.concatenate([
-            base + e * kk + np.arange(kk, dtype=np.int64)
-            for base in (dofmap.trace_base, dofmap.grad_x_base, dofmap.grad_y_base)])
-        free = dofmap.free_index[raw]
-        entity_dofs.append(free[free >= 0] - shift)
+        cell_dofs = c[:, None] * ni + np.arange(ni)
+        width = max(ni, dofs.shape[1])
+        points = np.concatenate([np.stack([2 * (c // n) + 1, 2 * (c % n) + 1], axis=1),
+                                 points])
+        dofs = np.concatenate([
+            np.pad(cell_dofs, ((0, 0), (0, width - ni)), constant_values=-1),
+            np.pad(dofs, ((0, 0), (0, width - dofs.shape[1])), constant_values=-1)])
 
-    points = np.asarray(entity_points, dtype=float)
     groups: list[np.ndarray] = []
-    _nested_dissection(points, np.arange(points.shape[0]), groups)
-    perm = np.concatenate([
-        np.concatenate([entity_dofs[i] for i in grp]) if grp.size else
-        np.empty(0, dtype=np.int64)
-        for grp in groups])
+    parents: list[int] = []
+    _nested_dissection(points, np.arange(points.shape[0]), groups, parents)
+    ordered = dofs[np.concatenate(groups)]
+    perm = ordered[ordered >= 0]
+    node_of = np.repeat(np.arange(len(groups)), [g.size for g in groups])
+    counts = np.bincount(node_of, weights=(ordered >= 0).sum(axis=1),
+                         minlength=len(groups)).astype(np.int64)
     if perm.size != system.matrix.shape[0]:
         raise RuntimeError("ordering does not cover every free DOF")
-    return perm
+    return SeparatorTree(perm=perm,
+                         bounds=np.concatenate([[0], np.cumsum(counts)]),
+                         parent=np.asarray(parents, dtype=np.int64))

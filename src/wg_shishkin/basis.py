@@ -174,7 +174,7 @@ def project_all_cells(mesh, k: int, fun, q: int | None = None) -> np.ndarray:
     ``fun`` is evaluated once on broadcast coordinate arrays, so it must be
     vectorized (all the analytic solutions are).
     """
-    q = default_quadrature(k) if q is None else q
+    q = _checked_quadrature(k, q)
     rule, U = _weighted_legendre(k, q)
     bp = mesh.breakpoints
     points, _ = rule.mapped(bp[:-1], bp[1:])
@@ -191,7 +191,7 @@ def project_all_cells(mesh, k: int, fun, q: int | None = None) -> np.ndarray:
 def project_all_edges(mesh, k: int, fun, q: int | None = None) -> np.ndarray:
     """Edge moments (fun, chi_j)_e for every edge at once; shape
     (n_edges, k+1), rows in edge-id order (horizontal first, then vertical)."""
-    q = default_quadrature(k) if q is None else q
+    q = _checked_quadrature(k, q)
     rule, U = _weighted_legendre(k, q)
     bp = mesh.breakpoints
     points, _ = rule.mapped(bp[:-1], bp[1:])

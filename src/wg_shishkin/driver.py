@@ -92,9 +92,9 @@ def run_case(config: RunConfig, eps: float, n: int) -> ConvergenceRecord:
     condense = config.condense == "on" or (config.condense == "auto" and n >= 64)
     system = assemble_system(mesh, config.k, eps, solution.forcing,
                              q=config.quad, condense=condense)
-    perm = fill_reducing_ordering(system) if config.method == "direct" else None
+    tree = fill_reducing_ordering(system) if config.method == "direct" else None
     x, _ = solve_spd(system.matrix, system.rhs, method=config.method,
-                     tol=config.tol, perm=perm)
+                     tol=config.tol, tree=tree)
     numeric = system.expand(x)
     projected = project_exact(mesh, config.k, config.example, eps,
                               q=config.quad, dofmap=system.dofmap)

@@ -1,7 +1,8 @@
 """Acceptance suite: reproduces the published convergence tables and checks
 the structural guarantees end to end. One PASS line is printed per
 criterion (run with ``pytest -s`` to see them); the full module takes
-roughly 20-30 minutes, dominated by the N=128 direct solves.
+about 5 minutes (316 s on a 2-core machine with one BLAS thread), three
+quarters of it in the twenty N=128 direct solves of criterion 2.
 """
 
 import math
@@ -11,7 +12,8 @@ import pytest
 
 from conftest import ROUNDOFF_FACTOR, local_projection_dofs, roundoff_ratio
 from wg_shishkin.analytic import ExactSolution, project_exact
-from wg_shishkin.assembly import assemble_system, condense_interior
+from wg_shishkin.assembly import (assemble_system, condense_interior,
+                                  fill_reducing_ordering)
 from wg_shishkin.basis import project_cell
 from wg_shishkin.driver import RunConfig, run_case, triple_bar_norm
 from wg_shishkin.mesh import MeshParams, build_mesh
@@ -212,7 +214,8 @@ def test_criterion_7_structural_suite():
         system.matrix.sort_indices()
         assert np.array_equal(system.matrix.indices, transposed.indices)
         assert np.array_equal(system.matrix.data, transposed.data)
-        solve_spd(system.matrix, system.rhs, "direct", tol=1e-10)  # factorizes
+        solve_spd(system.matrix, system.rhs, "direct", tol=1e-10,
+                  tree=fill_reducing_ordering(system))  # certifies SPD
 
         # Norm equals the assembled quadratic form.
         v = rng.standard_normal(system.dofmap.n_free)
@@ -224,9 +227,11 @@ def test_criterion_7_structural_suite():
         mesh = build_mesh(MeshParams(n=n, eps=eps, k=3))
         sol = ExactSolution(1, eps)
         full = assemble_system(mesh, 3, eps, sol.forcing)
-        x_full, _ = solve_spd(full.matrix, full.rhs, tol=1e-10)
+        x_full, _ = solve_spd(full.matrix, full.rhs, tol=1e-10,
+                              tree=fill_reducing_ordering(full))
         condensed = condense_interior(full)
-        x_cond, _ = solve_spd(condensed.matrix, condensed.rhs, tol=1e-10)
+        x_cond, _ = solve_spd(condensed.matrix, condensed.rhs, tol=1e-10,
+                              tree=fill_reducing_ordering(condensed))
         u_full, u_cond = full.expand(x_full), condensed.expand(x_cond)
         rel = np.linalg.norm(u_full - u_cond) / np.linalg.norm(u_full)
         assert rel < 1e-10, f"N={n} eps={eps:.0e}: condensation drift {rel:.2e}"
@@ -236,7 +241,8 @@ def test_criterion_7_structural_suite():
         mesh = build_mesh(MeshParams(n=8, eps=eps, k=3))
         sol = ExactSolution(1, eps)
         system = assemble_system(mesh, 3, eps, sol.forcing)
-        x_direct, _ = solve_spd(system.matrix, system.rhs, "direct", tol=1e-10)
+        x_direct, _ = solve_spd(system.matrix, system.rhs, "direct", tol=1e-10,
+                                tree=fill_reducing_ordering(system))
         # |b - Ax| / |b| cannot go below its round-off floor (5.9e-12 at
         # eps=1, 1.2e-10 at eps=1e-7); ask for 1e-12 wherever it allows.
         floor = residual_floor(system.matrix, x_direct, system.rhs)

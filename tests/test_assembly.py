@@ -169,16 +169,16 @@ class TestOrdering:
         for condense in (False, True):
             system = assemble_system(mesh_n8_eps1e2, 3, 1e-2, sol.forcing,
                                      condense=condense)
-            perm = fill_reducing_ordering(system)
+            perm = fill_reducing_ordering(system).perm
             assert np.array_equal(np.sort(perm), np.arange(system.matrix.shape[0]))
 
     def test_permuted_solve_matches_default(self, mesh_n8_eps1e2):
         sol = ExactSolution(1, 1e-2)
         system = assemble_system(mesh_n8_eps1e2, 3, 1e-2, sol.forcing)
         x_plain, _ = solve_spd(system.matrix, system.rhs)
-        x_perm, _ = solve_spd(system.matrix, system.rhs,
-                              perm=fill_reducing_ordering(system))
-        assert np.linalg.norm(x_plain - x_perm) / np.linalg.norm(x_plain) < 1e-9
+        x_tree, _ = solve_spd(system.matrix, system.rhs,
+                              tree=fill_reducing_ordering(system))
+        assert np.linalg.norm(x_plain - x_tree) / np.linalg.norm(x_plain) < 1e-9
 
 
 def test_matrix_market_dump_roundtrip(tmp_path, mesh_n4_eps1e2):

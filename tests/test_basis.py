@@ -150,6 +150,11 @@ class TestProjectEdge:
 
 
 class TestMeshWideProjections:
+    @pytest.mark.parametrize("project", [project_all_cells, project_all_edges])
+    def test_rejects_low_quadrature(self, mesh_n4_eps1e2, project):
+        with pytest.raises(ValueError, match="at least 4 points"):
+            project(mesh_n4_eps1e2, 3, lambda x, y: x * y, q=3)
+
     def test_matches_per_cell_projection(self, mesh_n4_eps1e2, mesh_n128_eps1e7):
         fun = lambda x, y: np.sin(2 * x + 0.3) * np.exp(y)
         table = project_all_cells(mesh_n4_eps1e2, 3, fun)

@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import wg_shishkin.driver as driver
+import wg_shishkin.solver as solver
 from wg_shishkin.analytic import ExactSolution, project_exact
 from wg_shishkin.assembly import DofMap, assemble_system
 from wg_shishkin.driver import (TABLE_PRESETS, ConvergenceRecord, RunConfig,
@@ -75,6 +76,22 @@ class TestRunCase:
         uniform = RunConfig(example=1, k=3, eps_list=(1.0,), n_list=(8,),
                             mesh_kind="uniform")
         assert run_case(shishkin, 1.0, 8).error == run_case(uniform, 1.0, 8).error
+
+
+    def test_rejects_quadrature_below_k_plus_one(self):
+        config = RunConfig(example=1, k=3, eps_list=(1e-2,), n_list=(8,), quad=2)
+        with pytest.raises(ValueError, match="at least 4 points"):
+            run_case(config, 1e-2, 8)
+
+    @pytest.mark.parametrize("condense", ["on", "off"])
+    def test_direct_case_never_calls_superlu(self, monkeypatch, condense):
+        def splu(*args, **kwargs):
+            raise AssertionError("a mesh system was factored by SuperLU")
+
+        monkeypatch.setattr(solver.spla, "splu", splu)
+        config = RunConfig(example=1, k=3, eps_list=(1.0,), n_list=(8,),
+                           condense=condense)
+        assert run_case(config, 1.0, 8).error == pytest.approx(1.01e-3, rel=0.05)
 
 
 class TestConvergenceTable:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import wg_shishkin.solver as solver
 from wg_shishkin.analytic import ExactSolution
-from wg_shishkin.assembly import assemble_system
+from wg_shishkin.assembly import assemble_system, fill_reducing_ordering
 from wg_shishkin.mesh import MeshParams, build_mesh
-from wg_shishkin.solver import SolverError, solve_spd
+from wg_shishkin.solver import SeparatorTree, SolverError, solve_spd
 
 RNG = np.random.default_rng(31415)
 
@@ -81,6 +82,45 @@ class TestCrossMethodAgreement:
         assert report.rel_residual <= 1e-10
 
 
+def tridiagonal(dim):
+    return sp.diags([-np.ones(dim - 1), 4.0 * np.ones(dim), -np.ones(dim - 1)],
+                    [-1, 0, 1], format="csr")
+
+
+def make_tree(perm, bounds, parent):
+    return SeparatorTree(np.asarray(perm), np.asarray(bounds),
+                         np.asarray(parent))
+
+
+class TestTreeSolve:
+    def test_separated_halves(self):
+        matrix = tridiagonal(7)
+        rhs = RNG.standard_normal(7)
+        tree = make_tree([0, 1, 2, 4, 5, 6, 3], [0, 3, 6, 7], [2, 2, -1])
+        x, _ = solve_spd(matrix, rhs, tree=tree)
+        assert x == pytest.approx(np.linalg.solve(matrix.toarray(), rhs),
+                                  rel=1e-13)
+
+    def test_empty_separator_joins_uncoupled_blocks(self):
+        matrix = sp.block_diag([tridiagonal(3), tridiagonal(4)], format="csr")
+        rhs = RNG.standard_normal(7)
+        tree = make_tree(np.arange(7), [0, 3, 7, 7], [2, 2, -1])
+        x, _ = solve_spd(matrix, rhs, tree=tree)
+        assert x == pytest.approx(np.linalg.solve(matrix.toarray(), rhs),
+                                  rel=1e-13)
+
+    def test_rejects_tree_that_does_not_separate(self):
+        # Positions 2 and 3 are coupled but lie in sibling leaves.
+        with pytest.raises(ValueError, match="does not separate"):
+            solve_spd(tridiagonal(7), np.ones(7),
+                      tree=make_tree(np.arange(7), [0, 3, 6, 7], [2, 2, -1]))
+
+    def test_rejects_tree_of_other_dimension(self):
+        with pytest.raises(ValueError, match="covers"):
+            solve_spd(tridiagonal(7), np.ones(7),
+                      tree=make_tree(np.arange(6), [0, 6], [-1]))
+
+
 class TestOnDiscreteSystem:
     def test_spec_case_reaches_1e12_by_both_methods(self):
         mesh = build_mesh(MeshParams(n=8, eps=1e-3, k=3))
@@ -93,3 +133,58 @@ class TestOnDiscreteSystem:
         assert rep_p.rel_residual <= 1e-12
         rel = np.linalg.norm(x_direct - x_pcg) / np.linalg.norm(x_direct)
         assert rel < 1e-9
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["full", "condensed"])
+def mesh_system(request):
+    mesh = build_mesh(MeshParams(n=8, eps=1e-3, k=3))
+    system = assemble_system(mesh, 3, 1e-3, ExactSolution(1, 1e-3).forcing,
+                             condense=request.param)
+    return system, fill_reducing_ordering(system)
+
+
+class TestSpdCertificate:
+    def test_indefinite_mesh_system_with_positive_diagonal(self, mesh_system):
+        system, tree = mesh_system
+        matrix = system.matrix.copy()
+        # The 2x2 minor at (i, j) gets determinant -3 A_ii A_jj < 0, while
+        # every diagonal entry stays positive.
+        i = matrix.shape[0] // 2
+        j = next(c for c in matrix.indices[matrix.indptr[i]:matrix.indptr[i + 1]]
+                 if c != i)
+        value = 2.0 * np.sqrt(matrix[i, i] * matrix[j, j])
+        matrix[i, j] = matrix[j, i] = value
+        assert matrix.nnz == system.matrix.nnz
+        assert np.all(matrix.diagonal() > 0.0)
+        with pytest.raises(SolverError, match=r"front \d+ .*dimension "
+                                              f"{matrix.shape[0]}"):
+            solve_spd(matrix, system.rhs, tol=1e-10, tree=tree)
+        with pytest.raises(SolverError, match="not positive definite"):
+            solve_spd(matrix, system.rhs, tol=1e-10)
+
+
+class TestFactorSize:
+    def test_reported_entries(self, mesh_system):
+        system, tree = mesh_system
+        dim = system.matrix.shape[0]
+        _, report = solve_spd(system.matrix, system.rhs, tol=1e-10, tree=tree)
+        assert dim < report.factor_nnz < dim * (dim + 1) // 2
+        _, report = solve_spd(system.matrix, system.rhs, "pcg", tol=1e-8)
+        assert report.factor_nnz == 0
+
+    def test_factor_beyond_physical_memory_raises_before_numeric_work(
+            self, mesh_system, monkeypatch):
+        system, tree = mesh_system
+        _, report = solve_spd(system.matrix, system.rhs, tol=1e-10, tree=tree)
+        needed = 8 * report.factor_nnz
+
+        def numeric(*args):
+            raise AssertionError("numeric factorization started")
+
+        monkeypatch.setattr(solver, "_physical_memory", lambda: needed - 1)
+        monkeypatch.setattr(solver, "_factor_fronts", numeric)
+        with pytest.raises(SolverError, match="physical memory"):
+            solve_spd(system.matrix, system.rhs, tol=1e-10, tree=tree)
+        monkeypatch.undo()
+        monkeypatch.setattr(solver, "_physical_memory", lambda: needed)
+        solve_spd(system.matrix, system.rhs, tol=1e-10, tree=tree)
