@@ -11,14 +11,16 @@ from .driver import (TABLE_PRESETS, ConvergenceRecord, RunConfig,
 from .mesh import (Cell, Edge, MeshParams, ShishkinMesh, axis_partition,
                    build_mesh, transition_point)
 from .quadrature import QuadratureRule, gauss_legendre
-from .solver import SeparatorTree, SolveReport, SolverError, solve_spd
+from .solver import (ElementGroup, ElementMatrix, SeparatorTree, SolveReport,
+                     SolverError, solve_spd)
 from .weak_ops import (LocalDofLayout, LocalOperators, local_stiffness,
                        stabilizer_matrix, weak_gradient_matrix,
                        weak_laplacian_matrix)
 
 __all__ = [
     "Cell", "CellBasis", "ConvergenceRecord", "DofMap", "Edge", "EdgeBasis",
-    "ExactSolution", "LocalDofLayout", "LocalOperators", "MeshParams",
+    "ElementGroup", "ElementMatrix", "ExactSolution", "LocalDofLayout",
+    "LocalOperators", "MeshParams",
     "QuadratureRule", "RunConfig", "SeparatorTree", "ShishkinMesh",
     "SolveReport", "SolverError", "SparseSystem", "TABLE_PRESETS",
     "assemble_system",

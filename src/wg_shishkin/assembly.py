@@ -1,5 +1,5 @@
-"""Global DOF numbering, sparse assembly, boundary elimination and static
-condensation.
+"""Global DOF numbering, element-form assembly, boundary elimination and
+static condensation.
 
 Global raw numbering: all cell-interior DOFs (cells in id order), then all
 edge-trace DOFs, then all edge grad-x DOFs, then all edge grad-y DOFs (edges
@@ -8,11 +8,15 @@ and zero normal gradient component on boundary edges) are eliminated by
 dropping rows and columns, which keeps the reduced matrix SPD.
 
 Local stiffness blocks depend on a cell only through its widths, so they are
-built once per width class (at most four classes on a Shishkin mesh) and
-scattered with per-cell index arrays.
+built once per width class (at most four classes on a Shishkin mesh). The
+system stays in element form (``solver.ElementMatrix``): per cell a scatter
+map into the free (or condensed) numbering, and per width class one block,
+the cell matrix A or its Schur complement onto the edge DOFs. The direct
+solver factors that form; a CSR matrix is assembled from it only on demand.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.io
@@ -21,7 +25,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .basis import project_all_cells
 from .mesh import ShishkinMesh
-from .solver import SeparatorTree
+from .solver import ElementGroup, ElementMatrix, SeparatorTree
 from .weak_ops import LocalDofLayout, LocalOperators, local_stiffness
 
 
@@ -108,13 +112,23 @@ class _AssemblyContext:
 @dataclass
 class SparseSystem:
     """Assembled SPD system over the free DOFs (optionally condensed to the
-    free edge DOFs, with exact interior back-substitution data retained)."""
+    free edge DOFs, with exact interior back-substitution data retained).
 
-    matrix: sp.csr_matrix
+    ``elements`` holds the matrix in element form, and ``matrix`` assembles
+    it as CSR on first use. ``interior_factors`` maps each width class to
+    the Cholesky factor of its interior block (condensed systems only).
+    """
+
+    elements: ElementMatrix
     rhs: np.ndarray
     dofmap: DofMap
     condensed: bool
     ctx: _AssemblyContext
+    interior_factors: dict
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return self.elements.to_csr()
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """Free-DOF solution vector; back-substitutes interiors if condensed."""
@@ -128,12 +142,10 @@ class SparseSystem:
         edge_raw = np.zeros(dofmap.n_raw)
         edge_raw[dofmap.free_raw[dofmap.n_interior_total:]] = x
         for widths, cells in ctx.classes.items():
-            A = ctx.ops[widths].A
-            factor = cho_factor(A[:ni, :ni])
-            coupling = A[:ni, ni:]
+            coupling = ctx.ops[widths].A[:ni, ni:]
             u_edge = edge_raw[dofmap.cell_dofs[cells, ni:]]
             b = ctx.interior_rhs[cells] - u_edge @ coupling.T
-            u_int = cho_solve(factor, b.T).T
+            u_int = cho_solve(self.interior_factors[widths], b.T).T
             full[(cells[:, None] * ni + np.arange(ni)[None, :]).ravel()] = u_int.ravel()
         return full
 
@@ -146,11 +158,6 @@ def schur_complement(a_ii: np.ndarray, a_ie: np.ndarray, a_ee: np.ndarray):
     """Eliminate the leading SPD block; returns the Schur complement and the
     Cholesky factor used for back-substitution.
 
-    The subtraction cancels several leading digits when the eps^2-weighted
-    fourth-order terms dominate (entries ~1e12 collapsing to the penalty
-    scale), so the correction term is refined and subtracted in extended
-    precision before rounding back to double.
-
     With zero coupling this degenerates to (a_ee, factor): the two blocks
     solve independently and eliminating interiors is exact.
     """
@@ -158,63 +165,52 @@ def schur_complement(a_ii: np.ndarray, a_ie: np.ndarray, a_ee: np.ndarray):
         factor = cho_factor(a_ii)
     except np.linalg.LinAlgError as exc:  # contradicts the PSD structure
         raise RuntimeError("interior block is not positive definite") from exc
-    x = cho_solve(factor, a_ie).astype(np.longdouble)
-    a_ii_l = a_ii.astype(np.longdouble)
-    a_ie_l = a_ie.astype(np.longdouble)
-    for _ in range(2):
-        residual = a_ie_l - a_ii_l @ x
-        x = x + cho_solve(factor, residual.astype(float))
-    schur = np.asarray(a_ee.astype(np.longdouble) - a_ie_l.T @ x, dtype=float)
+    schur = a_ee - a_ie.T @ cho_solve(factor, a_ie)
     return 0.5 * (schur + schur.T), factor
 
 
-def _scatter(blocks_index: np.ndarray, block: np.ndarray, n: int) -> sp.csr_matrix:
-    """Scatter one dense block over many index rows into an n x n CSR matrix.
-
-    blocks_index holds free indices, -1 marking eliminated (constrained)
-    positions.
-    """
-    n_cells, m = blocks_index.shape
-    idx32 = blocks_index.astype(np.int32)
-    rows = np.repeat(idx32, m, axis=1).ravel()
-    cols = np.tile(idx32, (1, m)).ravel()
-    vals = np.broadcast_to(block.ravel(), (n_cells, m * m)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    mat = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
-    return mat.tocsr()
+def _side_faces(layout: LocalDofLayout, offset: int) -> np.ndarray:
+    """Local positions of each side's trace and gradient DOFs, which the
+    neighbour across that side holds too; ``offset`` is where the edge DOFs
+    start in the local vector."""
+    n = layout.n_per_side
+    return offset + np.arange(4)[:, None] * n + np.arange(n)
 
 
 def _assemble_full(ctx: _AssemblyContext) -> SparseSystem:
     dofmap = ctx.dofmap
-    matrix = sp.csr_matrix((dofmap.n_free, dofmap.n_free))
-    for widths, cells in ctx.classes.items():
-        fidx = dofmap.free_index[dofmap.cell_dofs[cells]]
-        matrix = matrix + _scatter(fidx, ctx.ops[widths].A, dofmap.n_free)
-    matrix.sum_duplicates()
+    faces = _side_faces(dofmap.layout, dofmap.layout.n_interior)
+    groups = tuple(
+        ElementGroup(dofmap.free_index[dofmap.cell_dofs[cells]],
+                     ctx.ops[widths].A, faces)
+        for widths, cells in ctx.classes.items())
     rhs = np.zeros(dofmap.n_free)
     rhs[:dofmap.n_interior_total] = ctx.interior_rhs.ravel()
-    return SparseSystem(matrix=matrix, rhs=rhs, dofmap=dofmap,
-                        condensed=False, ctx=ctx)
+    return SparseSystem(elements=ElementMatrix(dofmap.n_free, groups), rhs=rhs,
+                        dofmap=dofmap, condensed=False, ctx=ctx,
+                        interior_factors={})
 
 
 def _assemble_condensed(ctx: _AssemblyContext) -> SparseSystem:
     dofmap = ctx.dofmap
     ni = dofmap.layout.n_interior
     n_cond = dofmap.n_free_edge
-    matrix = sp.csr_matrix((n_cond, n_cond))
+    faces = _side_faces(dofmap.layout, 0)
+    groups, factors = [], {}
     rhs = np.zeros(n_cond)
     for widths, cells in ctx.classes.items():
         A = ctx.ops[widths].A
-        schur, factor = schur_complement(A[:ni, :ni], A[:ni, ni:], A[ni:, ni:])
+        schur, factors[widths] = schur_complement(A[:ni, :ni], A[:ni, ni:],
+                                                  A[ni:, ni:])
         fidx = dofmap.free_index[dofmap.cell_dofs[cells, ni:]]
         cond_idx = np.where(fidx >= 0, fidx - dofmap.n_interior_total, -1)
-        matrix = matrix + _scatter(cond_idx, schur, n_cond)
-        contrib = -cho_solve(factor, ctx.interior_rhs[cells].T).T @ A[:ni, ni:]
+        groups.append(ElementGroup(cond_idx, schur, faces))
+        contrib = -cho_solve(factors[widths], ctx.interior_rhs[cells].T).T @ A[:ni, ni:]
         keep = cond_idx >= 0
         np.add.at(rhs, cond_idx[keep], contrib[keep])
-    matrix.sum_duplicates()
-    return SparseSystem(matrix=matrix, rhs=rhs, dofmap=dofmap,
-                        condensed=True, ctx=ctx)
+    return SparseSystem(elements=ElementMatrix(n_cond, tuple(groups)), rhs=rhs,
+                        dofmap=dofmap, condensed=True, ctx=ctx,
+                        interior_factors=factors)
 
 
 def assemble_system(mesh: ShishkinMesh, k: int, eps: float, forcing,
@@ -324,7 +320,7 @@ def fill_reducing_ordering(system: SparseSystem) -> SeparatorTree:
     node_of = np.repeat(np.arange(len(groups)), [g.size for g in groups])
     counts = np.bincount(node_of, weights=(ordered >= 0).sum(axis=1),
                          minlength=len(groups)).astype(np.int64)
-    if perm.size != system.matrix.shape[0]:
+    if perm.size != (dofmap.n_free_edge if system.condensed else dofmap.n_free):
         raise RuntimeError("ordering does not cover every free DOF")
     return SeparatorTree(perm=perm,
                          bounds=np.concatenate([[0], np.cumsum(counts)]),

@@ -9,7 +9,7 @@ import csv
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,9 +92,13 @@ def run_case(config: RunConfig, eps: float, n: int) -> ConvergenceRecord:
     condense = config.condense == "on" or (config.condense == "auto" and n >= 64)
     system = assemble_system(mesh, config.k, eps, solution.forcing,
                              q=config.quad, condense=condense)
-    tree = fill_reducing_ordering(system) if config.method == "direct" else None
-    x, _ = solve_spd(system.matrix, system.rhs, method=config.method,
-                     tol=config.tol, tree=tree)
+    if config.method == "direct":
+        # The tree factorization takes the element form: no CSR is built.
+        tree = fill_reducing_ordering(system)
+        x, _ = solve_spd(system.elements, system.rhs, tol=config.tol, tree=tree)
+    else:
+        x, _ = solve_spd(system.matrix, system.rhs, method=config.method,
+                         tol=config.tol)
     numeric = system.expand(x)
     projected = project_exact(mesh, config.k, config.example, eps,
                               q=config.quad, dofmap=system.dofmap)
@@ -104,28 +108,37 @@ def run_case(config: RunConfig, eps: float, n: int) -> ConvergenceRecord:
                              k=config.k, eps=eps, n=n, error=error)
 
 
-def _run_case_tuple(args):
-    return run_case(*args)
+def _run_case_timed(case):
+    start = time.perf_counter()
+    record = run_case(*case)
+    return record, time.perf_counter() - start
 
 
 def convergence_table(config: RunConfig, jobs: int = 1,
                       progress=None) -> list[ConvergenceRecord]:
-    """Run the whole sweep and attach orders between consecutive N."""
+    """Run the whole sweep and attach orders between consecutive N.
+
+    ``progress(record, seconds)`` is called as each case finishes, in the
+    order they finish when ``jobs > 1``."""
     ns = list(config.n_list)
     if sorted(ns) != ns or any(b != 2 * a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"N list must be an increasing doubling chain, got {ns}")
     cases = [(config, eps, n) for eps in config.eps_list for n in ns]
+    results = []
+
+    def finished(record, seconds):
+        if progress is not None:
+            progress(record, seconds)
+        results.append(record)
+
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_case_tuple, cases))
+            futures = [pool.submit(_run_case_timed, case) for case in cases]
+            for future in as_completed(futures):
+                finished(*future.result())
     else:
-        results = []
         for case in cases:
-            start = time.perf_counter()
-            record = run_case(*case)
-            if progress is not None:
-                progress(record, time.perf_counter() - start)
-            results.append(record)
+            finished(*_run_case_timed(case))
 
     by_key = {(r.eps, r.n): r for r in results}
     records = []

@@ -1,14 +1,19 @@
 """Sparse SPD solves: multifrontal Cholesky on a separator tree, SuperLU for a
 matrix given without one, and Jacobi-preconditioned CG.
 
-Both direct paths scale the matrix symmetrically to unit diagonal first.
-Given the nested-dissection tree of ``assembly.fill_reducing_ordering``, the
-direct path factors the permuted matrix front by front in postorder (George
-1973; Duff & Reid 1983). A node's front is a dense matrix over its own DOFs
-and the ancestor DOFs they couple to. LAPACK ``potrf`` factors the node's
-pivot block, and the Schur complement of the rest passes to the parent. A
-front that ``potrf`` cannot factor proves the matrix indefinite, so every
-tree factorization certifies SPD at any size.
+A matrix comes either as a scipy sparse matrix or in element form, an
+``ElementMatrix``: the sum of small dense blocks, each placed at the rows and
+columns of its element's DOFs. Both direct paths scale the matrix
+symmetrically to unit diagonal first. Given the nested-dissection tree of
+``assembly.fill_reducing_ordering``, the direct path factors the matrix front
+by front in postorder (George 1973), in the element form of the multifrontal
+method (Duff & Reid 1983): each element's block enters the front of the
+first node that owns one of its DOFs, and no global matrix is formed. A
+node's front is a dense matrix over its own DOFs and the ancestor DOFs they
+couple to. LAPACK ``potrf`` factors the node's pivot block, and the Schur
+complement of the rest passes to the parent. A front that ``potrf`` cannot
+factor proves the matrix indefinite, so every tree factorization certifies
+SPD at any size.
 """
 
 import os
@@ -22,13 +27,175 @@ from scipy.linalg import blas, lapack
 
 METHODS = ("direct", "pcg")
 
-#: Rows of the permuted matrix gathered at a time, so that no full permuted
-#: copy of the matrix is ever held.
-_ROW_BLOCK = 1 << 15
+#: Entries of element blocks scattered at a time when the CSR matrix is
+#: built, so that its temporaries stay small next to the matrix itself.
+_SCATTER_ENTRIES = 1 << 20
 
 
 class SolverError(RuntimeError):
     """Factorization breakdown or non-convergence; never silently returned."""
+
+
+def _times_block(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``rows[e] @ block`` for a shared (m, m) block, or ``rows[e] @
+    block[e]`` for an (n_e, m, m) stack."""
+    if block.ndim == 2:
+        return rows @ block
+    return np.einsum("ea,eab->eb", rows, block)
+
+
+@dataclass(frozen=True)
+class ElementGroup:
+    """Elements of one size m. Element e adds its symmetric block at the
+    rows and columns ``index[e]``; -1 marks a local position the matrix
+    leaves out. ``block`` is one (m, m) block shared by every element, or an
+    (n_e, m, m) stack with one block per element.
+
+    ``faces`` (n_faces, f) lists sets of local positions that other elements
+    may hold too, as a mesh cell shares each side with its neighbour. An
+    entry between two positions of one face may be a sum over the elements
+    that hold the face, who list its DOFs in the same order; every other
+    entry comes from one element alone.
+    """
+
+    index: np.ndarray
+    block: np.ndarray
+    faces: np.ndarray
+
+
+@dataclass(frozen=True)
+class ElementMatrix:
+    """A symmetric ``dim`` x ``dim`` matrix held as the sum of its element
+    blocks: the input of the tree factorization, which puts the blocks
+    straight into its fronts. ``to_csr`` assembles it."""
+
+    dim: int
+    groups: tuple[ElementGroup, ...]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
+    @classmethod
+    def from_sparse(cls, matrix) -> "ElementMatrix":
+        """A symmetric sparse matrix as 1x1 elements on its diagonal and one
+        2x2 element per stored entry above it."""
+        n = matrix.shape[0]
+        upper = sp.triu(matrix, k=1, format="coo")
+        pairs = np.zeros((upper.nnz, 2, 2))
+        pairs[:, 0, 1] = pairs[:, 1, 0] = upper.data
+        no_faces = np.empty((0, 0), dtype=np.int64)
+        return cls(n, (
+            ElementGroup(np.arange(n)[:, None],
+                         np.asarray(matrix.diagonal(), dtype=float)[:, None, None],
+                         no_faces),
+            ElementGroup(np.stack([upper.row, upper.col], axis=1).astype(np.int64),
+                         pairs, no_faces)))
+
+    def diagonal(self) -> np.ndarray:
+        diag = np.zeros(self.dim)
+        for group in self.groups:
+            held = group.index >= 0
+            values = np.broadcast_to(
+                np.diagonal(group.block, axis1=-2, axis2=-1), held.shape)
+            diag += np.bincount(group.index[held], values[held],
+                                minlength=self.dim)
+        return diag
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x, summed element by element."""
+        padded = np.append(x, 0.0)  # index -1 reads this zero
+        y = np.zeros(self.dim)
+        for group in self.groups:
+            held = group.index >= 0
+            local = _times_block(padded[group.index], group.block)
+            y += np.bincount(group.index[held], local[held], minlength=self.dim)
+        return y
+
+    def norm_inf(self) -> float:
+        """max_i sum_j |A_ij|, exactly: an entry between two positions of
+        one face is summed over the elements that hold the face before its
+        absolute value is taken. A sum of |block| over the elements would
+        only bound the norm from above."""
+        rows = np.zeros(self.dim)
+        faces = []  # (DOFs, block entries) of each face of each element
+        for group in self.groups:
+            m = group.index.shape[1]
+            held = group.index >= 0
+            same_face = np.zeros((m, m), dtype=bool)
+            for face in group.faces:
+                same_face[np.ix_(face, face)] = True
+                faces.append((group.index[:, face],
+                              group.block[..., face[:, None], face]))
+            outside = np.where(same_face, 0.0, np.abs(group.block))
+            sums = _times_block(held.astype(float), outside)
+            rows += np.bincount(group.index[held], sums[held], minlength=self.dim)
+        if faces:
+            # A face is known by its largest DOF: distinct faces hold
+            # disjoint DOFs. A face with every position left out adds nothing.
+            every = np.concatenate([dofs for dofs, _ in faces])
+            keys, inverse = np.unique(every.max(axis=1), return_inverse=True)
+            dofs_of = np.empty((keys.size, every.shape[1]), dtype=np.int64)
+            dofs_of[inverse] = every
+            if not np.array_equal(dofs_of[inverse], every):
+                raise ValueError("elements list a shared face's DOFs in "
+                                 "different orders")
+            summed = np.zeros((keys.size, every.shape[1], every.shape[1]))
+            start = 0
+            for dofs, block in faces:
+                np.add.at(summed, inverse[start:start + dofs.shape[0]], block)
+                start += dofs.shape[0]
+            keep = keys >= 0
+            dofs_of, summed = dofs_of[keep], summed[keep]
+            held = dofs_of >= 0
+            sums = np.einsum("kab,kb->ka", np.abs(summed), held)
+            rows += np.bincount(dofs_of[held], sums[held], minlength=self.dim)
+        return float(rows.max())
+
+    def to_csr(self) -> sp.csr_matrix:
+        """The assembled matrix, in one pass: every element entry is written
+        once into rows sized by counting, then each row's duplicates are
+        summed in place and explicit zeros dropped. Indices are int32."""
+        n = self.dim
+        # Element e writes, into each row it holds, one entry per DOF it holds.
+        rows, lengths = [], []
+        for group in self.groups:
+            held = group.index >= 0
+            rows.append(group.index[held])
+            lengths.append(np.broadcast_to(held.sum(axis=1)[:, None],
+                                           held.shape)[held])
+        rows, lengths = np.concatenate(rows), np.concatenate(lengths)
+        order = np.argsort(rows, kind="stable")
+        # Sorted by row, each (element, row) run starts where the previous
+        # ones end, and each row where the rows before it end.
+        first = np.empty(rows.size, dtype=np.int64)
+        first[order] = np.cumsum(lengths[order]) - lengths[order]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum(np.bincount(rows, lengths, minlength=n))
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1])
+        done = 0
+        for group in self.groups:
+            n_e, m = group.index.shape
+            chunk = max(1, _SCATTER_ENTRIES // (m * m))
+            for e0 in range(0, n_e, chunk):
+                index = group.index[e0:e0 + chunk]
+                held = index >= 0
+                count = int(held.sum())
+                starts = np.zeros(held.shape, dtype=np.int64)
+                starts[held] = first[done:done + count]
+                done += count
+                slot = starts[:, :, None] + (np.cumsum(held, axis=1) - 1)[:, None, :]
+                both = held[:, :, None] & held[:, None, :]
+                at = slot[both]
+                block = (group.block if group.block.ndim == 2
+                         else group.block[e0:e0 + chunk])
+                indices[at] = np.broadcast_to(index[:, None, :], both.shape)[both]
+                data[at] = np.broadcast_to(block, both.shape)[both]
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        matrix.sum_duplicates()
+        matrix.eliminate_zeros()
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -52,10 +219,12 @@ class SolveReport:
     """Outcome of one solve.
 
     rel_residual is |b - Ax| / |b| for pcg and the normwise backward error
-    |b - Ax| / (|A| |x| + |b|) for direct solves; the plain b-relative
-    residual of a factorization bottoms out at |A||x|/|b| * eps_machine,
-    which exceeds any fixed tolerance once the fourth-order terms dominate.
-    factor_nnz counts the factor's stored entries: for a tree factorization
+    |b - Ax| / (|A| |x| + |b|) for direct solves, with ||A||_inf; the plain
+    b-relative residual of a factorization bottoms out at |A||x|/|b| *
+    eps_machine, which exceeds any fixed tolerance once the fourth-order
+    terms dominate. For an ``ElementMatrix`` both A x and ||A||_inf come
+    from the elements, and equal those of the assembled matrix up to the
+    order of summation. factor_nnz counts the factor's stored entries: for a tree factorization
     the packed pivot blocks and the front rows below them, counted by the
     symbolic phase; L + U for SuperLU; 0 for pcg.
     """
@@ -72,45 +241,116 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _tree_order_upper(matrix, tree: SeparatorTree,
-                      scale: np.ndarray) -> sp.csr_matrix:
-    """Upper triangle of P D A D P^T by rows, D = diag(scale): row i holds
-    the entries (i, j), j >= i, in tree order. By symmetry these are the
-    lower-triangular entries of column i."""
-    n = matrix.shape[0]
-    perm = tree.perm
-    position = np.empty(n, dtype=np.int32)
-    position[perm] = np.arange(n, dtype=np.int32)
-    scale = scale[perm]
-    csr = matrix.tocsr()
-    indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
-    for start in range(0, n, _ROW_BLOCK):
-        block = csr[perm[start:start + _ROW_BLOCK]]
-        cols = position[block.indices]
-        rows = np.repeat(np.arange(start, start + block.shape[0]),
-                         np.diff(block.indptr))
-        keep = cols >= rows
-        rows, cols = rows[keep], cols[keep]
-        counts = np.bincount(rows - start, minlength=block.shape[0])
-        indptr.append(indptr[-1][-1] + np.cumsum(counts))
-        indices.append(cols)
-        data.append(block.data[keep] * scale[rows] * scale[cols])
-    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
-                          np.concatenate(indptr)), shape=(n, n))
+def _element_parts(group: ElementGroup) -> list[tuple[np.ndarray, ...]]:
+    """Split every element of a group into parts, each a clique whose DOFs
+    meet in one front. A part is (its DOFs, one row per element; its
+    nonzero block entries on and below the diagonal, shared or one row per
+    element; the rows and the columns of those entries among its DOFs).
+
+    A position is linked when its block row has a nonzero entry outside
+    its own face; a position in no face is a face by itself. The entries
+    among linked positions form one part. Every other nonzero entry lies
+    within one face, since an entry across faces links both its positions,
+    so the rest forms one part per face. A DOF that couples only within its
+    face, as a tangential gradient couples only along its edge, then widens
+    no front but its own node's, just as in the assembled matrix.
+    """
+    m = group.index.shape[1]
+    nonzero = group.block != 0
+    if nonzero.ndim == 3:
+        nonzero = nonzero.any(axis=0)
+    face = np.arange(m, 2 * m)
+    for f, positions in enumerate(group.faces):
+        face[positions] = f
+    linked = (nonzero & (face[:, None] != face)).any(axis=1)
+    a, b = np.tril_indices(m)
+    keep = nonzero[a, b]
+    a, b = a[keep], b[keep]
+    among_linked = linked[a] & linked[b]
+    selections = [among_linked] + [~among_linked & (face[a] == f)
+                                   for f in np.unique(face[a[~among_linked]])]
+    parts = []
+    for sel in selections:
+        if sel.any():
+            cols = np.union1d(a[sel], b[sel])
+            parts.append((group.index[:, cols], group.block[..., a[sel], b[sel]],
+                          np.searchsorted(cols, a[sel]),
+                          np.searchsorted(cols, b[sel])))
+    return parts
 
 
-def _front_rows(upper: sp.csr_matrix, tree: SeparatorTree) -> list[np.ndarray]:
-    """Symbolic phase: the ascending rows of every node's front. They are
-    the node's own positions, then the positions beyond it that its columns
-    or its children's fronts reach."""
+@dataclass(frozen=True)
+class _PartPlan:
+    """One part of the elements of a group, sorted by the node whose front
+    it enters: elements ``starts[s]:starts[s + 1]`` enter node s.
+    ``positions`` are the part's DOFs' tree positions (-1 where left out)
+    and ``local`` their rows in the node's front (0 where left out).
+    ``pairs`` holds the block entries (a[i], b[i]), shared or one row per
+    element, with a and b indices into the part's positions."""
+
+    starts: np.ndarray
+    positions: np.ndarray
+    local: np.ndarray
+    pairs: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Fronts:
+    """Result of the symbolic phase: the ascending tree positions of every
+    node's front, the element parts sorted by node, and the number of
+    factor entries."""
+
+    rows: list[np.ndarray]
+    parts: list[_PartPlan]
+    factor_nnz: int
+
+
+def _symbolic_phase(elements: ElementMatrix, tree: SeparatorTree) -> _Fronts:
+    """Each part of an element (see ``_element_parts``) enters the first node
+    in postorder that owns one of its DOFs. A node's front rows are its own
+    positions, the DOFs of the parts that enter it, and its children's rows
+    beyond their pivots."""
+    n = elements.dim
     bounds, parent = tree.bounds, tree.parent
-    reached: list[list[np.ndarray]] = [[] for _ in range(parent.size)]
+    n_nodes = parent.size
+    position = np.empty(n, dtype=np.int64)
+    position[tree.perm] = np.arange(n)
+    parts = [part for group in elements.groups for part in _element_parts(group)]
+    # Parts of one DOF, diagonal entries coupled to nothing else, are many
+    # and small: one part takes them all, to be visited once per node.
+    single = [part for part in parts if part[0].shape[1] == 1]
+    if len(single) > 1:
+        parts = [part for part in parts if part[0].shape[1] > 1]
+        parts.append((np.concatenate([index for index, *_ in single]),
+                      np.concatenate([np.broadcast_to(values, index.shape)
+                                      for index, values, *_ in single]),
+                      np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)))
+    sorted_parts = []
+    for index, pairs, a, b in parts:
+        held = index >= 0
+        positions = np.where(held, position[index], -1)
+        # A part holding no DOF gets node n_nodes and enters no front.
+        node = np.searchsorted(bounds, np.where(held, positions, n).min(axis=1),
+                               side="right") - 1
+        order = np.argsort(node, kind="stable")
+        starts = np.searchsorted(node[order], np.arange(n_nodes + 1))
+        order = order[:starts[-1]]
+        if pairs.ndim == 2:
+            pairs = pairs[order]
+        sorted_parts.append((starts, node[order], positions[order], pairs, a, b))
+
+    reached: list[list[np.ndarray]] = [[] for _ in range(n_nodes)]
     fronts = []
-    for s in range(parent.size):
+    for s in range(n_nodes):
         b0, b1 = bounds[s], bounds[s + 1]
         rows = np.unique(np.concatenate(
-            [np.arange(b0, b1), upper.indices[upper.indptr[b0]:upper.indptr[b1]],
-             *reached[s]]))
+            [np.arange(b0, b1, dtype=np.int64), *reached[s],
+             *(positions[starts[s]:starts[s + 1]].ravel()
+               for starts, _, positions, *_ in sorted_parts
+               if starts[s] < starts[s + 1])]))
+        rows = rows[np.searchsorted(rows, 0):]  # drop the -1 of left-out DOFs
         reached[s] = []
         if rows.size and rows[0] < b0:
             raise ValueError(f"the front of node {s} reaches position "
@@ -121,7 +361,61 @@ def _front_rows(upper: sp.csr_matrix, tree: SeparatorTree) -> list[np.ndarray]:
                 raise ValueError(f"root node {s} couples beyond its positions")
             reached[parent[s]].append(rows[b1 - b0:])
         fronts.append(rows)
-    return fronts
+
+    # Front rows of all nodes as one ascending key node * (n + 1) + position,
+    # so that one search finds every element DOF's row in its node's front.
+    sizes = np.array([rows.size for rows in fronts])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    keys = np.repeat(np.arange(n_nodes, dtype=np.int64) * (n + 1), sizes)
+    keys += np.concatenate(fronts)
+    plans = []
+    for starts, node, positions, pairs, a, b in sorted_parts:
+        # A left-out DOF's key, node * (n + 1) - 1, finds the node's first row.
+        local = (np.searchsorted(keys, node[:, None] * (n + 1) + positions)
+                 - offsets[node][:, None])
+        plans.append(_PartPlan(starts, positions, local, pairs, a, b))
+    pivots = np.diff(bounds)
+    factor_nnz = int(np.sum(pivots * (pivots + 1) // 2 + pivots * (sizes - pivots)))
+    return _Fronts(fronts, plans, factor_nnz)
+
+
+def _dense(flat: list[np.ndarray], weights: list[np.ndarray],
+           shape: tuple[int, int]) -> np.ndarray:
+    """A Fortran-ordered array of ``shape`` with the weights summed at the
+    flat (column-major) indices."""
+    if sum(part.size for part in flat) == 0:
+        return np.zeros(shape, order="F")
+    if len(flat) > 1:
+        flat, weights = [np.concatenate(flat)], [np.concatenate(weights)]
+    return np.bincount(flat[0], weights[0],
+                       minlength=shape[0] * shape[1]).reshape(shape, order="F")
+
+
+def _assemble_front(plans: list[_PartPlan], s: int, m: int, p: int,
+                    scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[F11; F21] (m x p) and F22 of node s from the scaled blocks of the
+    element parts that enter it, each part in one batch. Only the lower
+    triangle of F22 is filled: the factorization reads no other part."""
+    flat_left, left_values, flat_rest, rest_values = [], [], [], []
+    for plan in plans:
+        e0, e1 = plan.starts[s], plan.starts[s + 1]
+        if e0 == e1:
+            continue
+        sc = scale[plan.positions[e0:e1]]
+        values = np.take(sc, plan.a, axis=1)
+        values *= np.take(sc, plan.b, axis=1)
+        values *= plan.pairs if plan.pairs.ndim == 1 else plan.pairs[e0:e1]
+        local = plan.local[e0:e1]
+        r, c = np.take(local, plan.a, axis=1), np.take(local, plan.b, axis=1)
+        hi, lo = np.maximum(r, c), np.minimum(r, c)
+        left = lo < p
+        flat_left.append(hi[left] + m * lo[left])
+        left_values.append(values[left])
+        right = ~left
+        flat_rest.append(hi[right] - p + (m - p) * (lo[right] - p))
+        rest_values.append(values[right])
+    return (_dense(flat_left, left_values, (m, p)),
+            _dense(flat_rest, rest_values, (m - p, m - p)))
 
 
 def _extend_add(pivot_cols: np.ndarray, rest: np.ndarray, update: np.ndarray,
@@ -142,34 +436,32 @@ def _extend_add(pivot_cols: np.ndarray, rest: np.ndarray, update: np.ndarray,
             rest[pos[j0:] - p, c0 - p:c0 - p + j1 - j0] += update[j0:, j0:j1]
 
 
-def _factor_fronts(upper: sp.csr_matrix, tree: SeparatorTree,
-                   fronts: list[np.ndarray], factor_nnz: int) -> list:
-    """Numeric phase: (L11, L21) of every node, in postorder. L11 is the
-    Cholesky factor of the node's pivot block, packed by columns, and L21
-    the rows of the front beyond it; None where empty. Both are views of
-    one array of ``factor_nnz`` entries: a single large block goes back to
-    the system when freed, where thousands of small ones stay in the heap
-    of the process."""
+def _factor_fronts(fronts: _Fronts, tree: SeparatorTree,
+                   scale: np.ndarray) -> list:
+    """Numeric phase: (L11, L21) of every node, in postorder, for the matrix
+    scaled by ``scale`` (in tree order). L11 is the Cholesky factor of the
+    node's pivot block, packed by columns, and L21 the rows of the front
+    beyond it; None where empty. Both are views of one array of
+    ``factor_nnz`` entries: a single large block goes back to the system
+    when freed, where thousands of small ones stay in the heap of the
+    process."""
     bounds, parent = tree.bounds, tree.parent
-    n = upper.shape[0]
+    n = bounds[-1]
+    scale = np.append(scale, 0.0)  # position -1 reads this zero
     pending: list[list] = [[] for _ in range(parent.size)]
     packing: dict[int, np.ndarray] = {}  # few pivot orders recur
-    store = np.empty(factor_nnz)
+    store = np.empty(fronts.factor_nnz)
     at = 0
     factor = []
-    for s, rows in enumerate(fronts):
+    for s, rows in enumerate(fronts.rows):
         b0, b1 = bounds[s], bounds[s + 1]
         p, m = b1 - b0, rows.size
-        pivot_cols = np.zeros((m, p), order="F")
-        rest = np.zeros((m - p, m - p), order="F")
-        lo, hi = upper.indptr[b0], upper.indptr[b1]
-        col = np.repeat(np.arange(p), np.diff(upper.indptr[b0:b1 + 1]))
-        local = np.searchsorted(rows, upper.indices[lo:hi])
-        pivot_cols.ravel(order="F")[local + m * col] = upper.data[lo:hi]
+        pivot_cols, rest = _assemble_front(fronts.parts, s, m, p, scale)
         for update, child_rows in pending[s]:
             _extend_add(pivot_cols, rest, update,
                         np.searchsorted(rows, child_rows))
-        pending[s] = []
+        # Free the children's updates, the last one too, before factoring.
+        pending[s] = update = None
         l11 = l21 = None
         if p:
             l11, info = lapack.dpotrf(pivot_cols[:p], lower=1, clean=0)
@@ -195,6 +487,7 @@ def _factor_fronts(upper: sp.csr_matrix, tree: SeparatorTree,
         if m > p:
             pending[parent[s]].append((rest, rows[p:]))
         factor.append((l11, l21))
+        pivot_cols = rest = None  # free before the next front is built
     return factor
 
 
@@ -220,30 +513,27 @@ def _front_solve(factor: list, fronts: list[np.ndarray], bounds: np.ndarray,
     return y
 
 
-def _solve_multifrontal(matrix, rhs, scale, tree: SeparatorTree):
-    n = matrix.shape[0]
+def _solve_multifrontal(elements: ElementMatrix, rhs, scale,
+                        tree: SeparatorTree):
+    n = elements.dim
     if tree.perm.size != n or tree.bounds[-1] != n:
         raise ValueError(f"tree covers {tree.perm.size} DOFs, matrix has {n}")
     if not np.all((tree.parent > np.arange(tree.parent.size))
                   | (tree.parent == -1)):
         raise ValueError("tree nodes are not in postorder")
-    upper = _tree_order_upper(matrix, tree, scale)
-    fronts = _front_rows(upper, tree)
-    pivots = np.diff(tree.bounds)
-    sizes = np.array([rows.size for rows in fronts])
-    factor_nnz = int(np.sum(pivots * (pivots + 1) // 2 + pivots * (sizes - pivots)))
+    fronts = _symbolic_phase(elements, tree)
     memory = _physical_memory()
-    if 8 * factor_nnz > memory:
+    if 8 * fronts.factor_nnz > memory:
         raise SolverError(
-            f"the factor of dimension {n} needs {factor_nnz} entries "
-            f"({8 * factor_nnz / 2**30:.1f} GiB), more than the "
+            f"the factor of dimension {n} needs {fronts.factor_nnz} entries "
+            f"({8 * fronts.factor_nnz / 2**30:.1f} GiB), more than the "
             f"{memory / 2**30:.1f} GiB of physical memory")
-    factor = _factor_fronts(upper, tree, fronts, factor_nnz)
     perm = tree.perm
-    w = _front_solve(factor, fronts, tree.bounds, scale[perm] * rhs[perm])
+    factor = _factor_fronts(fronts, tree, scale[perm])
+    w = _front_solve(factor, fronts.rows, tree.bounds, scale[perm] * rhs[perm])
     x = np.empty(n)
     x[perm] = scale[perm] * w
-    return x, factor_nnz
+    return x, fronts.factor_nnz
 
 
 def _solve_superlu(matrix, rhs, scale):
@@ -333,28 +623,43 @@ def _solve_pcg(matrix, rhs, tol, max_iter):
     return x, iterations
 
 
-def solve_spd(matrix: sp.spmatrix, rhs: np.ndarray, method: str = "direct",
-              tol: float = 1e-12, tree: SeparatorTree | None = None
+def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
+              method: str = "direct", tol: float = 1e-12,
+              tree: SeparatorTree | None = None
               ) -> tuple[np.ndarray, SolveReport]:
-    """Solve an SPD sparse system; aborts with SolverError on any failure.
+    """Solve an SPD system; aborts with SolverError on any failure.
+
+    ``matrix`` is a scipy sparse matrix or an ``ElementMatrix``.
 
     direct: Cholesky factorization. With ``tree`` (the separator tree of
-            ``assembly.fill_reducing_ordering``) it is multifrontal: the
-            symbolic phase counts the factor entries and raises before any
-            numeric work if they would not fit in physical memory, and a
-            front that is not positive definite raises, naming the front.
-            Without a tree, SuperLU factors with its own ordering and its
-            pivots are checked for positivity.
-    pcg: Jacobi-preconditioned conjugate gradients until |b - Ax| / |b| <=
-         tol; ``tree`` is not used. It stops at 20 * dim iterations in all,
-         or earlier after four restarts from the true residual. That
-         residual cannot go below ``residual_floor(matrix, x, rhs)``, so a
-         tol under the floor fails whatever the iteration does.
+            ``assembly.fill_reducing_ordering``) it is multifrontal on the
+            element form; a sparse matrix is first rewritten as 1x1 and 2x2
+            elements. The symbolic phase counts the factor entries and
+            raises before any numeric work if they would not fit in
+            physical memory, and a front that is not positive definite
+            raises, naming the front. Without a tree, SuperLU factors the
+            assembled matrix with its own ordering and its pivots are
+            checked for positivity.
+    pcg: Jacobi-preconditioned conjugate gradients on the assembled matrix
+         until |b - Ax| / |b| <= tol; ``tree`` is not used. It stops at
+         20 * dim iterations in all, or earlier after four restarts from the
+         true residual. That residual cannot go below
+         ``residual_floor(matrix, x, rhs)``, so a tol under the floor fails
+         whatever the iteration does.
+
+    A direct solve is checked by its normwise backward error (see
+    ``SolveReport``); on the element form, A x and ||A||_inf are computed
+    exactly from the elements.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method}")
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.size:
         raise ValueError("matrix/rhs dimension mismatch")
+    if method == "direct" and tree is not None:
+        if not isinstance(matrix, ElementMatrix):
+            matrix = ElementMatrix.from_sparse(matrix)
+    elif isinstance(matrix, ElementMatrix):
+        matrix = matrix.to_csr()
     start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
     rhs_norm = float(np.linalg.norm(rhs))
@@ -371,7 +676,8 @@ def solve_spd(matrix: sp.spmatrix, rhs: np.ndarray, method: str = "direct",
 
     residual = float(np.linalg.norm(rhs - matrix @ x))
     if method == "direct":
-        norm_a = float(np.abs(matrix).sum(axis=1).max())
+        norm_a = (matrix.norm_inf() if isinstance(matrix, ElementMatrix)
+                  else float(np.abs(matrix).sum(axis=1).max()))
         rel = residual / (norm_a * float(np.linalg.norm(x)) + rhs_norm)
     else:
         rel = residual / rhs_norm

@@ -93,8 +93,31 @@ class TestRunCase:
                            condense=condense)
         assert run_case(config, 1.0, 8).error == pytest.approx(1.01e-3, rel=0.05)
 
+    @pytest.mark.parametrize("condense", ["on", "off"])
+    def test_direct_case_never_builds_the_matrix(self, monkeypatch, condense):
+        def to_csr(self):
+            raise AssertionError("a direct case assembled the CSR matrix")
+
+        monkeypatch.setattr(solver.ElementMatrix, "to_csr", to_csr)
+        config = RunConfig(example=1, k=3, eps_list=(1.0,), n_list=(8,),
+                           condense=condense)
+        assert run_case(config, 1.0, 8).error == pytest.approx(1.01e-3, rel=0.05)
+
 
 class TestConvergenceTable:
+    def test_progress_once_per_case_in_parallel(self):
+        config = RunConfig(example=1, k=3, eps_list=(1.0,), n_list=(8, 16))
+        calls = []
+        records = convergence_table(
+            config, jobs=2, progress=lambda record, seconds: calls.append(
+                (record.n, seconds)))
+        assert sorted(n for n, _ in calls) == [8, 16]
+        assert all(seconds > 0.0 for _, seconds in calls)
+        serial = convergence_table(config)
+        assert [r.error for r in records] == pytest.approx(
+            [r.error for r in serial], rel=1e-12)
+
+
     def test_order_convention(self, monkeypatch):
         canned = {(1.0, 8): 1.01e-3, (1.0, 16): 2.61e-4}
 

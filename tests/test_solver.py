@@ -6,7 +6,8 @@ import wg_shishkin.solver as solver
 from wg_shishkin.analytic import ExactSolution
 from wg_shishkin.assembly import assemble_system, fill_reducing_ordering
 from wg_shishkin.mesh import MeshParams, build_mesh
-from wg_shishkin.solver import SeparatorTree, SolverError, solve_spd
+from wg_shishkin.solver import (ElementGroup, ElementMatrix, SeparatorTree,
+                                SolverError, solve_spd)
 
 RNG = np.random.default_rng(31415)
 
@@ -188,3 +189,49 @@ class TestFactorSize:
         monkeypatch.undo()
         monkeypatch.setattr(solver, "_physical_memory", lambda: needed)
         solve_spd(system.matrix, system.rhs, tol=1e-10, tree=tree)
+
+    @pytest.mark.parametrize("n, k, eps, quad, entries", [
+        (128, 3, 1e-4, None, 98_089_344),
+        (64, 4, 1e-3, 5, 32_321_680),
+    ])
+    def test_benchmark_case_factor_entries(self, n, k, eps, quad, entries):
+        # The factor sizes of the assembled-matrix fronts: the element form
+        # must not widen any front.
+        mesh = build_mesh(MeshParams(n=n, eps=eps, k=k))
+        system = assemble_system(mesh, k, eps, ExactSolution(1, eps).forcing,
+                                 q=quad, condense=True)
+        fronts = solver._symbolic_phase(system.elements,
+                                        fill_reducing_ordering(system))
+        assert fronts.factor_nnz == entries
+
+
+class TestElementMatrix:
+    def test_sparse_matrix_round_trip(self):
+        matrix = random_spd(30)
+        elements = ElementMatrix.from_sparse(matrix)
+        assert np.abs(elements.to_csr() - matrix).max() == 0.0
+        x = RNG.standard_normal(30)
+        assert elements @ x == pytest.approx(matrix @ x, rel=1e-13)
+        assert elements.norm_inf() == pytest.approx(
+            np.abs(matrix.toarray()).sum(axis=1).max(), rel=1e-14)
+
+    def test_shared_face_entries_sum_before_absolute_value(self):
+        # Two elements share the face {1, 2}; their (1, 2) entries cancel.
+        block = np.array([[4.0, 1.0, 1.0], [1.0, 4.0, 2.0], [1.0, 2.0, 4.0]])
+        other = block.copy()
+        other[1, 2] = other[2, 1] = -2.0
+        face = np.array([[1, 2]])
+        elements = ElementMatrix(4, (
+            ElementGroup(np.array([[0, 1, 2]]), block, face),
+            ElementGroup(np.array([[3, 1, 2]]), other, face)))
+        dense = elements.to_csr().toarray()
+        assert dense[1, 2] == 0.0
+        assert elements.norm_inf() == np.abs(dense).sum(axis=1).max() == 10.0
+
+    def test_rejects_shared_face_listed_in_another_order(self):
+        block = 4.0 * np.eye(3)
+        face = np.array([[1, 2]])
+        elements = ElementMatrix(4, (
+            ElementGroup(np.array([[0, 1, 2], [3, 2, 1]]), block, face),))
+        with pytest.raises(ValueError, match="different orders"):
+            elements.norm_inf()
