@@ -14,6 +14,12 @@ couple to. LAPACK ``potrf`` factors the node's pivot block, and the Schur
 complement of the rest passes to the parent. A front that ``potrf`` cannot
 factor proves the matrix indefinite, so every tree factorization certifies
 SPD at any size.
+
+On a piecewise-uniform mesh most subtrees are translated copies of each
+other and build bit-identical fronts. Before any numeric work every node gets
+an exact key of what enters its front, and only the first node with a given
+key is factored; its twins share its factor (Przemieniecki 1963: repeated
+substructures are condensed once).
 """
 
 import os
@@ -224,9 +230,12 @@ class SolveReport:
     eps_machine, which exceeds any fixed tolerance once the fourth-order
     terms dominate. For an ``ElementMatrix`` both A x and ||A||_inf come
     from the elements, and equal those of the assembled matrix up to the
-    order of summation. factor_nnz counts the factor's stored entries: for a tree factorization
-    the packed pivot blocks and the front rows below them, counted by the
-    symbolic phase; L + U for SuperLU; 0 for pcg.
+    order of summation. factor_nnz counts the factor's entries: for a tree
+    factorization the packed pivot blocks and the front rows below them of
+    every node, counted by the symbolic phase; L + U for SuperLU; 0 for pcg.
+    factor_stored counts the entries the factor holds in memory: for a tree
+    factorization those of the distinct fronts only, as twins share one
+    copy; factor_nnz for SuperLU; 0 for pcg.
     """
 
     method: str
@@ -234,6 +243,7 @@ class SolveReport:
     rel_residual: float
     wall_time: float
     factor_nnz: int
+    factor_stored: int
 
 
 def _physical_memory() -> int:
@@ -300,11 +310,15 @@ class _PartPlan:
 class _Fronts:
     """Result of the symbolic phase: the ascending tree positions of every
     node's front, the element parts sorted by node, and the number of
-    factor entries."""
+    factor entries of every node."""
 
     rows: list[np.ndarray]
     parts: list[_PartPlan]
-    factor_nnz: int
+    entries: np.ndarray
+
+    @property
+    def factor_nnz(self) -> int:
+        return int(self.entries.sum())
 
 
 def _symbolic_phase(elements: ElementMatrix, tree: SeparatorTree) -> _Fronts:
@@ -375,8 +389,54 @@ def _symbolic_phase(elements: ElementMatrix, tree: SeparatorTree) -> _Fronts:
                  - offsets[node][:, None])
         plans.append(_PartPlan(starts, positions, local, pairs, a, b))
     pivots = np.diff(bounds)
-    factor_nnz = int(np.sum(pivots * (pivots + 1) // 2 + pivots * (sizes - pivots)))
-    return _Fronts(fronts, plans, factor_nnz)
+    return _Fronts(fronts, plans, pivots * (pivots + 1) // 2 + pivots * (sizes - pivots))
+
+
+def _children(parent: np.ndarray) -> list[list[int]]:
+    """Every node's children, ascending: the order their updates are added."""
+    children: list[list[int]] = [[] for _ in range(parent.size)]
+    for c in np.flatnonzero(parent >= 0).tolist():
+        children[parent[c]].append(c)
+    return children
+
+
+def _representatives(fronts: _Fronts, tree: SeparatorTree,
+                     scale: np.ndarray) -> np.ndarray:
+    """The first node in postorder whose front equals node s's bit for bit,
+    for every s: s itself where no earlier node does.
+
+    A node's key holds everything its front is built from: the front's
+    shape; for each element part that enters it, the part's index, the
+    elements' rows in the front, the scale at their DOFs and, where the
+    part's blocks are stacked, their values; for each child, its
+    representative (whose update equals the child's, by induction) and the
+    rows that update lands on. Keys are compared as bytes, so nodes of equal
+    key assemble the same numbers in the same order and get the same factor
+    and update."""
+    bounds = tree.bounds
+    scale = np.append(scale, 0.0)  # position -1 reads this zero
+    parts = [(plan.starts, plan.local, scale[plan.positions],
+              plan.pairs if plan.pairs.ndim == 2 else None)
+             for plan in fronts.parts]
+    children = _children(tree.parent)
+    rep = np.empty(len(fronts.rows), dtype=np.int64)
+    first: dict[bytes, int] = {}
+    for s, rows in enumerate(fronts.rows):
+        entering = [i for i, (starts, *_) in enumerate(parts)
+                    if starts[s] < starts[s + 1]]
+        key = [np.array([rows.size, bounds[s + 1] - bounds[s],
+                         len(entering), len(children[s])])]
+        for i in entering:
+            starts, local, at_dofs, pairs = parts[i]
+            e0, e1 = starts[s], starts[s + 1]
+            key += [np.array([i, e1 - e0]), local[e0:e1], at_dofs[e0:e1]]
+            if pairs is not None:
+                key.append(pairs[e0:e1])
+        for c in children[s]:
+            pos = np.searchsorted(rows, fronts.rows[c][bounds[c + 1] - bounds[c]:])
+            key += [np.array([rep[c], pos.size]), pos]
+        rep[s] = first.setdefault(b"".join(part.tobytes() for part in key), s)
+    return rep
 
 
 def _dense(flat: list[np.ndarray], weights: list[np.ndarray],
@@ -436,32 +496,49 @@ def _extend_add(pivot_cols: np.ndarray, rest: np.ndarray, update: np.ndarray,
             rest[pos[j0:] - p, c0 - p:c0 - p + j1 - j0] += update[j0:, j0:j1]
 
 
-def _factor_fronts(fronts: _Fronts, tree: SeparatorTree,
-                   scale: np.ndarray) -> list:
+def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
+                   rep: np.ndarray) -> list:
     """Numeric phase: (L11, L21) of every node, in postorder, for the matrix
     scaled by ``scale`` (in tree order). L11 is the Cholesky factor of the
     node's pivot block, packed by columns, and L21 the rows of the front
-    beyond it; None where empty. Both are views of one array of
-    ``factor_nnz`` entries: a single large block goes back to the system
-    when freed, where thousands of small ones stay in the heap of the
-    process."""
+    beyond it; None where empty.
+
+    Only representatives (``rep[s] == s``, see ``_representatives``) are
+    assembled and factored; a twin's entry is its representative's. So the
+    factor holds the entries of the distinct fronts alone, all views of one
+    array: a single large block goes back to the system when freed, where
+    thousands of small ones stay in the heap of the process. A
+    representative's update is kept until the last node it stands for whose
+    parent is a representative has added it there."""
     bounds, parent = tree.bounds, tree.parent
     n = bounds[-1]
     scale = np.append(scale, 0.0)  # position -1 reads this zero
-    pending: list[list] = [[] for _ in range(parent.size)]
+    distinct = rep == np.arange(rep.size)
+    feeds = (parent >= 0) & distinct[np.maximum(parent, 0)]
+    uses = np.bincount(rep[feeds], minlength=parent.size)
+    children = _children(parent)
+    updates: dict[int, np.ndarray] = {}
     packing: dict[int, np.ndarray] = {}  # few pivot orders recur
-    store = np.empty(fronts.factor_nnz)
+    store = np.empty(int(fronts.entries[distinct].sum()))
     at = 0
     factor = []
     for s, rows in enumerate(fronts.rows):
+        if not distinct[s]:
+            factor.append(factor[rep[s]])
+            continue
         b0, b1 = bounds[s], bounds[s + 1]
         p, m = b1 - b0, rows.size
         pivot_cols, rest = _assemble_front(fronts.parts, s, m, p, scale)
-        for update, child_rows in pending[s]:
-            _extend_add(pivot_cols, rest, update,
+        for c in children[s]:
+            child_rows = fronts.rows[c][bounds[c + 1] - bounds[c]:]
+            if not child_rows.size:  # a child with no update
+                continue
+            r = rep[c]
+            _extend_add(pivot_cols, rest, updates[r],
                         np.searchsorted(rows, child_rows))
-        # Free the children's updates, the last one too, before factoring.
-        pending[s] = update = None
+            uses[r] -= 1
+            if not uses[r]:  # free it before factoring
+                del updates[r]
         l11 = l21 = None
         if p:
             l11, info = lapack.dpotrf(pivot_cols[:p], lower=1, clean=0)
@@ -484,8 +561,8 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree,
                 packing[p] = np.triu(np.ones((p, p), dtype=bool))
             packed[:] = l11.T[packing[p]]
             l11 = packed
-        if m > p:
-            pending[parent[s]].append((rest, rows[p:]))
+        if m > p and uses[s]:
+            updates[s] = rest
         factor.append((l11, l21))
         pivot_cols = rest = None  # free before the next front is built
     return factor
@@ -529,11 +606,13 @@ def _solve_multifrontal(elements: ElementMatrix, rhs, scale,
             f"({8 * fronts.factor_nnz / 2**30:.1f} GiB), more than the "
             f"{memory / 2**30:.1f} GiB of physical memory")
     perm = tree.perm
-    factor = _factor_fronts(fronts, tree, scale[perm])
+    rep = _representatives(fronts, tree, scale[perm])
+    factor = _factor_fronts(fronts, tree, scale[perm], rep)
     w = _front_solve(factor, fronts.rows, tree.bounds, scale[perm] * rhs[perm])
     x = np.empty(n)
     x[perm] = scale[perm] * w
-    return x, fronts.factor_nnz
+    stored = int(fronts.entries[rep == np.arange(rep.size)].sum())
+    return x, fronts.factor_nnz, stored
 
 
 def _solve_superlu(matrix, rhs, scale):
@@ -551,7 +630,7 @@ def _solve_superlu(matrix, rhs, scale):
     if np.any(pivots <= 0.0) or not np.all(np.isfinite(pivots)):
         raise SolverError("matrix is not positive definite (min pivot "
                           f"{pivots.min():.3e}, dimension {matrix.shape[0]})")
-    return scale * lu.solve(scale * rhs), lu.nnz
+    return scale * lu.solve(scale * rhs), lu.nnz, lu.nnz
 
 
 def _solve_direct(matrix, rhs, tree):
@@ -637,7 +716,8 @@ def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
             elements. The symbolic phase counts the factor entries and
             raises before any numeric work if they would not fit in
             physical memory, and a front that is not positive definite
-            raises, naming the front. Without a tree, SuperLU factors the
+            raises, naming the front. A front equal bit for bit to an
+            earlier one shares its factor. Without a tree, SuperLU factors the
             assembled matrix with its own ordering and its pivots are
             checked for positivity.
     pcg: Jacobi-preconditioned conjugate gradients on the assembled matrix
@@ -664,15 +744,15 @@ def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
     rhs = np.asarray(rhs, dtype=float)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        report = SolveReport(method, 0, 0.0, time.perf_counter() - start, 0)
+        report = SolveReport(method, 0, 0.0, time.perf_counter() - start, 0, 0)
         return np.zeros_like(rhs), report
 
     if method == "direct":
-        x, factor_nnz = _solve_direct(matrix, rhs, tree)
+        x, factor_nnz, factor_stored = _solve_direct(matrix, rhs, tree)
         iterations = 0
     else:
         x, iterations = _solve_pcg(matrix, rhs, tol, max_iter=20 * rhs.size)
-        factor_nnz = 0
+        factor_nnz = factor_stored = 0
 
     residual = float(np.linalg.norm(rhs - matrix @ x))
     if method == "direct":
@@ -685,4 +765,4 @@ def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
         raise SolverError(f"{method} solve left relative residual {rel:.3e} "
                           f"above tolerance {tol:.1e}")
     return x, SolveReport(method, iterations, rel, time.perf_counter() - start,
-                          factor_nnz)
+                          factor_nnz, factor_stored)

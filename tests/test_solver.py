@@ -235,3 +235,72 @@ class TestElementMatrix:
             ElementGroup(np.array([[0, 1, 2], [3, 2, 1]]), block, face),))
         with pytest.raises(ValueError, match="different orders"):
             elements.norm_inf()
+
+
+def stacked(elements):
+    """The same matrix with a block of its own for every element."""
+    return ElementMatrix(elements.dim, tuple(
+        ElementGroup(group.index,
+                     np.repeat(group.block[None], group.index.shape[0], axis=0)
+                     if group.block.ndim == 2 else group.block.copy(),
+                     group.faces)
+        for group in elements.groups))
+
+
+class TestFrontSharing:
+    """Twin fronts share one factor, so a key that missed anything a front
+    is built from would hand a node its twin's factor: each change below
+    touches one front that has a twin, and the tree solve must still match
+    SuperLU while the distinct fronts, and so the stored entries, grow."""
+
+    @pytest.fixture(scope="class")
+    def uniform_system(self):
+        mesh = build_mesh(MeshParams(n=16, eps=1e-2, k=3, mesh_kind="uniform"))
+        system = assemble_system(mesh, 3, 1e-2, ExactSolution(1, 1e-2).forcing,
+                                 condense=True)
+        return system, fill_reducing_ordering(system)
+
+    def test_twins_share_their_factor(self, uniform_system):
+        system, tree = uniform_system
+        _, report = solve_spd(system.elements, system.rhs, tol=1e-10, tree=tree)
+        assert report.factor_stored < report.factor_nnz
+        _, again = solve_spd(stacked(system.elements), system.rhs, tol=1e-10,
+                             tree=tree)
+        assert again.factor_stored == report.factor_stored
+        _, lu = solve_spd(system.matrix, system.rhs, tol=1e-10)
+        assert lu.factor_stored == lu.factor_nnz > 0
+        _, pcg = solve_spd(system.matrix, system.rhs, "pcg", tol=1e-8)
+        assert pcg.factor_stored == pcg.factor_nnz == 0
+
+    @pytest.mark.parametrize("change", ["cell diagonal", "cell off-diagonal",
+                                        "dof diagonal"])
+    def test_key_misses_nothing(self, uniform_system, change):
+        system, tree = uniform_system
+        _, report = solve_spd(system.elements, system.rhs, tol=1e-10, tree=tree)
+        elements = stacked(system.elements)
+        # A DOF of the root separator: the fronts below it that hold it are
+        # translated copies of fronts that do not.
+        dof = tree.perm[(tree.bounds[-2] + tree.bounds[-1]) // 2]
+        group = elements.groups[0]
+        cell, at = np.argwhere(group.index == dof)[0]
+        if change == "cell diagonal":
+            # The block entry and the scale of the DOF change.
+            group.block[cell, at, at] *= 1 + 1e-3
+        elif change == "cell off-diagonal":
+            # Only the block entries change: the diagonal, so the scale, stays.
+            other = next(j for j in np.flatnonzero(group.block[cell, at])
+                         if j != at and group.index[cell, j] >= 0)
+            group.block[cell, at, other] *= 1 + 1e-3
+            group.block[cell, other, at] *= 1 + 1e-3
+        else:
+            # No cell block changes: the fronts of the cells that hold the
+            # DOF differ from their twins' by the scale alone.
+            diagonal = elements.diagonal()[dof]
+            elements = ElementMatrix(elements.dim, elements.groups + (
+                ElementGroup(np.array([[dof]]), np.array([[1e-3 * diagonal]]),
+                             np.empty((0, 0), dtype=np.int64)),))
+        x_tree, changed = solve_spd(elements, system.rhs, tol=1e-10, tree=tree)
+        x_lu, _ = solve_spd(elements.to_csr(), system.rhs, tol=1e-10)
+        assert np.linalg.norm(x_tree - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
+        assert changed.factor_stored > report.factor_stored
+        assert changed.factor_nnz == report.factor_nnz
