@@ -42,7 +42,10 @@ def build_parser() -> argparse.ArgumentParser:
                      default="shishkin")
     run.add_argument("--quad", type=int, default=None,
                      help="quadrature points per direction (default k+3)")
-    run.add_argument("--solver", choices=("direct", "pcg"), default="direct")
+    run.add_argument("--solver", choices=("direct", "pcg"), default="direct",
+                     help="direct: Cholesky on the separator tree; pcg: CG "
+                          "preconditioned by that factorization in single "
+                          "precision (default direct)")
     run.add_argument("--condense", choices=("auto", "on", "off"),
                      default="auto")
     _add_common(run)

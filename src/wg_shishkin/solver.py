@@ -1,25 +1,32 @@
 """Sparse SPD solves: multifrontal Cholesky on a separator tree, SuperLU for a
-matrix given without one, and Jacobi-preconditioned CG.
+matrix given without one, and conjugate gradients preconditioned by either
+factorization.
 
 A matrix comes either as a scipy sparse matrix or in element form, an
 ``ElementMatrix``: the sum of small dense blocks, each placed at the rows and
-columns of its element's DOFs. Both direct paths scale the matrix
-symmetrically to unit diagonal first. Given the nested-dissection tree of
-``assembly.fill_reducing_ordering``, the direct path factors the matrix front
-by front in postorder (George 1973), in the element form of the multifrontal
-method (Duff & Reid 1983): each element's block enters the front of the
-first node that owns one of its DOFs, and no global matrix is formed. A
-node's front is a dense matrix over its own DOFs and the ancestor DOFs they
-couple to. LAPACK ``potrf`` factors the node's pivot block, and the Schur
-complement of the rest passes to the parent. A front that ``potrf`` cannot
-factor proves the matrix indefinite, so every tree factorization certifies
-SPD at any size.
+columns of its element's DOFs. Every solve scales the matrix symmetrically
+to unit diagonal first. Given the nested-dissection tree of
+``assembly.fill_reducing_ordering``, the matrix is factored front by front in
+postorder (George 1973), in the element form of the multifrontal method
+(Duff & Reid 1983): each element's block enters the front of the first node
+that owns one of its DOFs, and no global matrix is formed. A node's front is
+a dense matrix over its own DOFs and the ancestor DOFs they couple to.
+LAPACK ``potrf`` factors the node's pivot block, and the Schur complement of
+the rest passes to the parent. A front that ``dpotrf`` cannot factor proves
+the matrix indefinite, so every double-precision tree factorization
+certifies SPD at any size.
 
 On a piecewise-uniform mesh most subtrees are translated copies of each
 other and build bit-identical fronts. Before any numeric work every node gets
 an exact key of what enters its front, and only the first node with a given
 key is factored; its twins share its factor (Przemieniecki 1963: repeated
 substructures are condensed once).
+
+The iterative method is double-precision CG on the given matrix,
+preconditioned by the tree factorization run in single precision: half the
+factor's memory, and a few iterations recover full accuracy (Langou et al.
+2006; Carson & Higham 2018). Without a tree the preconditioner is the
+SuperLU factor.
 """
 
 import os
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import blas, lapack
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 METHODS = ("direct", "pcg")
 
@@ -118,12 +125,13 @@ class ElementMatrix:
             y += np.bincount(group.index[held], local[held], minlength=self.dim)
         return y
 
-    def norm_inf(self) -> float:
-        """max_i sum_j |A_ij|, exactly: an entry between two positions of
-        one face is summed over the elements that hold the face before its
-        absolute value is taken. A sum of |block| over the elements would
-        only bound the norm from above."""
-        rows = np.zeros(self.dim)
+    def abs_matmul(self, x: np.ndarray) -> np.ndarray:
+        """|A| |x|, exactly: an entry between two positions of one face is
+        summed over the elements that hold the face before its absolute
+        value is taken. A sum of |block| |x| over the elements would only
+        bound it from above."""
+        padded = np.append(np.abs(x), 0.0)  # index -1 reads this zero
+        y = np.zeros(self.dim)
         faces = []  # (DOFs, block entries) of each face of each element
         for group in self.groups:
             m = group.index.shape[1]
@@ -134,8 +142,8 @@ class ElementMatrix:
                 faces.append((group.index[:, face],
                               group.block[..., face[:, None], face]))
             outside = np.where(same_face, 0.0, np.abs(group.block))
-            sums = _times_block(held.astype(float), outside)
-            rows += np.bincount(group.index[held], sums[held], minlength=self.dim)
+            sums = _times_block(padded[group.index], outside)
+            y += np.bincount(group.index[held], sums[held], minlength=self.dim)
         if faces:
             # A face is known by its largest DOF: distinct faces hold
             # disjoint DOFs. A face with every position left out adds nothing.
@@ -154,9 +162,13 @@ class ElementMatrix:
             keep = keys >= 0
             dofs_of, summed = dofs_of[keep], summed[keep]
             held = dofs_of >= 0
-            sums = np.einsum("kab,kb->ka", np.abs(summed), held)
-            rows += np.bincount(dofs_of[held], sums[held], minlength=self.dim)
-        return float(rows.max())
+            sums = np.einsum("kab,kb->ka", np.abs(summed), padded[dofs_of])
+            y += np.bincount(dofs_of[held], sums[held], minlength=self.dim)
+        return y
+
+    def norm_inf(self) -> float:
+        """max_i sum_j |A_ij|, exactly (see ``abs_matmul``)."""
+        return float(self.abs_matmul(np.ones(self.dim)).max())
 
     def to_csr(self) -> sp.csr_matrix:
         """The assembled matrix, in one pass: every element entry is written
@@ -224,18 +236,23 @@ class SeparatorTree:
 class SolveReport:
     """Outcome of one solve.
 
-    rel_residual is |b - Ax| / |b| for pcg and the normwise backward error
-    |b - Ax| / (|A| |x| + |b|) for direct solves, with ||A||_inf; the plain
-    b-relative residual of a factorization bottoms out at |A||x|/|b| *
-    eps_machine, which exceeds any fixed tolerance once the fourth-order
-    terms dominate. For an ``ElementMatrix`` both A x and ||A||_inf come
-    from the elements, and equal those of the assembled matrix up to the
-    order of summation. factor_nnz counts the factor's entries: for a tree
-    factorization the packed pivot blocks and the front rows below them of
-    every node, counted by the symbolic phase; L + U for SuperLU; 0 for pcg.
-    factor_stored counts the entries the factor holds in memory: for a tree
-    factorization those of the distinct fronts only, as twins share one
-    copy; factor_nnz for SuperLU; 0 for pcg.
+    rel_residual is the normwise backward error |b - Ax| / (|A| |x| + |b|)
+    of a direct solve, with ||A||_inf; the plain b-relative residual of a
+    factorization bottoms out at |A||x|/|b| * eps_machine, which exceeds any
+    fixed tolerance once the fourth-order terms dominate. For pcg it is that
+    b-relative residual |b - Ax| / |b| of the iterate returned, the best
+    one seen, which is at most max(tol, 8 * ``residual_floor``). For an
+    ``ElementMatrix``, A x and |A| |x| come from the elements, and equal
+    those of the assembled matrix up to the order of summation. iterations
+    counts the CG steps of pcg, over both precisions; 0 for direct.
+
+    factor_nnz counts the factor's entries: for a tree factorization the
+    packed pivot blocks and the front rows below them of every node,
+    counted by the symbolic phase; L + U for SuperLU. factor_stored counts
+    the entries the factor holds in memory: for a tree factorization those
+    of the distinct fronts only, as twins share one copy; factor_nnz for
+    SuperLU. For pcg both count its preconditioner, the same factor as the
+    direct solve's, held in single precision on a tree.
     """
 
     method: str
@@ -497,11 +514,12 @@ def _extend_add(pivot_cols: np.ndarray, rest: np.ndarray, update: np.ndarray,
 
 
 def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
-                   rep: np.ndarray) -> list:
+                   rep: np.ndarray, dtype=np.float64) -> list:
     """Numeric phase: (L11, L21) of every node, in postorder, for the matrix
-    scaled by ``scale`` (in tree order). L11 is the Cholesky factor of the
-    node's pivot block, packed by columns, and L21 the rows of the front
-    beyond it; None where empty.
+    scaled by ``scale`` (in tree order), in the precision of ``dtype``. L11
+    is the Cholesky factor of the node's pivot block, packed by columns, and
+    L21 the rows of the front beyond it; None where empty. Fronts are
+    assembled in double precision and rounded to ``dtype``.
 
     Only representatives (``rep[s] == s``, see ``_representatives``) are
     assembled and factored; a twin's entry is its representative's. So the
@@ -517,9 +535,17 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
     feeds = (parent >= 0) & distinct[np.maximum(parent, 0)]
     uses = np.bincount(rep[feeds], minlength=parent.size)
     children = _children(parent)
+    potrf, = get_lapack_funcs(("potrf",), dtype=dtype)
+    trsm, syrk = get_blas_funcs(("trsm", "syrk"), dtype=dtype)
     updates: dict[int, np.ndarray] = {}
     packing: dict[int, np.ndarray] = {}  # few pivot orders recur
-    store = np.empty(int(fronts.entries[distinct].sum()))
+    store = np.empty(int(fronts.entries[distinct].sum()), dtype=dtype)
+    # Below double precision, entries under sqrt(tiny) are zeroed, so that
+    # no product of two entries is subnormal: subnormal operands slow the
+    # BLAS kernels several times (eps=1e-6, N=64: ssyrk 0.79 s against
+    # 0.06 s flushed). Against the unit diagonal such an entry lies 1e11
+    # below single precision's unit round-off.
+    flush = np.sqrt(np.finfo(dtype).tiny) if dtype != np.float64 else 0.0
     at = 0
     factor = []
     for s, rows in enumerate(fronts.rows):
@@ -528,7 +554,8 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
             continue
         b0, b1 = bounds[s], bounds[s + 1]
         p, m = b1 - b0, rows.size
-        pivot_cols, rest = _assemble_front(fronts.parts, s, m, p, scale)
+        pivot_cols, rest = (front.astype(dtype, order="F", copy=False) for front
+                            in _assemble_front(fronts.parts, s, m, p, scale))
         for c in children[s]:
             child_rows = fronts.rows[c][bounds[c + 1] - bounds[c]:]
             if not child_rows.size:  # a child with no update
@@ -539,9 +566,12 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
             uses[r] -= 1
             if not uses[r]:  # free it before factoring
                 del updates[r]
+        if flush:
+            pivot_cols[np.abs(pivot_cols) < flush] = 0.0
+            rest[np.abs(rest) < flush] = 0.0
         l11 = l21 = None
         if p:
-            l11, info = lapack.dpotrf(pivot_cols[:p], lower=1, clean=0)
+            l11, info = potrf(pivot_cols[:p], lower=1, clean=0)
             if info != 0:
                 raise SolverError(
                     f"matrix is not positive definite: pivot {info} of front "
@@ -553,10 +583,12 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
                 l21 = store[at:at + (m - p) * p].reshape((m - p, p), order="F")
                 at += l21.size
                 l21[:] = pivot_cols[p:]
-                l21 = blas.dtrsm(1.0, l11, l21, side=1, lower=1, trans_a=1,
-                                 overwrite_b=1)
-                rest = blas.dsyrk(-1.0, l21, beta=1.0, c=rest, lower=1,
-                                  overwrite_c=1)
+                l21 = trsm(1.0, l11, l21, side=1, lower=1, trans_a=1,
+                           overwrite_b=1)
+                if flush:
+                    l21[np.abs(l21) < flush] = 0.0
+                rest = syrk(-1.0, l21, beta=1.0, c=rest, lower=1,
+                            overwrite_c=1)
             if p not in packing:
                 packing[p] = np.triu(np.ones((p, p), dtype=bool))
             packed[:] = l11.T[packing[p]]
@@ -570,12 +602,14 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
 
 def _front_solve(factor: list, fronts: list[np.ndarray], bounds: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
-    """Solve L L^T w = y in place, one front at a time."""
+    """Solve L L^T w = y in place, one front at a time, in the precision of
+    the factor, which is that of y."""
+    tpsv, = get_blas_funcs(("tpsv",), dtype=y.dtype)
     for s, (l11, l21) in enumerate(factor):
         if l11 is None:
             continue
         b0, b1 = bounds[s], bounds[s + 1]
-        y[b0:b1] = blas.dtpsv(b1 - b0, l11, y[b0:b1], lower=1)
+        y[b0:b1] = tpsv(b1 - b0, l11, y[b0:b1], lower=1)
         if l21 is not None:
             y[fronts[s][b1 - b0:]] -= l21 @ y[b0:b1]
     for s in range(len(factor) - 1, -1, -1):
@@ -586,12 +620,12 @@ def _front_solve(factor: list, fronts: list[np.ndarray], bounds: np.ndarray,
         piv = y[b0:b1]
         if l21 is not None:
             piv = piv - l21.T @ y[fronts[s][b1 - b0:]]
-        y[b0:b1] = blas.dtpsv(b1 - b0, l11, piv, lower=1, trans=1)
+        y[b0:b1] = tpsv(b1 - b0, l11, piv, lower=1, trans=1)
     return y
 
 
-def _solve_multifrontal(elements: ElementMatrix, rhs, scale,
-                        tree: SeparatorTree):
+def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
+                 tree: SeparatorTree, dtype):
     n = elements.dim
     if tree.perm.size != n or tree.bounds[-1] != n:
         raise ValueError(f"tree covers {tree.perm.size} DOFs, matrix has {n}")
@@ -600,22 +634,28 @@ def _solve_multifrontal(elements: ElementMatrix, rhs, scale,
         raise ValueError("tree nodes are not in postorder")
     fronts = _symbolic_phase(elements, tree)
     memory = _physical_memory()
-    if 8 * fronts.factor_nnz > memory:
+    needed = np.dtype(dtype).itemsize * fronts.factor_nnz
+    if needed > memory:
         raise SolverError(
             f"the factor of dimension {n} needs {fronts.factor_nnz} entries "
-            f"({8 * fronts.factor_nnz / 2**30:.1f} GiB), more than the "
+            f"({needed / 2**30:.1f} GiB), more than the "
             f"{memory / 2**30:.1f} GiB of physical memory")
     perm = tree.perm
     rep = _representatives(fronts, tree, scale[perm])
-    factor = _factor_fronts(fronts, tree, scale[perm], rep)
-    w = _front_solve(factor, fronts.rows, tree.bounds, scale[perm] * rhs[perm])
-    x = np.empty(n)
-    x[perm] = scale[perm] * w
+    factor = _factor_fronts(fronts, tree, scale[perm], rep, dtype)
+
+    def solve(rhs):
+        w = _front_solve(factor, fronts.rows, tree.bounds,
+                         (scale[perm] * rhs[perm]).astype(dtype, copy=False))
+        x = np.empty(n)
+        x[perm] = scale[perm] * w
+        return x
+
     stored = int(fronts.entries[rep == np.arange(rep.size)].sum())
-    return x, fronts.factor_nnz, stored
+    return solve, fronts.factor_nnz, stored
 
 
-def _solve_superlu(matrix, rhs, scale):
+def _superlu_factor(matrix, scale):
     # Symmetric-mode SuperLU with diagonal pivoting acts as an LDL'-type
     # factorization on SPD input: a nonpositive pivot flags an indefinite
     # matrix (the discrete norm would fail to be a norm).
@@ -630,76 +670,82 @@ def _solve_superlu(matrix, rhs, scale):
     if np.any(pivots <= 0.0) or not np.all(np.isfinite(pivots)):
         raise SolverError("matrix is not positive definite (min pivot "
                           f"{pivots.min():.3e}, dimension {matrix.shape[0]})")
-    return scale * lu.solve(scale * rhs), lu.nnz, lu.nnz
+    return lambda rhs: scale * lu.solve(scale * rhs), lu.nnz, lu.nnz
 
 
-def _solve_direct(matrix, rhs, tree):
-    diag = matrix.diagonal()
-    if np.any(diag <= 0.0):
-        raise SolverError("matrix has a nonpositive diagonal entry")
-    # Symmetric Jacobi equilibration: the trace-penalty and fourth-order
-    # blocks differ in scale by several orders of magnitude, which otherwise
-    # dominates the forward error of the factorization.
-    scale = 1.0 / np.sqrt(diag)
+def _factorize(matrix, scale, tree, dtype=np.float64):
+    """Cholesky factorization of the matrix scaled by ``scale`` on both
+    sides: (solve, factor_nnz, factor_stored), where solve(b) returns
+    A^-1 b to the factor's precision. On the tree in the precision of
+    ``dtype``; without a tree by SuperLU, in double precision."""
     if tree is None:
-        return _solve_superlu(matrix, rhs, scale)
-    return _solve_multifrontal(matrix, rhs, scale, tree)
-
-
-#: Restarts of PCG from the true residual before it gives up.
-_PCG_RESTARTS = 4
+        return _superlu_factor(matrix, scale)
+    return _tree_factor(matrix, scale, tree, dtype)
 
 
 def residual_floor(matrix, x: np.ndarray, rhs: np.ndarray) -> float:
     """Round-off floor eps_mach * || |A| |x| || / ||b|| of |b - Ax| / |b|.
 
     Forming Ax in double precision already errs by about this much, so no
-    solver can certify a b-relative residual below it for this x.
+    solver can certify a b-relative residual below it for this x. For an
+    ``ElementMatrix`` |A| |x| comes from the elements (``abs_matmul``).
     """
-    return float(np.finfo(float).eps * np.linalg.norm(abs(matrix) @ np.abs(x))
+    abs_ax = (matrix.abs_matmul(x) if isinstance(matrix, ElementMatrix)
+              else abs(matrix) @ np.abs(x))
+    return float(np.finfo(float).eps * np.linalg.norm(abs_ax)
                  / np.linalg.norm(rhs))
 
 
-def _solve_pcg(matrix, rhs, tol, max_iter):
-    diag = matrix.diagonal()
-    if np.any(diag <= 0.0):
-        raise SolverError("matrix has a nonpositive diagonal entry")
-    inv_diag = 1.0 / diag
-    rhs_norm = np.linalg.norm(rhs)
-    threshold = tol * rhs_norm
-
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
+def _solve_pcg(matrix, rhs, tol, scale, tree):
+    """Double-precision CG preconditioned by the factorization, in single
+    precision on a tree: (x, iterations, |b - Ax| / |b|, factor_nnz,
+    factor_stored). See ``solve_spd`` for the stop and fallback rules."""
+    dtype = np.float64 if tree is None else np.float32
+    try:
+        precondition, factor_nnz, factor_stored = _factorize(
+            matrix, scale, tree, dtype)
+    except SolverError:
+        if dtype == np.float64:
+            raise
+        dtype = np.float64
+        precondition, factor_nnz, factor_stored = _factorize(matrix, scale, tree)
+    rhs_norm = float(np.linalg.norm(rhs))
+    # x is the best iterate so far and r = b - A x its true residual.
+    x, r, norm = np.zeros_like(rhs), rhs.copy(), rhs_norm
+    p = rz = None
     iterations = 0
-    # Outer restarts guard against drift of the recursive residual.
-    for _ in range(_PCG_RESTARTS):
-        z = inv_diag * r
-        p = z.copy()
-        rz = float(r @ z)
-        while iterations < max_iter:
-            ap = matrix @ p
-            alpha = rz / float(p @ ap)
-            x += alpha * p
-            r -= alpha * ap
-            iterations += 1
-            if np.linalg.norm(r) <= threshold:
-                break
-            z = inv_diag * r
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        r = rhs - matrix @ x  # true residual
-        if np.linalg.norm(r) <= threshold or iterations >= max_iter:
+    while norm > tol * rhs_norm:
+        # A unit residual goes in, so that the single-precision solve
+        # neither under- nor overflows, whatever the scale of the system.
+        z = norm * precondition(r / norm)
+        rz_next = float(r @ z)
+        p = z if p is None else z + (rz_next / rz) * p
+        rz = rz_next
+        x_next = x + (rz / float(p @ (matrix @ p))) * p
+        r_next = rhs - matrix @ x_next  # the true residual, every step
+        iterations += 1
+        norm_next = float(np.linalg.norm(r_next))
+        halved = norm_next <= norm / 2
+        if norm_next < norm:
+            x, r, norm = x_next, r_next, norm_next
+        if halved:
+            continue
+        floor = residual_floor(matrix, x, rhs)
+        if norm <= max(tol, 8 * floor) * rhs_norm:
             break
-    if np.linalg.norm(r) > threshold:
-        limit = (f"the cap of {max_iter} iterations" if iterations >= max_iter
-                 else f"{_PCG_RESTARTS} restarts ({iterations} iterations)")
-        raise SolverError(
-            f"PCG stopped by {limit} at relative residual "
-            f"{np.linalg.norm(r) / rhs_norm:.3e}, above tolerance {tol:.1e}; "
-            f"its round-off floor eps*|A||x|/|b| is "
-            f"{residual_floor(matrix, x, rhs):.1e}")
-    return x, iterations
+        if dtype == np.float64:
+            raise SolverError(
+                f"PCG stagnated after {iterations} iterations at relative "
+                f"residual {norm / rhs_norm:.3e}, above tolerance {tol:.1e} "
+                f"and 8 times its round-off floor eps*|A||x|/|b|, "
+                f"{floor:.1e}")
+        # The single-precision factor is too coarse for this matrix: go on
+        # from the best iterate with the double-precision one.
+        dtype = np.float64
+        del precondition  # its factor goes before the new one is built
+        precondition, *_ = _factorize(matrix, scale, tree)
+        p = None
+    return x, iterations, norm / rhs_norm, factor_nnz, factor_stored
 
 
 def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
@@ -720,22 +766,30 @@ def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
             earlier one shares its factor. Without a tree, SuperLU factors the
             assembled matrix with its own ordering and its pivots are
             checked for positivity.
-    pcg: Jacobi-preconditioned conjugate gradients on the assembled matrix
-         until |b - Ax| / |b| <= tol; ``tree`` is not used. It stops at
-         20 * dim iterations in all, or earlier after four restarts from the
-         true residual. That residual cannot go below
-         ``residual_floor(matrix, x, rhs)``, so a tol under the floor fails
-         whatever the iteration does.
+    pcg: conjugate gradients in double precision on the given matrix,
+         preconditioned by the same factorization, which runs in single
+         precision on the tree: its factor takes half the memory. It
+         computes the true residual |b - Ax| / |b| every step and stops at
+         tol, or once that residual no longer halves. Then it returns the
+         best iterate if its residual is at most max(tol, 8 * floor),
+         where floor is ``residual_floor(matrix, x, rhs)``, below which no
+         solver can go, and otherwise raises SolverError naming the
+         floor. A single-precision factorization that breaks down, or CG
+         that stagnates above that bound, is replaced once by the
+         double-precision factorization, and CG goes on from its best
+         iterate; so a matrix the double-precision factorization finds
+         indefinite raises as the direct solve does, naming the front.
 
-    A direct solve is checked by its normwise backward error (see
-    ``SolveReport``); on the element form, A x and ||A||_inf are computed
-    exactly from the elements.
+    With a tree a sparse matrix is rewritten as 1x1 and 2x2 elements, and
+    without one an ``ElementMatrix`` is assembled. A direct solve is checked
+    by its normwise backward error (see ``SolveReport``); on the element
+    form, A x, |A| |x| and ||A||_inf are computed exactly from the elements.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method}")
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.size:
         raise ValueError("matrix/rhs dimension mismatch")
-    if method == "direct" and tree is not None:
+    if tree is not None:
         if not isinstance(matrix, ElementMatrix):
             matrix = ElementMatrix.from_sparse(matrix)
     elif isinstance(matrix, ElementMatrix):
@@ -746,23 +800,28 @@ def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
     if rhs_norm == 0.0:
         report = SolveReport(method, 0, 0.0, time.perf_counter() - start, 0, 0)
         return np.zeros_like(rhs), report
+    diag = matrix.diagonal()
+    if np.any(diag <= 0.0):
+        raise SolverError("matrix has a nonpositive diagonal entry")
+    # Symmetric Jacobi equilibration: the trace-penalty and fourth-order
+    # blocks differ in scale by several orders of magnitude, which otherwise
+    # dominates the forward error of the factorization.
+    scale = 1.0 / np.sqrt(diag)
 
-    if method == "direct":
-        x, factor_nnz, factor_stored = _solve_direct(matrix, rhs, tree)
-        iterations = 0
+    if method == "pcg":
+        x, iterations, rel, factor_nnz, factor_stored = _solve_pcg(
+            matrix, rhs, tol, scale, tree)
     else:
-        x, iterations = _solve_pcg(matrix, rhs, tol, max_iter=20 * rhs.size)
-        factor_nnz = factor_stored = 0
-
-    residual = float(np.linalg.norm(rhs - matrix @ x))
-    if method == "direct":
+        solve, factor_nnz, factor_stored = _factorize(matrix, scale, tree)
+        x = solve(rhs)
+        del solve  # free the factor before the residual check
+        iterations = 0
+        residual = float(np.linalg.norm(rhs - matrix @ x))
         norm_a = (matrix.norm_inf() if isinstance(matrix, ElementMatrix)
                   else float(np.abs(matrix).sum(axis=1).max()))
         rel = residual / (norm_a * float(np.linalg.norm(x)) + rhs_norm)
-    else:
-        rel = residual / rhs_norm
-    if not np.isfinite(rel) or rel > tol:
-        raise SolverError(f"{method} solve left relative residual {rel:.3e} "
-                          f"above tolerance {tol:.1e}")
+        if not np.isfinite(rel) or rel > tol:
+            raise SolverError(f"direct solve left relative residual {rel:.3e} "
+                              f"above tolerance {tol:.1e}")
     return x, SolveReport(method, iterations, rel, time.perf_counter() - start,
                           factor_nnz, factor_stored)

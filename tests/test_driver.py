@@ -93,15 +93,30 @@ class TestRunCase:
                            condense=condense)
         assert run_case(config, 1.0, 8).error == pytest.approx(1.01e-3, rel=0.05)
 
+    @pytest.mark.parametrize("method", ["direct", "pcg"])
     @pytest.mark.parametrize("condense", ["on", "off"])
-    def test_direct_case_never_builds_the_matrix(self, monkeypatch, condense):
+    def test_direct_case_never_builds_the_matrix(self, monkeypatch, condense,
+                                                 method):
         def to_csr(self):
-            raise AssertionError("a direct case assembled the CSR matrix")
+            raise AssertionError(f"a {method} case assembled the CSR matrix")
 
         monkeypatch.setattr(solver.ElementMatrix, "to_csr", to_csr)
         config = RunConfig(example=1, k=3, eps_list=(1.0,), n_list=(8,),
-                           condense=condense)
+                           condense=condense, method=method)
         assert run_case(config, 1.0, 8).error == pytest.approx(1.01e-3, rel=0.05)
+
+    @pytest.mark.parametrize("eps, n", [(1.0, 32), (0.1, 64)])
+    def test_pcg_case_matches_direct(self, eps, n):
+        # eps=1, N=32: the round-off floor of |b - Ax| / |b| (2.8e-10) lies
+        # above RunConfig.tol. eps=0.1, N=64: a diagonal preconditioner
+        # stagnates above the floor after thousands of iterations.
+        errors = {}
+        for method in ("direct", "pcg"):
+            config = RunConfig(example=1, k=3, eps_list=(eps,), n_list=(n,),
+                               condense="on", method=method)
+            errors[method] = run_case(config, eps, n).error
+        gap = abs(errors["pcg"] - errors["direct"]) / errors["direct"]
+        assert gap <= 1e-9, f"pcg/direct error gap {gap:.2e}"
 
 
 class TestConvergenceTable:

@@ -122,6 +122,46 @@ class TestTreeSolve:
                       tree=make_tree(np.arange(6), [0, 6], [-1]))
 
 
+class TestPcg:
+    def test_single_precision_breakdown_falls_back_to_double(self,
+                                                             monkeypatch):
+        # Unit diagonal already; 1 - 1e-9 rounds to 1 in single precision,
+        # where the matrix is singular and spotrf breaks down.
+        off = 1.0 - 1e-9
+        matrix = sp.csr_matrix(np.array([[1.0, off], [off, 1.0]]))
+        rhs = np.array([1.0, -2.0])
+        factored = []
+        numeric = solver._factor_fronts
+
+        def spy(fronts, tree, scale, rep, dtype):
+            factored.append(np.dtype(dtype))
+            return numeric(fronts, tree, scale, rep, dtype)
+
+        monkeypatch.setattr(solver, "_factor_fronts", spy)
+        x, report = solve_spd(matrix, rhs, "pcg", tol=1e-12,
+                              tree=make_tree([0, 1], [0, 2], [-1]))
+        assert factored == [np.float32, np.float64]
+        assert x == pytest.approx(np.linalg.solve(matrix.toarray(), rhs),
+                                  rel=1e-12)
+        assert report.iterations >= 1
+
+    def test_k4_eps1_n64_matches_direct(self):
+        # kappa of the scaled system is near single precision's limit here,
+        # so CG stalls on the single-precision factor and goes on with the
+        # double-precision one. The reported error sits at its round-off
+        # floor, so the solutions are compared instead.
+        mesh = build_mesh(MeshParams(n=64, eps=1.0, k=4))
+        system = assemble_system(mesh, 4, 1.0, ExactSolution(1, 1.0).forcing,
+                                 q=5, condense=True)
+        tree = fill_reducing_ordering(system)
+        x_direct, _ = solve_spd(system.elements, system.rhs, tol=1e-10,
+                                tree=tree)
+        x_pcg, report = solve_spd(system.elements, system.rhs, "pcg",
+                                  tol=1e-10, tree=tree)
+        gap = np.linalg.norm(x_pcg - x_direct) / np.linalg.norm(x_direct)
+        assert gap <= 1e-8, f"pcg/direct gap {gap:.2e}"
+
+
 class TestOnDiscreteSystem:
     def test_spec_case_reaches_1e12_by_both_methods(self):
         mesh = build_mesh(MeshParams(n=8, eps=1e-3, k=3))
@@ -145,7 +185,11 @@ def mesh_system(request):
 
 
 class TestSpdCertificate:
-    def test_indefinite_mesh_system_with_positive_diagonal(self, mesh_system):
+    @pytest.mark.parametrize("method", ["direct", "pcg"])
+    def test_indefinite_mesh_system_with_positive_diagonal(self, mesh_system,
+                                                           method):
+        # Under pcg the single-precision factor breaks down first; the
+        # double-precision one that replaces it raises as the direct solve.
         system, tree = mesh_system
         matrix = system.matrix.copy()
         # The 2x2 minor at (i, j) gets determinant -3 A_ii A_jj < 0, while
@@ -159,9 +203,9 @@ class TestSpdCertificate:
         assert np.all(matrix.diagonal() > 0.0)
         with pytest.raises(SolverError, match=r"front \d+ .*dimension "
                                               f"{matrix.shape[0]}"):
-            solve_spd(matrix, system.rhs, tol=1e-10, tree=tree)
+            solve_spd(matrix, system.rhs, method, tol=1e-10, tree=tree)
         with pytest.raises(SolverError, match="not positive definite"):
-            solve_spd(matrix, system.rhs, tol=1e-10)
+            solve_spd(matrix, system.rhs, method, tol=1e-10)
 
 
 class TestFactorSize:
@@ -170,8 +214,14 @@ class TestFactorSize:
         dim = system.matrix.shape[0]
         _, report = solve_spd(system.matrix, system.rhs, tol=1e-10, tree=tree)
         assert dim < report.factor_nnz < dim * (dim + 1) // 2
-        _, report = solve_spd(system.matrix, system.rhs, "pcg", tol=1e-8)
-        assert report.factor_nnz == 0
+        # pcg counts its preconditioner, the direct solve's factor.
+        for given in (tree, None):
+            _, direct = solve_spd(system.matrix, system.rhs, tol=1e-10,
+                                  tree=given)
+            _, pcg = solve_spd(system.matrix, system.rhs, "pcg", tol=1e-8,
+                               tree=given)
+            assert (pcg.factor_nnz, pcg.factor_stored) == (
+                direct.factor_nnz, direct.factor_stored)
 
     def test_factor_beyond_physical_memory_raises_before_numeric_work(
             self, mesh_system, monkeypatch):
@@ -214,6 +264,8 @@ class TestElementMatrix:
         assert elements @ x == pytest.approx(matrix @ x, rel=1e-13)
         assert elements.norm_inf() == pytest.approx(
             np.abs(matrix.toarray()).sum(axis=1).max(), rel=1e-14)
+        assert elements.abs_matmul(x) == pytest.approx(
+            abs(matrix) @ np.abs(x), rel=1e-13)
 
     def test_shared_face_entries_sum_before_absolute_value(self):
         # Two elements share the face {1, 2}; their (1, 2) entries cancel.
@@ -227,6 +279,8 @@ class TestElementMatrix:
         dense = elements.to_csr().toarray()
         assert dense[1, 2] == 0.0
         assert elements.norm_inf() == np.abs(dense).sum(axis=1).max() == 10.0
+        x = np.array([1.0, -2.0, 3.0, -4.0])
+        assert np.array_equal(elements.abs_matmul(x), np.abs(dense) @ np.abs(x))
 
     def test_rejects_shared_face_listed_in_another_order(self):
         block = 4.0 * np.eye(3)
@@ -269,8 +323,12 @@ class TestFrontSharing:
         assert again.factor_stored == report.factor_stored
         _, lu = solve_spd(system.matrix, system.rhs, tol=1e-10)
         assert lu.factor_stored == lu.factor_nnz > 0
+        _, pcg = solve_spd(system.elements, system.rhs, "pcg", tol=1e-8,
+                           tree=tree)
+        assert (pcg.factor_nnz, pcg.factor_stored) == (
+            report.factor_nnz, report.factor_stored)
         _, pcg = solve_spd(system.matrix, system.rhs, "pcg", tol=1e-8)
-        assert pcg.factor_stored == pcg.factor_nnz == 0
+        assert pcg.factor_stored == pcg.factor_nnz == lu.factor_nnz
 
     @pytest.mark.parametrize("change", ["cell diagonal", "cell off-diagonal",
                                         "dof diagonal"])
