@@ -2,7 +2,7 @@
 unit square with clamped boundary conditions, on Shishkin tensor meshes."""
 
 from .analytic import ExactSolution, eval_g, eval_p, forcing, project_exact
-from .assembly import (DofMap, SparseSystem, assemble_system, build_dof_map,
+from .assembly import (DofMap, SparseSystem, assemble_system,
                        condense_interior, dump_matrix_market)
 from .basis import (CellBasis, EdgeBasis, default_quadrature, project_cell,
                     project_edge)
@@ -24,7 +24,7 @@ __all__ = [
     "QuadratureRule", "RunConfig", "SeparatorTree", "ShishkinMesh",
     "SolveReport", "SolverError", "SparseSystem", "TABLE_PRESETS",
     "assemble_system",
-    "axis_partition", "build_dof_map", "build_mesh", "condense_interior",
+    "axis_partition", "build_mesh", "condense_interior",
     "convergence_table", "default_quadrature", "dump_matrix_market", "eval_g",
     "eval_p", "forcing", "gauss_legendre", "local_stiffness", "project_cell",
     "project_edge", "project_exact", "run_case", "solve_spd",

@@ -3,9 +3,11 @@ static condensation.
 
 Global raw numbering: all cell-interior DOFs (cells in id order), then all
 edge-trace DOFs, then all edge grad-x DOFs, then all edge grad-y DOFs (edges
-in id order within each block). Homogeneous essential conditions (zero trace
-and zero normal gradient component on boundary edges) are eliminated by
-dropping rows and columns, which keeps the reduced matrix SPD.
+in id order within each block). Cell and edge ids follow the numbering of
+the ``mesh`` module docstring, and every index here comes from its tables.
+Homogeneous essential conditions (zero trace and zero normal gradient
+component on boundary edges) are eliminated by dropping rows and columns,
+which keeps the reduced matrix SPD.
 
 Local stiffness blocks depend on a cell only through its widths, so they are
 built once per width class (at most four classes on a Shishkin mesh). The
@@ -46,25 +48,22 @@ class DofMap:
         self.grad_y_base = self.grad_x_base + n_edges * kk
         self.n_raw = self.grad_y_base + n_edges * kk
 
-        span = np.arange(kk, dtype=np.int64)
-        table = np.empty((n_cells, self.layout.n_loc), dtype=np.int64)
-        for c, cell in enumerate(mesh.cells):
-            parts = [c * ni + np.arange(ni, dtype=np.int64)]
-            for e in cell.edge_ids:
-                parts.append(self.trace_base + e * kk + span)
-                parts.append(self.grad_x_base + e * kk + span)
-                parts.append(self.grad_y_base + e * kk + span)
-            table[c] = np.concatenate(parts)
-        self.cell_dofs = table
+        # Per edge its trace, grad-x and grad-y DOFs; a cell's local vector
+        # is its interior DOFs, then those of its four sides in side order.
+        self.edge_dofs = (np.arange(n_edges)[:, None] * kk
+                          + np.concatenate([base + np.arange(kk) for base in (
+                              self.trace_base, self.grad_x_base,
+                              self.grad_y_base)]))
+        self.cell_dofs = np.concatenate(
+            [np.arange(self.n_interior_total).reshape(n_cells, ni),
+             self.edge_dofs[mesh.cell_edges].reshape(n_cells, -1)], axis=1)
 
+        # On a boundary edge the trace and the normal gradient component
+        # (grad-x on vertical edges, grad-y on horizontal ones) are fixed.
+        boundary, vertical = mesh.boundary_edges, mesh.edge_vertical
         constrained = np.zeros(self.n_raw, dtype=bool)
-        for edge in mesh.edges:
-            if not edge.on_boundary:
-                continue
-            e = edge.id
-            constrained[self.trace_base + e * kk:self.trace_base + (e + 1) * kk] = True
-            base = self.grad_x_base if edge.orientation == "vertical" else self.grad_y_base
-            constrained[base + e * kk:base + (e + 1) * kk] = True
+        constrained[self.trace_base:] = np.repeat(np.concatenate(
+            [boundary, boundary & vertical, boundary & ~vertical]), kk)
         self.constrained = constrained
         self.free_raw = np.flatnonzero(~constrained)
         self.n_free = self.free_raw.size
@@ -82,13 +81,6 @@ class DofMap:
         return raw
 
 
-def _width_classes(mesh: ShishkinMesh) -> dict[tuple[float, float], np.ndarray]:
-    groups: dict[tuple[float, float], list[int]] = {}
-    for c, cell in enumerate(mesh.cells):
-        groups.setdefault(cell.widths, []).append(c)
-    return {w: np.asarray(ids, dtype=np.int64) for w, ids in groups.items()}
-
-
 class _AssemblyContext:
     """Everything shared by the full and condensed assembly paths."""
 
@@ -98,12 +90,11 @@ class _AssemblyContext:
         self.k = k
         self.eps = eps
         self.dofmap = DofMap(mesh, k)
-        self.classes = _width_classes(mesh)
-        self.ops: dict[tuple[float, float], LocalOperators] = {}
-        for widths, cells in self.classes.items():
-            cell = mesh.cells[int(cells[0])]
-            self.ops[widths] = local_stiffness(cell, k, eps, mesh.h_fine,
-                                               mesh.h_coarse)
+        self.classes = mesh.width_classes()
+        self.ops: dict[tuple[float, float], LocalOperators] = {
+            widths: local_stiffness(mesh.cell(cells[0]), k, eps, mesh.h_fine,
+                                    mesh.h_coarse)
+            for widths, cells in self.classes.items()}
         # Load moments (forcing, phi_i)_T; the load pairs f with v0 only, so
         # edge DOFs carry no right-hand side.
         self.interior_rhs = project_all_cells(mesh, k, forcing, q)
@@ -148,10 +139,6 @@ class SparseSystem:
             u_int = cho_solve(self.interior_factors[widths], b.T).T
             full[(cells[:, None] * ni + np.arange(ni)[None, :]).ravel()] = u_int.ravel()
         return full
-
-
-def build_dof_map(mesh: ShishkinMesh, k: int) -> DofMap:
-    return DofMap(mesh, k)
 
 
 def schur_complement(a_ii: np.ndarray, a_ie: np.ndarray, a_ee: np.ndarray):
@@ -285,29 +272,15 @@ def fill_reducing_ordering(system: SparseSystem) -> SeparatorTree:
     Nodes are numbered in postorder, the root last."""
     dofmap = system.dofmap
     mesh = dofmap.mesh
-    n = mesh.params.n
-    kk = dofmap.k + 1
-
-    # Logical lattice coordinates: cell (i, j) -> (2i+1, 2j+1), horizontal
-    # edge (i, j) -> (2i+1, 2j), vertical edge (i, j) -> (2i, 2j+1).
-    e = np.arange(mesh.n_edges)
-    v = e - n * (n + 1)  # index among the vertical edges, < 0 if horizontal
-    points = np.where((v < 0)[:, None],
-                      np.stack([2 * (e % n) + 1, 2 * (e // n)], axis=1),
-                      np.stack([2 * (v // n), 2 * (v % n) + 1], axis=1))
-    raw = np.concatenate([base + e[:, None] * kk + np.arange(kk)
-                          for base in (dofmap.trace_base, dofmap.grad_x_base,
-                                       dofmap.grad_y_base)], axis=1)
-    dofs = dofmap.free_index[raw]  # -1 marks a constrained DOF
+    points = mesh.lattice  # cells, then edges
+    dofs = dofmap.free_index[dofmap.edge_dofs]  # -1 marks a constrained DOF
     if system.condensed:
+        points = points[mesh.n_cells:]
         dofs = np.where(dofs >= 0, dofs - dofmap.n_interior_total, -1)
     else:
-        c = np.arange(mesh.n_cells)
         ni = dofmap.layout.n_interior
-        cell_dofs = c[:, None] * ni + np.arange(ni)
+        cell_dofs = dofmap.cell_dofs[:, :ni]  # free index = raw index
         width = max(ni, dofs.shape[1])
-        points = np.concatenate([np.stack([2 * (c // n) + 1, 2 * (c % n) + 1], axis=1),
-                                 points])
         dofs = np.concatenate([
             np.pad(cell_dofs, ((0, 0), (0, width - ni)), constant_values=-1),
             np.pad(dofs, ((0, 0), (0, width - dofs.shape[1])), constant_values=-1)])

@@ -31,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a custom (eps, N) sweep")
     run.add_argument("--example", type=int, choices=(0, 1, 2), required=True)
-    run.add_argument("--k", type=int, choices=(3, 4), required=True)
+    run.add_argument("--k", type=int, required=True,
+                     help="polynomial degree, >= 3")
     run.add_argument("--eps", type=_parse_floats, required=True,
                      metavar="LIST", help="comma-separated eps values")
     run.add_argument("--N", type=_parse_ints, required=True, dest="n",

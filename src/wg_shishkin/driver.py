@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import ExactSolution, project_exact
-from .assembly import (DofMap, _width_classes, assemble_system,
-                       fill_reducing_ordering)
+from .assembly import DofMap, assemble_system, fill_reducing_ordering
 from .mesh import MeshParams, ShishkinMesh, build_mesh
 from .solver import solve_spd
 from .weak_ops import local_stiffness
@@ -76,8 +75,8 @@ def triple_bar_norm(coeffs: np.ndarray, mesh: ShishkinMesh, k: int, eps: float,
                          f"got {coeffs.size}")
     raw = dofmap.expand_free(coeffs)
     total = 0.0
-    for widths, cells in _width_classes(mesh).items():
-        ops = local_stiffness(mesh.cells[int(cells[0])], k, eps,
+    for cells in mesh.width_classes().values():
+        ops = local_stiffness(mesh.cell(cells[0]), k, eps,
                               mesh.h_fine, mesh.h_coarse)
         local = raw[dofmap.cell_dofs[cells]]
         total += eps * eps * float(np.sum((local @ ops.L.T) ** 2))

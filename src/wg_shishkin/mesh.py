@@ -4,10 +4,25 @@ The 1D partition is piecewise equidistant: [0, lam] and [1-lam, 1] each get
 n/4 cells of the fine width ``4*lam/n`` and [lam, 1-lam] gets n/2 cells of the
 coarse width ``2*(1-2*lam)/n``, with ``lam = min(alpha*eps*ln(n), 1/4)``.
 The 2D mesh is the tensor product of two identical such partitions.
+
+Numbering, with breakpoints x_0 < ... < x_n on both axes:
+
+- cell (i, j) = [x_i, x_i+1] x [x_j, x_j+1] has id c = i*n + j;
+- horizontal edge (i, j) = [x_i, x_i+1] x {x_j}, j = 0..n, has id j*n + i;
+- vertical edge (i, j) = {x_i} x [x_j, x_j+1], i = 0..n, has id
+  n(n+1) + i*n + j.
+
+So the horizontal edges come first, row by row, then the vertical ones,
+column by column. On the (2n+1)^2 entity lattice that nested dissection
+bisects, cell (i, j) sits at (2i+1, 2j+1), horizontal edge (i, j) at
+(2i+1, 2j) and vertical edge (i, j) at (2i, 2j+1). Every index table of the
+package follows from these formulas: ``ShishkinMesh`` holds them as arrays,
+and ``ShishkinMesh.cell``/``ShishkinMesh.edge`` build one entity's record.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,20 +100,17 @@ class Edge:
     cells: tuple[int, ...]
     on_boundary: bool
 
-    @property
-    def canonical_normal(self) -> tuple[float, float]:
-        return (1.0, 0.0) if self.orientation == "vertical" else (0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class ShishkinMesh:
+    """Breakpoints and nominal widths of the tensor mesh, with its index
+    tables in closed form (numbering in the module docstring)."""
+
     params: MeshParams
     breakpoints: np.ndarray
     lam: float
     h_fine: float
     h_coarse: float
-    cells: list[Cell] = field(repr=False)
-    edges: list[Edge] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -113,17 +125,94 @@ class ShishkinMesh:
         n = self.params.n
         return 2 * n * (n + 1)
 
-    def boundary_edge_ids(self) -> list[int]:
-        return [e.id for e in self.edges if e.on_boundary]
-
     def axis_widths(self) -> np.ndarray:
-        """Nominal cell widths along one axis (both axes are identical)."""
+        """Nominal cell widths along one axis (both axes are identical).
+
+        Region widths, not breakpoint differences: equal-width cells compare
+        equal, so they share one set of local operators."""
         n = self.params.n
         quarter = n // 4
         w = np.full(n, self.h_coarse)
         w[:quarter] = self.h_fine
         w[n - quarter:] = self.h_fine
         return w
+
+    def _edge_ij(self, e):
+        """(vertical, i, j) of edge ids ``e``."""
+        n = self.n
+        v = e - n * (n + 1)
+        vertical = v >= 0
+        return (vertical, np.where(vertical, v // n, e % n),
+                np.where(vertical, v % n, e // n))
+
+    @cached_property
+    def cell_edges(self) -> np.ndarray:
+        """Edge ids of every cell's south, east, north and west sides,
+        shape (n_cells, 4)."""
+        n = self.n
+        i, j = np.divmod(np.arange(self.n_cells), n)
+        south = j * n + i
+        west = n * (n + 1) + i * n + j
+        return np.stack([south, west + n, south + n, west], axis=1)
+
+    @cached_property
+    def edge_vertical(self) -> np.ndarray:
+        """Whether each edge is vertical (canonical normal +x)."""
+        return self._edge_ij(np.arange(self.n_edges))[0]
+
+    @cached_property
+    def boundary_edges(self) -> np.ndarray:
+        """Whether each edge lies on the boundary of the unit square."""
+        vertical, i, j = self._edge_ij(np.arange(self.n_edges))
+        normal = np.where(vertical, i, j)
+        return (normal == 0) | (normal == self.n)
+
+    @cached_property
+    def lattice(self) -> np.ndarray:
+        """Entity lattice coordinates, shape (n_cells + n_edges, 2): the
+        cells in id order, then the edges in id order."""
+        i, j = np.divmod(np.arange(self.n_cells), self.n)
+        vertical, ei, ej = self._edge_ij(np.arange(self.n_edges))
+        return np.concatenate([np.stack([2 * i + 1, 2 * j + 1], axis=1),
+                               np.stack([2 * ei + 1 - vertical,
+                                         2 * ej + vertical], axis=1)])
+
+    def width_classes(self) -> dict[tuple[float, float], np.ndarray]:
+        """Ascending cell ids of each width class (h_x, h_y), the classes in
+        order of first appearance; at most four on a Shishkin mesh."""
+        values, axis = np.unique(self.axis_widths(), return_inverse=True)
+        label = (axis[:, None] * values.size + axis[None, :]).ravel()
+        first = np.sort(np.unique(label, return_index=True)[1])
+        return {self.cell(c).widths: np.flatnonzero(label == label[c])
+                for c in first}
+
+    def cell(self, c: int) -> Cell:
+        """Record of cell ``c``."""
+        if not 0 <= c < self.n_cells:
+            raise IndexError(f"cell {c} outside 0..{self.n_cells - 1}")
+        i, j = divmod(int(c), self.n)
+        points, w = self.breakpoints, self.axis_widths()
+        return Cell(index=(i, j), x_range=(points[i], points[i + 1]),
+                    y_range=(points[j], points[j + 1]),
+                    widths=(float(w[i]), float(w[j])),
+                    edge_ids=tuple(self.cell_edges[c].tolist()))
+
+    def edge(self, e: int) -> Edge:
+        """Record of edge ``e``."""
+        if not 0 <= e < self.n_edges:
+            raise IndexError(f"edge {e} outside 0..{self.n_edges - 1}")
+        n = self.n
+        vertical, i, j = (int(v) for v in self._edge_ij(int(e)))
+        points, w = self.breakpoints, self.axis_widths()
+        if vertical:
+            end, length = (points[i], points[j + 1]), w[j]
+            cells = tuple(a * n + j for a in (i - 1, i) if 0 <= a < n)
+        else:
+            end, length = (points[i + 1], points[j]), w[i]
+            cells = tuple(i * n + b for b in (j - 1, j) if 0 <= b < n)
+        return Edge(id=int(e), orientation="vertical" if vertical else "horizontal",
+                    endpoints=((points[i], points[j]), end), length=float(length),
+                    cells=cells, on_boundary=bool(self.boundary_edges[e]))
 
 
 def transition_point(n: int, eps: float, alpha: float) -> float:
@@ -160,74 +249,11 @@ def axis_partition(n: int, lam: float) -> np.ndarray:
 
 
 def build_mesh(params: MeshParams) -> ShishkinMesh:
-    """Construct the full tensor mesh with cells, edges and adjacency.
-
-    Ordering is deterministic: cells lexicographic by (i, j); all horizontal
-    edges (row by row) first, then all vertical edges (column by column).
-    """
+    """The tensor mesh of ``params``; its index tables are built on first
+    use."""
     n = params.n
     lam = 0.25 if params.mesh_kind == "uniform" else transition_point(
         n, params.eps, params.alpha)
-    points = axis_partition(n, lam)
-    h_fine = 4.0 * lam / n
-    h_coarse = 2.0 * (1.0 - 2.0 * lam) / n
-
-    quarter = n // 4
-
-    def width(i: int) -> float:
-        # Nominal region width, not the breakpoint difference: guarantees
-        # that equal-width cells compare equal, so local operators can be
-        # shared across cells of the same size class.
-        return h_fine if i < quarter or i >= n - quarter else h_coarse
-
-    n_horizontal = n * (n + 1)
-
-    def horizontal_id(i: int, j: int) -> int:
-        return j * n + i
-
-    def vertical_id(i: int, j: int) -> int:
-        return n_horizontal + i * n + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            cells.append(Cell(
-                index=(i, j),
-                x_range=(points[i], points[i + 1]),
-                y_range=(points[j], points[j + 1]),
-                widths=(width(i), width(j)),
-                edge_ids=(horizontal_id(i, j), vertical_id(i + 1, j),
-                          horizontal_id(i, j + 1), vertical_id(i, j)),
-            ))
-
-    def cell_id(i: int, j: int) -> int:
-        return i * n + j
-
-    edges = []
-    for j in range(n + 1):
-        for i in range(n):
-            neighbors = tuple(cell_id(i, jj) for jj in (j - 1, j) if 0 <= jj < n)
-            edges.append(Edge(
-                id=horizontal_id(i, j),
-                orientation="horizontal",
-                endpoints=((points[i], points[j]), (points[i + 1], points[j])),
-                length=width(i),
-                cells=neighbors,
-                on_boundary=j in (0, n),
-            ))
-    for i in range(n + 1):
-        for j in range(n):
-            neighbors = tuple(cell_id(ii, j) for ii in (i - 1, i) if 0 <= ii < n)
-            edges.append(Edge(
-                id=vertical_id(i, j),
-                orientation="vertical",
-                endpoints=((points[i], points[j]), (points[i], points[j + 1])),
-                length=width(j),
-                cells=neighbors,
-                on_boundary=i in (0, n),
-            ))
-    edges.sort(key=lambda e: e.id)
-
-    return ShishkinMesh(params=params, breakpoints=points, lam=lam,
-                        h_fine=h_fine, h_coarse=h_coarse,
-                        cells=cells, edges=edges)
+    return ShishkinMesh(params=params, breakpoints=axis_partition(n, lam),
+                        lam=lam, h_fine=4.0 * lam / n,
+                        h_coarse=2.0 * (1.0 - 2.0 * lam) / n)

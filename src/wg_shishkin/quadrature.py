@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 MAX_POINTS = 32
 
@@ -31,44 +32,10 @@ class QuadratureRule:
         return 0.5 * (a + b) + half * self.nodes, half * self.weights
 
 
-def _legendre_with_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values of P_n and P_n' by the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for m in range(1, n):
-        p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
 def gauss_legendre(q: int) -> QuadratureRule:
-    """Compute the q-point Gauss-Legendre rule by Newton iteration on P_q.
-
-    Roots are polished until the residual |P_q| drops below 1e-15; the
-    returned nodes are exactly symmetric about 0 and sorted ascending.
-    """
+    """The q-point Gauss-Legendre rule, from ``numpy``'s ``leggauss``:
+    nodes ascending and, as that routine symmetrizes them, exactly
+    symmetric about 0, like the weights."""
     if not 1 <= q <= MAX_POINTS:
         raise ValueError(f"point count must be in [1, {MAX_POINTS}], got {q}")
-    if q == 1:
-        return QuadratureRule(np.zeros(1), np.full(1, 2.0))
-
-    # Chebyshev-type initial guesses, descending in x.
-    x = np.cos(np.pi * (np.arange(q) + 0.75) / (q + 0.5))
-    for _ in range(100):
-        p, dp = _legendre_with_derivative(q, x)
-        step = p / dp
-        x = x - step
-        # Converged once the Newton step hits roundoff; |P_q| itself then
-        # sits at its double-precision floor |P_q'| * eps near each root.
-        if np.max(np.abs(step)) < 1e-15:
-            break
-    else:
-        raise RuntimeError("Newton iteration for Legendre roots did not converge")
-    _, dp = _legendre_with_derivative(q, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-
-    # Enforce exact +/- node pairs (and node 0 for odd q).
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
-    order = np.argsort(x)
-    return QuadratureRule(x[order], w[order])
+    return QuadratureRule(*leggauss(q))

@@ -625,7 +625,7 @@ def _front_solve(factor: list, fronts: list[np.ndarray], bounds: np.ndarray,
 
 
 def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
-                 tree: SeparatorTree, dtype):
+                 tree: SeparatorTree):
     n = elements.dim
     if tree.perm.size != n or tree.bounds[-1] != n:
         raise ValueError(f"tree covers {tree.perm.size} DOFs, matrix has {n}")
@@ -633,26 +633,30 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
                   | (tree.parent == -1)):
         raise ValueError("tree nodes are not in postorder")
     fronts = _symbolic_phase(elements, tree)
-    memory = _physical_memory()
-    needed = np.dtype(dtype).itemsize * fronts.factor_nnz
-    if needed > memory:
-        raise SolverError(
-            f"the factor of dimension {n} needs {fronts.factor_nnz} entries "
-            f"({needed / 2**30:.1f} GiB), more than the "
-            f"{memory / 2**30:.1f} GiB of physical memory")
     perm = tree.perm
     rep = _representatives(fronts, tree, scale[perm])
-    factor = _factor_fronts(fronts, tree, scale[perm], rep, dtype)
-
-    def solve(rhs):
-        w = _front_solve(factor, fronts.rows, tree.bounds,
-                         (scale[perm] * rhs[perm]).astype(dtype, copy=False))
-        x = np.empty(n)
-        x[perm] = scale[perm] * w
-        return x
-
     stored = int(fronts.entries[rep == np.arange(rep.size)].sum())
-    return solve, fronts.factor_nnz, stored
+
+    def numeric(dtype):
+        memory = _physical_memory()
+        needed = np.dtype(dtype).itemsize * fronts.factor_nnz
+        if needed > memory:
+            raise SolverError(
+                f"the factor of dimension {n} needs {fronts.factor_nnz} "
+                f"entries ({needed / 2**30:.1f} GiB), more than the "
+                f"{memory / 2**30:.1f} GiB of physical memory")
+        factor = _factor_fronts(fronts, tree, scale[perm], rep, dtype)
+
+        def solve(rhs):
+            w = _front_solve(factor, fronts.rows, tree.bounds,
+                             (scale[perm] * rhs[perm]).astype(dtype, copy=False))
+            x = np.empty(n)
+            x[perm] = scale[perm] * w
+            return x
+
+        return solve, fronts.factor_nnz, stored
+
+    return numeric
 
 
 def _superlu_factor(matrix, scale):
@@ -673,14 +677,17 @@ def _superlu_factor(matrix, scale):
     return lambda rhs: scale * lu.solve(scale * rhs), lu.nnz, lu.nnz
 
 
-def _factorize(matrix, scale, tree, dtype=np.float64):
+def _factorize(matrix, scale, tree):
     """Cholesky factorization of the matrix scaled by ``scale`` on both
-    sides: (solve, factor_nnz, factor_stored), where solve(b) returns
-    A^-1 b to the factor's precision. On the tree in the precision of
-    ``dtype``; without a tree by SuperLU, in double precision."""
+    sides, as a function of the precision: ``factor(dtype)`` returns
+    (solve, factor_nnz, factor_stored), where solve(b) returns A^-1 b to
+    the factor's precision. On the tree the symbolic phase and the front
+    keys run once, here, and every call checks the factor's size against
+    physical memory and runs the numeric phase in ``dtype``; without a tree
+    SuperLU factors in double precision whatever ``dtype``."""
     if tree is None:
-        return _superlu_factor(matrix, scale)
-    return _tree_factor(matrix, scale, tree, dtype)
+        return lambda dtype: _superlu_factor(matrix, scale)
+    return _tree_factor(matrix, scale, tree)
 
 
 def residual_floor(matrix, x: np.ndarray, rhs: np.ndarray) -> float:
@@ -700,15 +707,15 @@ def _solve_pcg(matrix, rhs, tol, scale, tree):
     """Double-precision CG preconditioned by the factorization, in single
     precision on a tree: (x, iterations, |b - Ax| / |b|, factor_nnz,
     factor_stored). See ``solve_spd`` for the stop and fallback rules."""
+    factor = _factorize(matrix, scale, tree)
     dtype = np.float64 if tree is None else np.float32
     try:
-        precondition, factor_nnz, factor_stored = _factorize(
-            matrix, scale, tree, dtype)
+        precondition, factor_nnz, factor_stored = factor(dtype)
     except SolverError:
         if dtype == np.float64:
             raise
         dtype = np.float64
-        precondition, factor_nnz, factor_stored = _factorize(matrix, scale, tree)
+        precondition, factor_nnz, factor_stored = factor(dtype)
     rhs_norm = float(np.linalg.norm(rhs))
     # x is the best iterate so far and r = b - A x its true residual.
     x, r, norm = np.zeros_like(rhs), rhs.copy(), rhs_norm
@@ -743,7 +750,7 @@ def _solve_pcg(matrix, rhs, tol, scale, tree):
         # from the best iterate with the double-precision one.
         dtype = np.float64
         del precondition  # its factor goes before the new one is built
-        precondition, *_ = _factorize(matrix, scale, tree)
+        precondition, *_ = factor(dtype)
         p = None
     return x, iterations, norm / rhs_norm, factor_nnz, factor_stored
 
@@ -812,7 +819,8 @@ def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
         x, iterations, rel, factor_nnz, factor_stored = _solve_pcg(
             matrix, rhs, tol, scale, tree)
     else:
-        solve, factor_nnz, factor_stored = _factorize(matrix, scale, tree)
+        solve, factor_nnz, factor_stored = _factorize(matrix, scale,
+                                                      tree)(np.float64)
         x = solve(rhs)
         del solve  # free the factor before the residual check
         iterations = 0

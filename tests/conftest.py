@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wg_shishkin.basis import project_cell, project_edge
-from wg_shishkin.mesh import SIDES, Edge, MeshParams, build_mesh
+from wg_shishkin.mesh import SIDES, Cell, Edge, MeshParams, build_mesh
 from wg_shishkin.weak_ops import LocalDofLayout
 
 
@@ -21,6 +21,89 @@ def mesh_n128_eps1e7():
     return build_mesh(MeshParams(n=128, eps=1e-7, k=3))
 
 
+def all_cells(mesh):
+    """Every cell record, in id order."""
+    return [mesh.cell(c) for c in range(mesh.n_cells)]
+
+
+def all_edges(mesh):
+    """Every edge record, in id order."""
+    return [mesh.edge(e) for e in range(mesh.n_edges)]
+
+
+def loop_records(mesh):
+    """Every cell and edge record, built one by one in loops over the
+    lattice indices (i, j) from the numbering of the ``mesh`` module
+    docstring; an oracle for the mesh's array tables."""
+    n, points = mesh.n, mesh.breakpoints
+    quarter = n // 4
+
+    def width(i):
+        return mesh.h_fine if i < quarter or i >= n - quarter else mesh.h_coarse
+
+    def horizontal_id(i, j):
+        return j * n + i
+
+    def vertical_id(i, j):
+        return n * (n + 1) + i * n + j
+
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            cells.append(Cell(
+                index=(i, j), x_range=(points[i], points[i + 1]),
+                y_range=(points[j], points[j + 1]), widths=(width(i), width(j)),
+                edge_ids=(horizontal_id(i, j), vertical_id(i + 1, j),
+                          horizontal_id(i, j + 1), vertical_id(i, j))))
+    edges = []
+    for j in range(n + 1):
+        for i in range(n):
+            edges.append(Edge(
+                id=horizontal_id(i, j), orientation="horizontal",
+                endpoints=((points[i], points[j]), (points[i + 1], points[j])),
+                length=width(i),
+                cells=tuple(i * n + b for b in (j - 1, j) if 0 <= b < n),
+                on_boundary=j in (0, n)))
+    for i in range(n + 1):
+        for j in range(n):
+            edges.append(Edge(
+                id=vertical_id(i, j), orientation="vertical",
+                endpoints=((points[i], points[j]), (points[i], points[j + 1])),
+                length=width(j),
+                cells=tuple(a * n + j for a in (i - 1, i) if 0 <= a < n),
+                on_boundary=i in (0, n)))
+    edges.sort(key=lambda e: e.id)
+    return cells, edges
+
+
+def loop_dof_tables(mesh, k):
+    """``cell_dofs``, ``constrained`` and the width classes of ``DofMap``
+    and ``ShishkinMesh.width_classes``, rebuilt with one loop over the
+    records of ``loop_records``."""
+    cells, edges = loop_records(mesh)
+    kk, ni = k + 1, (k + 1) ** 2
+    trace_base = len(cells) * ni
+    grad_x_base = trace_base + len(edges) * kk
+    grad_y_base = grad_x_base + len(edges) * kk
+    span = np.arange(kk)
+    cell_dofs = np.empty((len(cells), ni + 12 * kk), dtype=np.int64)
+    classes = {}
+    for c, cell in enumerate(cells):
+        parts = [c * ni + np.arange(ni)]
+        for e in cell.edge_ids:
+            parts += [base + e * kk + span
+                      for base in (trace_base, grad_x_base, grad_y_base)]
+        cell_dofs[c] = np.concatenate(parts)
+        classes.setdefault(cell.widths, []).append(c)
+    constrained = np.zeros(grad_y_base + len(edges) * kk, dtype=bool)
+    for edge in edges:
+        if edge.on_boundary:
+            normal = grad_x_base if edge.orientation == "vertical" else grad_y_base
+            for base in (trace_base, normal):
+                constrained[base + edge.id * kk + span] = True
+    return cell_dofs, constrained, classes
+
+
 def region_end_cells(mesh):
     """Cells at the first and last index of every fine/coarse region along
     both axes. Breakpoint differences there stray furthest, in ulps, from
@@ -28,7 +111,7 @@ def region_end_cells(mesh):
     n = mesh.params.n
     q = n // 4
     ends = sorted({0, q - 1, q, n - q - 1, n - q, n - 1})
-    return [mesh.cells[i * n + j] for i in ends for j in ends]
+    return [mesh.cell(i * n + j) for i in ends for j in ends]
 
 
 def side_edge(cell, side):

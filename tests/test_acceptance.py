@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ROUNDOFF_FACTOR, local_projection_dofs, roundoff_ratio
+from conftest import (ROUNDOFF_FACTOR, all_cells, local_projection_dofs,
+                      roundoff_ratio)
 from wg_shishkin.analytic import ExactSolution, project_exact
 from wg_shishkin.assembly import (assemble_system, condense_interior,
                                   fill_reducing_ordering)
@@ -143,7 +144,7 @@ def test_criterion_5_commutation_suite():
     k = 3
     mesh = build_mesh(MeshParams(n=8, eps=1e-2, k=k))
     operators = [(weak_laplacian_matrix(cell, k), weak_gradient_matrix(cell, k))
-                 for cell in mesh.cells]
+                 for cell in all_cells(mesh)]
     pv = np.polynomial.polynomial
 
     def polynomial_case():
@@ -169,7 +170,7 @@ def test_criterion_5_commutation_suite():
     worst = 0.0
     q = 12  # the identity relates exact projections; project accurately
     for number, (value, grad_x, grad_y, laplacian) in enumerate(cases):
-        for cell, (lap_op, grad_op) in zip(mesh.cells, operators):
+        for cell, (lap_op, grad_op) in zip(all_cells(mesh), operators):
             dofs = local_projection_dofs(cell, k, value, grad_x, grad_y, q=q)
             lap = roundoff_ratio(lap_op, dofs,
                                  project_cell(laplacian, cell, k, q=q))

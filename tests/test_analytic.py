@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import all_cells
 from wg_shishkin.analytic import (ExactSolution, eval_bump, eval_g, eval_p,
                                   forcing, project_exact)
 from wg_shishkin.assembly import DofMap
@@ -162,7 +163,7 @@ class TestProjectExact:
         raw = project_exact(mesh, 4, 0, 1.0)
         sol = ExactSolution(0, 1.0)
         pts = RNG.uniform(0, 1, (100, 2))
-        for c, cell in enumerate(mesh.cells):
+        for c, cell in enumerate(all_cells(mesh)):
             inside = ((cell.x_range[0] <= pts[:, 0]) & (pts[:, 0] <= cell.x_range[1])
                       & (cell.y_range[0] <= pts[:, 1]) & (pts[:, 1] <= cell.y_range[1]))
             if not inside.any():

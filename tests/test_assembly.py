@@ -5,8 +5,9 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
+from conftest import all_cells, all_edges, loop_dof_tables
 from wg_shishkin.analytic import ExactSolution
-from wg_shishkin.assembly import (DofMap, assemble_system, build_dof_map,
+from wg_shishkin.assembly import (DofMap, assemble_system,
                                   condense_interior, dump_matrix_market,
                                   fill_reducing_ordering, schur_complement)
 from wg_shishkin.mesh import MeshParams, build_mesh
@@ -18,22 +19,22 @@ RNG = np.random.default_rng(2718)
 
 class TestDofMap:
     def test_counts_n8_k3(self, mesh_n8_eps1e2):
-        dofmap = build_dof_map(mesh_n8_eps1e2, 3)
+        dofmap = DofMap(mesh_n8_eps1e2, 3)
         assert dofmap.n_raw == 64 * 16 + 144 * 12 == 2752
         assert dofmap.n_constrained == 32 * 8 == 256
         assert dofmap.n_free == 2496
 
     def test_counts_n4_k3(self, mesh_n4_eps1e2):
-        dofmap = build_dof_map(mesh_n4_eps1e2, 3)
+        dofmap = DofMap(mesh_n4_eps1e2, 3)
         assert dofmap.n_raw == 16 * 16 + 40 * 12 == 736
         assert dofmap.n_constrained == 128
         assert dofmap.n_free == 608
 
     def test_tangential_gradient_free_on_boundary(self, mesh_n8_eps1e2):
         mesh = mesh_n8_eps1e2
-        dofmap = build_dof_map(mesh, 3)
+        dofmap = DofMap(mesh, 3)
         kk = 4
-        for edge in mesh.edges:
+        for edge in all_edges(mesh):
             if not edge.on_boundary:
                 continue
             trace = slice(dofmap.trace_base + edge.id * kk,
@@ -48,13 +49,28 @@ class TestDofMap:
             assert not np.any(dofmap.constrained[
                 tangent_base + edge.id * kk:tangent_base + (edge.id + 1) * kk])
 
+    @pytest.mark.parametrize("n", [4, 8, 12, 32])
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    @pytest.mark.parametrize("mesh_kind", ["shishkin", "uniform"])
+    @pytest.mark.parametrize("eps", [1.0, 1e-4])
+    def test_tables_match_loops(self, n, k, mesh_kind, eps):
+        mesh = build_mesh(MeshParams(n=n, eps=eps, k=k, mesh_kind=mesh_kind))
+        cell_dofs, constrained, classes = loop_dof_tables(mesh, k)
+        dofmap = DofMap(mesh, k)
+        assert np.array_equal(dofmap.cell_dofs, cell_dofs)
+        assert np.array_equal(dofmap.constrained, constrained)
+        tables = mesh.width_classes()
+        assert list(tables) == list(classes)
+        for widths, ids in classes.items():
+            assert np.array_equal(tables[widths], ids)
+
     def test_interior_free_indices_are_raw_indices(self, mesh_n4_eps1e2):
-        dofmap = build_dof_map(mesh_n4_eps1e2, 3)
+        dofmap = DofMap(mesh_n4_eps1e2, 3)
         n_int = dofmap.n_interior_total
         assert np.all(dofmap.free_index[:n_int] == np.arange(n_int))
 
     def test_cell_dofs_cover_each_cell_once(self, mesh_n4_eps1e2):
-        dofmap = build_dof_map(mesh_n4_eps1e2, 3)
+        dofmap = DofMap(mesh_n4_eps1e2, 3)
         table = dofmap.cell_dofs
         assert table.shape == (16, 64)
         for row in table:
@@ -91,7 +107,7 @@ class TestAssemble:
         global_value = u @ (system.matrix @ v)
         u_raw, v_raw = dofmap.expand_free(u), dofmap.expand_free(v)
         local_value = 0.0
-        for c, cell in enumerate(mesh.cells):
+        for c, cell in enumerate(all_cells(mesh)):
             ops = local_stiffness(cell, 3, eps, mesh.h_fine, mesh.h_coarse)
             idx = dofmap.cell_dofs[c]
             local_value += u_raw[idx] @ ops.A @ v_raw[idx]

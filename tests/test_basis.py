@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from conftest import region_end_cells
+from conftest import all_cells, region_end_cells
 from wg_shishkin.basis import (CellBasis, EdgeBasis, project_all_cells,
                                project_all_edges, project_cell, project_edge)
 from wg_shishkin.mesh import MeshParams, build_mesh
@@ -11,7 +11,7 @@ RNG = np.random.default_rng(20240817)
 
 
 def most_anisotropic_cell(mesh):
-    return max(mesh.cells, key=lambda c: max(c.widths) / min(c.widths))
+    return max(all_cells(mesh), key=lambda c: max(c.widths) / min(c.widths))
 
 
 def cell_gram(basis, q=None):
@@ -28,7 +28,7 @@ class TestCellBasis:
         assert np.abs(gram - np.eye(16)).max() < 1e-12
 
     def test_constant_member(self, mesh_n4_eps1e2):
-        cell = mesh_n4_eps1e2.cells[0]
+        cell = mesh_n4_eps1e2.cell(0)
         basis = CellBasis(cell, 3)
         x = RNG.uniform(*cell.x_range, 7)
         y = RNG.uniform(*cell.y_range, 7)
@@ -38,7 +38,7 @@ class TestCellBasis:
     @pytest.mark.parametrize("dx,dy", [(1, 0), (0, 1), (2, 0), (0, 2)])
     def test_derivatives_against_finite_differences(self, mesh_n4_eps1e2, dx, dy):
         # Central differences of the next-lower derivative table.
-        cell = mesh_n4_eps1e2.cells[5]
+        cell = mesh_n4_eps1e2.cell(5)
         basis = CellBasis(cell, 3)
         x = np.linspace(*cell.x_range, 9)[1:-1]
         y = np.linspace(*cell.y_range, 9)[1:-1]
@@ -53,7 +53,7 @@ class TestCellBasis:
 
 class TestEdgeBasis:
     def test_mass_matrix_is_identity(self, mesh_n4_eps1e2):
-        for edge in mesh_n4_eps1e2.edges[:6]:
+        for edge in [mesh_n4_eps1e2.edge(e) for e in range(6)]:
             basis = EdgeBasis(edge, 3)
             x, y, w = basis.quad_points(6)
             t = x if edge.orientation == "horizontal" else y
@@ -64,7 +64,7 @@ class TestEdgeBasis:
 
 class TestProjectCell:
     def test_reproduces_basis_member(self, mesh_n4_eps1e2):
-        cell = mesh_n4_eps1e2.cells[3]
+        cell = mesh_n4_eps1e2.cell(3)
         basis = CellBasis(cell, 3)
         coeffs = project_cell(lambda x, y: basis.eval(x, y)[7], cell, 3)
         expected = np.zeros(16)
@@ -87,7 +87,7 @@ class TestProjectCell:
     def test_exp_against_high_order_reference(self):
         # Unit-square cell; reference moments from numpy's 20-point rule.
         mesh = build_mesh(MeshParams(n=4, eps=1.0, k=3, mesh_kind="uniform"))
-        cell = mesh.cells[5]
+        cell = mesh.cell(5)
         fun = lambda x, y: np.exp(x + y)
         coeffs = project_cell(fun, cell, 3)
         t, w = leggauss(20)
@@ -100,7 +100,7 @@ class TestProjectCell:
         assert coeffs == pytest.approx(reference, abs=1e-10)
 
     def test_idempotence(self, mesh_n4_eps1e2):
-        cell = mesh_n4_eps1e2.cells[10]
+        cell = mesh_n4_eps1e2.cell(10)
         basis = CellBasis(cell, 3)
         first = project_cell(lambda x, y: np.sin(3 * x) * np.cos(y), cell, 3)
         second = project_cell(lambda x, y: first @ basis.eval(x, y), cell, 3)
@@ -108,19 +108,19 @@ class TestProjectCell:
 
     def test_rejects_low_quadrature(self, mesh_n4_eps1e2):
         with pytest.raises(ValueError):
-            project_cell(lambda x, y: x, mesh_n4_eps1e2.cells[0], 3, q=3)
+            project_cell(lambda x, y: x, mesh_n4_eps1e2.cell(0), 3, q=3)
 
 
 class TestProjectEdge:
     def test_constant(self, mesh_n4_eps1e2):
-        edge = mesh_n4_eps1e2.edges[0]
+        edge = mesh_n4_eps1e2.edge(0)
         coeffs = project_edge(lambda x, y: np.full_like(x, 3.0), edge, 3)
         expected = np.zeros(4)
         expected[0] = 3.0 * np.sqrt(edge.length)
         assert coeffs == pytest.approx(expected, abs=1e-13)
 
     def test_reproduces_pk(self, mesh_n4_eps1e2):
-        edge = mesh_n4_eps1e2.edges[9]
+        edge = mesh_n4_eps1e2.edge(9)
         c = RNG.standard_normal(4)
 
         def poly(x, y):
@@ -137,7 +137,7 @@ class TestProjectEdge:
 
     def test_sine_against_high_order_reference(self):
         mesh = build_mesh(MeshParams(n=8, eps=1.0, k=3))
-        edge = mesh.edges[3]
+        edge = mesh.edge(3)
         assert edge.length == pytest.approx(0.125)
 
         def fun(x, y):
@@ -159,7 +159,7 @@ class TestMeshWideProjections:
         fun = lambda x, y: np.sin(2 * x + 0.3) * np.exp(y)
         table = project_all_cells(mesh_n4_eps1e2, 3, fun)
         for c in (0, 5, 15):
-            cell = mesh_n4_eps1e2.cells[c]
+            cell = mesh_n4_eps1e2.cell(c)
             assert table[c] == pytest.approx(project_cell(fun, cell, 3), abs=1e-13)
 
         mesh = mesh_n128_eps1e7
@@ -174,13 +174,13 @@ class TestMeshWideProjections:
         fun = lambda x, y: np.cos(x - 2 * y)
         table = project_all_edges(mesh_n4_eps1e2, 3, fun)
         for e in (0, 7, 21, 39):
-            edge = mesh_n4_eps1e2.edges[e]
+            edge = mesh_n4_eps1e2.edge(e)
             assert table[e] == pytest.approx(project_edge(fun, edge, 3), abs=1e-13)
 
         mesh = mesh_n128_eps1e7
         table = project_all_edges(mesh, 3, fun)
         for cell in region_end_cells(mesh):
             for e in cell.edge_ids:
-                single = project_edge(fun, mesh.edges[e], 3)
+                single = project_edge(fun, mesh.edge(e), 3)
                 assert np.abs(table[e] - single).max() \
                     <= 1e-13 * np.abs(table[e]).max(), f"edge {e}"

@@ -48,3 +48,19 @@ def test_invalid_sweep_is_an_error():
     with pytest.raises(ValueError):
         main(["run", "--example", "1", "--k", "3", "--eps", "1",
               "--N", "8,24"])
+
+
+def test_run_accepts_degree_above_four(tmp_path):
+    out = tmp_path / "k5.csv"
+    code = main(["run", "--example", "0", "--k", "5", "--eps", "1",
+                 "--N", "8", "--out", str(out)])
+    assert code == 0
+    with open(out, newline="") as stream:
+        rows = list(csv.DictReader(stream))
+    assert rows[0]["k"] == "5"
+    assert float(rows[0]["error_full"]) < 1e-8  # polynomial solution is exact
+
+
+def test_degree_below_three_is_an_error():
+    with pytest.raises(ValueError, match="degree k must be >= 3"):
+        main(["run", "--example", "0", "--k", "2", "--eps", "1", "--N", "8"])

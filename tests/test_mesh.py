@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import all_cells, all_edges, loop_records
 from wg_shishkin.mesh import (MeshParams, axis_partition, build_mesh,
                               transition_point)
 
@@ -52,9 +53,9 @@ class TestAxisPartition:
 class TestBuildMesh:
     def test_counts_and_widths_n8(self):
         mesh = build_mesh(MeshParams(n=8, eps=1.0, k=3))
-        assert len(mesh.cells) == 64
-        assert len(mesh.edges) == 144
-        assert len(mesh.boundary_edge_ids()) == 32
+        assert len(all_cells(mesh)) == mesh.n_cells == 64
+        assert len(all_edges(mesh)) == mesh.n_edges == 144
+        assert mesh.boundary_edges.sum() == 32
         assert mesh.h_fine == pytest.approx(0.125)
         assert mesh.h_coarse == pytest.approx(0.125)
 
@@ -68,7 +69,7 @@ class TestBuildMesh:
     def test_uniform_kind_forces_quarter(self):
         mesh = build_mesh(MeshParams(n=12, eps=1e-5, k=3, mesh_kind="uniform"))
         assert mesh.lam == 0.25
-        for cell in mesh.cells:
+        for cell in all_cells(mesh):
             assert cell.widths == pytest.approx((1 / 12, 1 / 12), rel=1e-14)
 
     def test_cell_areas_sum_to_one(self):
@@ -76,18 +77,20 @@ class TestBuildMesh:
                        MeshParams(n=16, eps=1e-6, k=4),
                        MeshParams(n=4, eps=1.0, k=3)]:
             mesh = build_mesh(params)
-            assert sum(c.area for c in mesh.cells) == pytest.approx(1.0, abs=1e-14)
+            assert sum(c.area for c in all_cells(mesh)) == pytest.approx(1.0, abs=1e-14)
 
-    def test_edge_adjacency(self, mesh_n8_eps1e2):
-        for edge in mesh_n8_eps1e2.edges:
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_edge_adjacency(self, n):
+        for edge in all_edges(build_mesh(MeshParams(n=n, eps=1e-2, k=3))):
             assert edge.on_boundary == (len(edge.cells) == 1)
             if not edge.on_boundary:
                 assert len(edge.cells) == 2
 
-    def test_cell_edge_consistency(self, mesh_n8_eps1e2):
-        mesh = mesh_n8_eps1e2
-        for c, cell in enumerate(mesh.cells):
-            south, east, north, west = (mesh.edges[e] for e in cell.edge_ids)
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_cell_edge_consistency(self, n):
+        mesh = build_mesh(MeshParams(n=n, eps=1e-2, k=3))
+        for c, cell in enumerate(all_cells(mesh)):
+            south, east, north, west = (mesh.edge(e) for e in cell.edge_ids)
             assert south.orientation == north.orientation == "horizontal"
             assert east.orientation == west.orientation == "vertical"
             for edge in (south, east, north, west):
@@ -110,7 +113,7 @@ class TestBuildMesh:
     def test_axis_widths_match_cells(self, mesh_n8_eps1e2):
         widths = mesh_n8_eps1e2.axis_widths()
         n = 8
-        for cell in mesh_n8_eps1e2.cells:
+        for cell in all_cells(mesh_n8_eps1e2):
             i, j = cell.index
             assert cell.widths == (widths[i], widths[j])
 
@@ -127,3 +130,41 @@ class TestBuildMesh:
     def test_alpha_defaults_to_k_plus_one(self):
         assert MeshParams(n=8, eps=1.0, k=3).alpha == 4.0
         assert MeshParams(n=8, eps=1.0, k=4).alpha == 5.0
+
+
+class TestLatticeTables:
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("mesh_kind", ["shishkin", "uniform"])
+    @pytest.mark.parametrize("eps", [1.0, 1e-4])
+    def test_records_match_loops(self, n, mesh_kind, eps):
+        mesh = build_mesh(MeshParams(n=n, eps=eps, k=3, mesh_kind=mesh_kind))
+        cells, edges = loop_records(mesh)
+        assert all_cells(mesh) == cells
+        assert all_edges(mesh) == edges
+
+    def test_tables_match_records(self, mesh_n8_eps1e2):
+        mesh = mesh_n8_eps1e2
+        cells, edges = loop_records(mesh)
+        assert mesh.cell_edges.tolist() == [list(c.edge_ids) for c in cells]
+        assert mesh.edge_vertical.tolist() == [e.orientation == "vertical"
+                                               for e in edges]
+        assert mesh.boundary_edges.tolist() == [e.on_boundary for e in edges]
+        # Cells at odd/odd lattice points, each side one step from its
+        # cell's point; no two entities share a point.
+        lattice = mesh.lattice
+        steps = np.array([[0, -1], [1, 0], [0, 1], [-1, 0]])  # S, E, N, W
+        for c, cell in enumerate(cells):
+            i, j = cell.index
+            assert lattice[c].tolist() == [2 * i + 1, 2 * j + 1]
+            assert (lattice[mesh.n_cells + np.array(cell.edge_ids)]
+                    == lattice[c] + steps).all()
+        assert len({tuple(p) for p in lattice.tolist()}) == lattice.shape[0]
+
+    def test_records_reject_ids_out_of_range(self, mesh_n8_eps1e2):
+        mesh = mesh_n8_eps1e2
+        for index in (-1, mesh.n_cells):
+            with pytest.raises(IndexError):
+                mesh.cell(index)
+        for index in (-1, mesh.n_edges):
+            with pytest.raises(IndexError):
+                mesh.edge(index)

@@ -130,6 +130,32 @@ class TestPcg:
         off = 1.0 - 1e-9
         matrix = sp.csr_matrix(np.array([[1.0, off], [off, 1.0]]))
         rhs = np.array([1.0, -2.0])
+        factored, symbolic_runs = [], []
+        numeric, symbolic = solver._factor_fronts, solver._symbolic_phase
+
+        def spy(fronts, tree, scale, rep, dtype):
+            factored.append(np.dtype(dtype))
+            return numeric(fronts, tree, scale, rep, dtype)
+
+        def symbolic_spy(elements, tree):
+            symbolic_runs.append(elements.dim)
+            return symbolic(elements, tree)
+
+        monkeypatch.setattr(solver, "_factor_fronts", spy)
+        monkeypatch.setattr(solver, "_symbolic_phase", symbolic_spy)
+        x, report = solve_spd(matrix, rhs, "pcg", tol=1e-12,
+                              tree=make_tree([0, 1], [0, 2], [-1]))
+        assert factored == [np.float32, np.float64]
+        assert symbolic_runs == [2]  # the fallback reuses the symbolic phase
+        assert x == pytest.approx(np.linalg.solve(matrix.toarray(), rhs),
+                                  rel=1e-12)
+        assert report.iterations >= 1
+
+    def test_double_precision_fallback_checks_memory_first(self, monkeypatch):
+        # Room for the single-precision factor only: after its breakdown the
+        # double-precision one must be refused before any numeric work.
+        off = 1.0 - 1e-9
+        matrix = sp.csr_matrix(np.array([[1.0, off], [off, 1.0]]))
         factored = []
         numeric = solver._factor_fronts
 
@@ -138,12 +164,11 @@ class TestPcg:
             return numeric(fronts, tree, scale, rep, dtype)
 
         monkeypatch.setattr(solver, "_factor_fronts", spy)
-        x, report = solve_spd(matrix, rhs, "pcg", tol=1e-12,
-                              tree=make_tree([0, 1], [0, 2], [-1]))
-        assert factored == [np.float32, np.float64]
-        assert x == pytest.approx(np.linalg.solve(matrix.toarray(), rhs),
-                                  rel=1e-12)
-        assert report.iterations >= 1
+        monkeypatch.setattr(solver, "_physical_memory", lambda: 4 * 3)
+        with pytest.raises(SolverError, match="physical memory"):
+            solve_spd(matrix, np.array([1.0, -2.0]), "pcg", tol=1e-12,
+                      tree=make_tree([0, 1], [0, 2], [-1]))
+        assert factored == [np.float32]
 
     def test_k4_eps1_n64_matches_direct(self):
         # kappa of the scaled system is near single precision's limit here,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import (ROUNDOFF_FACTOR, local_projection_dofs,
+from conftest import (ROUNDOFF_FACTOR, all_cells, local_projection_dofs,
                       reference_cell_moments, region_end_cells,
                       roundoff_ratio)
 from wg_shishkin.basis import CellBasis, project_cell
@@ -19,7 +19,7 @@ def unit_cell():
     # synthetic unit cell: reuse geometry code with a scaled mesh cell
     from wg_shishkin.mesh import Cell
     return Cell(index=(0, 0), x_range=(0.0, 1.0), y_range=(0.0, 1.0),
-                widths=(1.0, 1.0), edge_ids=mesh.cells[0].edge_ids)
+                widths=(1.0, 1.0), edge_ids=mesh.cell(0).edge_ids)
 
 
 class TestLocalDofLayout:
@@ -38,7 +38,7 @@ class TestLocalDofLayout:
 
 class TestWeakLaplacian:
     def test_quadratic_gives_constant(self, mesh_n4_eps1e2):
-        cell = mesh_n4_eps1e2.cells[5]
+        cell = mesh_n4_eps1e2.cell(5)
         dofs = local_projection_dofs(
             cell, K, lambda x, y: x ** 2 + y ** 2,
             lambda x, y: 2 * x, lambda x, y: 2 * y)
@@ -48,7 +48,7 @@ class TestWeakLaplacian:
         assert result == pytest.approx(expected, abs=1e-12)
 
     def test_linear_gives_zero(self, mesh_n4_eps1e2):
-        cell = mesh_n4_eps1e2.cells[9]
+        cell = mesh_n4_eps1e2.cell(9)
         dofs = local_projection_dofs(
             cell, K, lambda x, y: x,
             lambda x, y: np.ones_like(x), lambda x, y: np.zeros_like(x))
@@ -78,7 +78,7 @@ class TestWeakLaplacian:
 
 class TestWeakGradient:
     def test_constant_weak_function_gives_zero(self, mesh_n4_eps1e2):
-        cell = mesh_n4_eps1e2.cells[0]
+        cell = mesh_n4_eps1e2.cell(0)
         layout = LocalDofLayout(K)
         dofs = np.zeros(layout.n_loc)
         c = 2.5
@@ -92,7 +92,7 @@ class TestWeakGradient:
         assert np.abs(result).max() < 1e-12
 
     def test_xy_gives_projected_gradient(self, mesh_n4_eps1e2):
-        cell = mesh_n4_eps1e2.cells[7]
+        cell = mesh_n4_eps1e2.cell(7)
         dofs = local_projection_dofs(cell, K, lambda x, y: x * y,
                                      lambda x, y: y, lambda x, y: x)
         result = weak_gradient_matrix(cell, K) @ dofs
@@ -102,7 +102,7 @@ class TestWeakGradient:
         assert result == pytest.approx(expected, abs=1e-12)
 
     def test_gradient_dof_columns_are_zero(self, mesh_n4_eps1e2):
-        cell = mesh_n4_eps1e2.cells[3]
+        cell = mesh_n4_eps1e2.cell(3)
         layout = LocalDofLayout(K)
         G = weak_gradient_matrix(cell, K)
         for side in range(4):
@@ -112,7 +112,7 @@ class TestWeakGradient:
 
 class TestStabilizer:
     def test_vanishes_on_projected_polynomial(self, mesh_n4_eps1e2):
-        cell = mesh_n4_eps1e2.cells[11]
+        cell = mesh_n4_eps1e2.cell(11)
         dofs = local_projection_dofs(
             cell, K, lambda x, y: x ** 2 * y ** 2,
             lambda x, y: 2 * x * y ** 2, lambda x, y: 2 * x ** 2 * y)
@@ -131,7 +131,7 @@ class TestStabilizer:
         assert dofs @ S @ dofs == pytest.approx(2.0, rel=1e-13)
 
     def test_positive_semidefinite(self, mesh_n4_eps1e2):
-        cell = mesh_n4_eps1e2.cells[6]
+        cell = mesh_n4_eps1e2.cell(6)
         S = stabilizer_matrix(cell, K, eps=1e-3, h=0.0554, H=0.44)
         scale = np.abs(S).max()
         for v in RNG.standard_normal((1000, S.shape[0])):
@@ -141,14 +141,14 @@ class TestStabilizer:
 class TestLocalStiffness:
     def test_symmetry_and_psd(self, mesh_n4_eps1e2):
         mesh = mesh_n4_eps1e2
-        ops = local_stiffness(mesh.cells[5], K, 1e-2, mesh.h_fine, mesh.h_coarse)
+        ops = local_stiffness(mesh.cell(5), K, 1e-2, mesh.h_fine, mesh.h_coarse)
         assert np.abs(ops.A - ops.A.T).max() <= 1e-13 * np.abs(ops.A).max()
         assert np.abs(ops.S - ops.S.T).max() <= 1e-13 * np.abs(ops.S).max()
         eigenvalues = np.linalg.eigvalsh(ops.A)
         assert eigenvalues.min() >= -1e-10 * eigenvalues.max()
 
     def test_constant_weak_function_energy_is_zero(self, mesh_n4_eps1e2):
-        cell = mesh_n4_eps1e2.cells[2]
+        cell = mesh_n4_eps1e2.cell(2)
         mesh = mesh_n4_eps1e2
         ops = local_stiffness(cell, K, 1e-2, mesh.h_fine, mesh.h_coarse)
         layout = ops.layout
@@ -163,13 +163,13 @@ class TestLocalStiffness:
     def test_identity_combination(self, mesh_n4_eps1e2):
         mesh = mesh_n4_eps1e2
         eps = 1e-2
-        ops = local_stiffness(mesh.cells[8], K, eps, mesh.h_fine, mesh.h_coarse)
+        ops = local_stiffness(mesh.cell(8), K, eps, mesh.h_fine, mesh.h_coarse)
         recombined = eps ** 2 * ops.L.T @ ops.L + ops.G.T @ ops.G + ops.S
         assert np.abs(ops.A - recombined).max() <= 1e-12 * np.abs(ops.A).max()
 
     def test_energy_scaling_is_quadratic(self, mesh_n4_eps1e2):
         mesh = mesh_n4_eps1e2
-        ops = local_stiffness(mesh.cells[4], K, 1e-3, mesh.h_fine, mesh.h_coarse)
+        ops = local_stiffness(mesh.cell(4), K, 1e-3, mesh.h_fine, mesh.h_coarse)
         v = RNG.standard_normal(ops.layout.n_loc)
         base = v @ ops.A @ v
         assert (2.5 * v) @ ops.A @ (2.5 * v) == pytest.approx(
@@ -207,7 +207,7 @@ class TestCommutation:
     def test_polynomial(self, mesh_n8_eps1e2):
         coef = RNG.standard_normal((K + 1, K + 1))
         pv = np.polynomial.polynomial
-        for cell in mesh_n8_eps1e2.cells[::13]:
+        for cell in all_cells(mesh_n8_eps1e2)[::13]:
             self._check(
                 mesh_n8_eps1e2, cell,
                 lambda x, y: pv.polyval2d(x, y, coef),
@@ -218,7 +218,7 @@ class TestCommutation:
 
     def test_smooth_function(self, mesh_n8_eps1e2):
         a, b = 2.3, -1.7
-        for cell in mesh_n8_eps1e2.cells[::17]:
+        for cell in all_cells(mesh_n8_eps1e2)[::17]:
             self._check(
                 mesh_n8_eps1e2, cell,
                 lambda x, y: np.sin(a * x + b * y),
