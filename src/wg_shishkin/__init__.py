@@ -4,8 +4,7 @@ unit square with clamped boundary conditions, on Shishkin tensor meshes."""
 from .analytic import ExactSolution, eval_g, eval_p, forcing, project_exact
 from .assembly import (DofMap, SparseSystem, assemble_system,
                        condense_interior, dump_matrix_market)
-from .basis import (CellBasis, EdgeBasis, default_quadrature, project_cell,
-                    project_edge)
+from .basis import default_quadrature, project_cell, project_edge
 from .driver import (TABLE_PRESETS, ConvergenceRecord, RunConfig,
                      convergence_table, run_case, triple_bar_norm, write_csv)
 from .mesh import (Cell, Edge, MeshParams, ShishkinMesh, axis_partition,
@@ -18,7 +17,7 @@ from .weak_ops import (LocalDofLayout, LocalOperators, local_stiffness,
                        weak_laplacian_matrix)
 
 __all__ = [
-    "Cell", "CellBasis", "ConvergenceRecord", "DofMap", "Edge", "EdgeBasis",
+    "Cell", "ConvergenceRecord", "DofMap", "Edge",
     "ElementGroup", "ElementMatrix", "ExactSolution", "LocalDofLayout",
     "LocalOperators", "MeshParams",
     "QuadratureRule", "RunConfig", "SeparatorTree", "ShishkinMesh",

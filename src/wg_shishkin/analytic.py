@@ -32,8 +32,12 @@ def eval_g(x, eps: float, order: int = 0):
     """n-th derivative of g(x) = [sin(pi x) + (pi eps / l) * (e^{-x/eps}
     + e^{(x-1)/eps} - 1 - e^{-1/eps})] / 2 with l = 1 - e^{-1/eps}.
 
-    For eps <= ~1e-8 the e^{-1/eps} terms underflow to zero, which leaves
-    every quantity finite; no special-casing is needed.
+    For eps below about 1.3e-3 the e^{-1/eps} terms underflow to zero and
+    l = 1, with no special case. The n-th derivative's layer terms are
+    (pi eps / l) (1/eps)^n e^{...}, so they grow like eps^(1-n): at order 4
+    about pi eps^-3 / 2, 1.6e30 at ``mesh.EPS_MIN`` = 1e-10, finite for
+    every eps the mesh accepts. Far below it, (1/eps)^4 overflows (eps
+    under about 1e-77) and Python raises OverflowError.
     """
     _check_order(order)
     x = np.asarray(x, dtype=float)

@@ -42,78 +42,6 @@ def legendre_table(k: int, t: np.ndarray, nderiv: int = 0) -> np.ndarray:
     return out * scale[None, :, None]
 
 
-class CellBasis:
-    """Tensor-product basis phi_{m,n}(x, y) on a rectangular cell.
-
-    The flat index is m*(k+1) + n with m the x-degree. Evaluation supports
-    pure derivatives through second order in each variable.
-    """
-
-    def __init__(self, cell: Cell, k: int):
-        if k < 3:
-            raise ValueError(f"degree k must be >= 3, got {k}")
-        self.cell = cell
-        self.k = k
-        self.dim = (k + 1) ** 2
-        self.x0, self.x1 = cell.x_range
-        self.y0, self.y1 = cell.y_range
-        self.h1, self.h2 = cell.widths
-
-    def eval(self, x: np.ndarray, y: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
-        """Table of shape (dim, npts) of d^dx/dx^dx d^dy/dy^dy phi_i."""
-        x = np.asarray(x, dtype=float).ravel()
-        y = np.asarray(y, dtype=float).ravel()
-        tx = (2.0 * x - self.x0 - self.x1) / self.h1
-        ty = (2.0 * y - self.y0 - self.y1) / self.h2
-        lx = legendre_table(self.k, tx, nderiv=dx)[dx]
-        ly = legendre_table(self.k, ty, nderiv=dy)[dy]
-        scale = (np.sqrt(2.0 / self.h1) * (2.0 / self.h1) ** dx
-                 * np.sqrt(2.0 / self.h2) * (2.0 / self.h2) ** dy)
-        kk = self.k + 1
-        return scale * (lx[:, None, :] * ly[None, :, :]).reshape(kk * kk, -1)
-
-    def quad_points(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tensor Gauss points (flattened) and combined weights on the cell."""
-        rule = gauss_legendre(q)
-        xq, wx = rule.mapped(self.x0, self.x1)
-        yq, wy = rule.mapped(self.y0, self.y1)
-        X, Y = np.meshgrid(xq, yq, indexing="ij")
-        W = np.outer(wx, wy)
-        return X.ravel(), Y.ravel(), W.ravel()
-
-
-class EdgeBasis:
-    """P_k basis on an edge, parameterized by arc length from the smaller to
-    the larger coordinate (fixed globally, so neighbor cells agree)."""
-
-    def __init__(self, edge: Edge, k: int):
-        self.edge = edge
-        self.k = k
-        self.dim = k + 1
-        (xa, ya), (xb, yb) = edge.endpoints
-        if edge.orientation == "horizontal":
-            self.t0, self.t1 = xa, xb
-        else:
-            self.t0, self.t1 = ya, yb
-        self.length = edge.length
-
-    def eval(self, t: np.ndarray) -> np.ndarray:
-        """Table of shape (k+1, npts) at coordinates t along the edge axis."""
-        t = np.asarray(t, dtype=float).ravel()
-        tau = (2.0 * t - self.t0 - self.t1) / self.length
-        return np.sqrt(2.0 / self.length) * legendre_table(self.k, tau)[0]
-
-    def quad_points(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gauss points on the edge as (x, y) arrays plus weights."""
-        rule = gauss_legendre(q)
-        tq, w = rule.mapped(self.t0, self.t1)
-        if self.edge.orientation == "horizontal":
-            y = np.full_like(tq, self.edge.endpoints[0][1])
-            return tq, y, w
-        x = np.full_like(tq, self.edge.endpoints[0][0])
-        return x, tq, w
-
-
 def _weighted_legendre(k: int, q: int):
     """Reference q-point rule and the orthonormal Legendre table at its
     nodes times its weights, shape (k+1, q).

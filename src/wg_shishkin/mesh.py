@@ -28,6 +28,15 @@ import numpy as np
 
 MESH_KINDS = ("shishkin", "uniform")
 
+#: Smallest eps accepted. Example 1 (k=3, N=128 and k=4, N=64, condensed)
+#: has its energy error still falling from eps=1e-10 to 1e-11 and rising
+#: from 1e-12 on, where round-off in the layer cells takes over; at
+#: eps=1e-30 the layer at x = 1 lies within a few ulps of 1 and N=8
+#: reports 0.139 where eps in 1e-12..1e-20 gives 1.70e-4, and at 1e-80 the
+#: fourth derivative of the exact solution overflows. So the floor is a
+#: decade above the last eps at which those errors still fall.
+EPS_MIN = 1e-10
+
 #: Local side order of a cell and the sign of its outward normal relative to
 #: the canonical edge normal (+x for vertical edges, +y for horizontal ones).
 SIDES = ("south", "east", "north", "west")
@@ -43,7 +52,7 @@ class MeshParams:
     n : int
         Cells per axis; must be >= 4 and divisible by 4.
     eps : float
-        Perturbation parameter in (0, 1].
+        Perturbation parameter in [EPS_MIN, 1].
     k : int
         Polynomial degree, >= 3.
     alpha : float
@@ -62,8 +71,8 @@ class MeshParams:
     def __post_init__(self):
         if self.n < 4 or self.n % 4 != 0:
             raise ValueError(f"n must be >= 4 and divisible by 4, got {self.n}")
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
+        if not EPS_MIN <= self.eps <= 1.0:
+            raise ValueError(f"eps must lie in [{EPS_MIN:g}, 1], got {self.eps}")
         if self.k < 3:
             raise ValueError(f"degree k must be >= 3, got {self.k}")
         if self.alpha is None:

@@ -22,6 +22,16 @@ an exact key of what enters its front, and only the first node with a given
 key is factored; its twins share its factor (Przemieniecki 1963: repeated
 substructures are condensed once).
 
+The numeric phase runs in one array (Amestoy, Duff, L'Excellent & Koster
+2001): the distinct fronts' factors fill it from the start in postorder,
+and each front's F21 block is assembled, extended and solved in place at
+its final slot. The pivot block F11, the update block F22 and the updates
+kept for twins live in the part the factor has not yet reached, each at an
+offset a dry run of the schedule assigns before any numeric work, and the
+array reaches past the factor only as far as those blocks need. So a freed
+front leaves no heap behind, and the physical-memory check counts this
+array and the element blocks.
+
 The iterative method is double-precision CG on the given matrix,
 preconditioned by the tree factorization run in single precision: half the
 factor's memory, and a few iterations recover full accuracy (Langou et al.
@@ -29,6 +39,7 @@ factor's memory, and a few iterations recover full accuracy (Langou et al.
 SuperLU factor.
 """
 
+import bisect
 import os
 import time
 from dataclasses import dataclass
@@ -251,8 +262,12 @@ class SolveReport:
     counted by the symbolic phase; L + U for SuperLU. factor_stored counts
     the entries the factor holds in memory: for a tree factorization those
     of the distinct fronts only, as twins share one copy; factor_nnz for
-    SuperLU. For pcg both count its preconditioner, the same factor as the
-    direct solve's, held in single precision on a tree.
+    SuperLU. workspace counts the entries of the one array the numeric
+    phase of a tree factorization works in: factor_stored, and above it
+    whatever the fronts and cached updates need beyond the factor's
+    unfilled part; 0 for SuperLU. For pcg all three count its
+    preconditioner, the same factor as the direct solve's, held in single
+    precision on a tree.
     """
 
     method: str
@@ -261,6 +276,7 @@ class SolveReport:
     wall_time: float
     factor_nnz: int
     factor_stored: int
+    workspace: int
 
 
 def _physical_memory() -> int:
@@ -456,24 +472,85 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree,
     return rep
 
 
-def _dense(flat: list[np.ndarray], weights: list[np.ndarray],
-           shape: tuple[int, int]) -> np.ndarray:
-    """A Fortran-ordered array of ``shape`` with the weights summed at the
-    flat (column-major) indices."""
-    if sum(part.size for part in flat) == 0:
-        return np.zeros(shape, order="F")
-    if len(flat) > 1:
-        flat, weights = [np.concatenate(flat)], [np.concatenate(weights)]
-    return np.bincount(flat[0], weights[0],
-                       minlength=shape[0] * shape[1]).reshape(shape, order="F")
+#: Entries a temporary of the numeric phase holds at most: the chunks in
+#: which a factor block is packed or flushed.
+_CHUNK = 1 << 16
 
 
-def _assemble_front(plans: list[_PartPlan], s: int, m: int, p: int,
-                    scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[F11; F21] (m x p) and F22 of node s from the scaled blocks of the
-    element parts that enter it, each part in one batch. Only the lower
-    triangle of F22 is filled: the factorization reads no other part."""
-    flat_left, left_values, flat_rest, rest_values = [], [], [], []
+@dataclass(frozen=True)
+class _Workspace:
+    """Where the numeric phase keeps every block in its one array of
+    ``size`` entries. Distinct node s (``rep[s] == s``) keeps its packed L11
+    from ``factor[s]``, with L21 right after it, and builds F11 at
+    ``pivot[s]`` and F22, its update, at ``update[s]``, all column-major."""
+
+    rep: np.ndarray
+    size: int
+    factor: np.ndarray
+    pivot: np.ndarray
+    update: np.ndarray
+
+
+def _plan_workspace(fronts: _Fronts, tree: SeparatorTree,
+                    rep: np.ndarray) -> _Workspace:
+    """Lay out the numeric phase in one array (Amestoy et al. 2001): the
+    distinct fronts' factors fill it from the start in postorder, and every
+    F11 and F22 goes into the part the factor has not yet reached.
+
+    A dry run of the schedule of ``_factor_fronts``. Node s's F11 lives
+    while s is factored; its F22 is made then and lives until the last
+    distinct node that adds it as a child's update (Liu 1992). Each block,
+    F22 first, goes to the lowest offset clear of the blocks live at the
+    time and of the factor entries written by the end of its last node,
+    that node's F21 included (first fit)."""
+    parent = tree.parent
+    distinct = rep == np.arange(rep.size)
+    pivots = np.diff(tree.bounds).tolist()
+    below = [rows.size - p for rows, p in zip(fronts.rows, pivots)]
+    ends = np.cumsum(np.where(distinct, fronts.entries, 0))
+    # The last node to add a representative's update: the greatest distinct
+    # parent among the nodes it stands for.
+    feeds = (parent >= 0) & distinct[np.maximum(parent, 0)]
+    last = np.arange(rep.size)
+    np.maximum.at(last, rep[feeds], parent[feeds])
+    factor = np.zeros(rep.size, dtype=np.int64)
+    pivot, update = factor.copy(), factor.copy()
+    factor[distinct] = (ends - fronts.entries)[distinct]
+    ends, last = ends.tolist(), last.tolist()
+    live = []  # (start, stop, last node) of every live block, by offset
+    size = ends[-1]
+    for s in np.flatnonzero(distinct).tolist():
+        for offset, entries, until in ((update, below[s] ** 2, last[s]),
+                                       (pivot, pivots[s] ** 2, s)):
+            if not entries:
+                continue
+            at = ends[until]
+            for start, stop, _ in live:
+                if start - at >= entries:
+                    break
+                at = max(at, stop)
+            offset[s] = at
+            bisect.insort(live, (at, at + entries, until))
+            size = max(size, at + entries)
+        live = [block for block in live if block[2] > s]
+    return _Workspace(rep, size, factor, pivot, update)
+
+
+def _region(work: np.ndarray, at: int, rows: int, cols: int) -> np.ndarray:
+    """The column-major rows x cols block of ``work`` from entry ``at``."""
+    return work[at:at + rows * cols].reshape((rows, cols), order="F")
+
+
+def _assemble_front(plans: list[_PartPlan], s: int, p: int, m: int,
+                    scale: np.ndarray, work: np.ndarray,
+                    at: tuple[int, int, int]) -> None:
+    """Write the scaled blocks of the element parts that enter node s into
+    its zeroed F11, F21 and F22, which start at the entries ``at`` of
+    ``work``. Each entry is summed in double precision, in the order the
+    parts list it, and rounded once to the dtype of ``work``. Only lower
+    triangles are filled: the factorization reads no other part."""
+    flat, weights = [], []
+    q = m - p
     for plan in plans:
         e0, e1 = plan.starts[s], plan.starts[s + 1]
         if e0 == e1:
@@ -485,118 +562,138 @@ def _assemble_front(plans: list[_PartPlan], s: int, m: int, p: int,
         local = plan.local[e0:e1]
         r, c = np.take(local, plan.a, axis=1), np.take(local, plan.b, axis=1)
         hi, lo = np.maximum(r, c), np.minimum(r, c)
-        left = lo < p
-        flat_left.append(hi[left] + m * lo[left])
-        left_values.append(values[left])
-        right = ~left
-        flat_rest.append(hi[right] - p + (m - p) * (lo[right] - p))
-        rest_values.append(values[right])
-    return (_dense(flat_left, left_values, (m, p)),
-            _dense(flat_rest, rest_values, (m - p, m - p)))
+        flat.append(np.where(lo >= p, at[2] + hi - p + q * (lo - p),
+                             np.where(hi < p, at[0] + hi + p * lo,
+                                      at[1] + hi - p + q * lo)).ravel())
+        weights.append(values.ravel())
+    if flat:
+        targets, inverse = np.unique(np.concatenate(flat), return_inverse=True)
+        work[targets] = np.bincount(inverse, np.concatenate(weights))
 
 
-def _extend_add(pivot_cols: np.ndarray, rest: np.ndarray, update: np.ndarray,
+def _extend_add(front: tuple[np.ndarray, ...], update: np.ndarray,
                 pos: np.ndarray) -> None:
     """Add a child's update (lower triangle) at rows and columns ``pos`` of
-    a front split as [F11; F21] = ``pivot_cols`` and F22 = ``rest``. The
-    child's rows fall in runs of consecutive front rows, so each run of
-    columns is one slice of the front and one add, several times faster
-    than an add over np.ix_(pos, pos)."""
-    p = pivot_cols.shape[1]
-    cut = np.flatnonzero((np.diff(pos) != 1) | (pos[1:] == p)) + 1
-    starts = [0, *cut.tolist()]
-    ends = [*cut.tolist(), pos.size]
-    for j0, j1, c0 in zip(starts, ends, pos[starts].tolist()):
-        if c0 < p:
-            pivot_cols[pos[j0:], c0:c0 + j1 - j0] += update[j0:, j0:j1]
-        else:
-            rest[pos[j0:] - p, c0 - p:c0 - p + j1 - j0] += update[j0:, j0:j1]
+    a front held as (F11, F21, F22). The child's rows fall in runs of
+    consecutive front rows, each on one side of the pivots, so each pair of
+    runs is one slice of the update added to one slice of a block, in
+    place and with no temporary."""
+    f11, f21, f22 = front
+    p = f11.shape[0]
+    starts = [0, *(np.flatnonzero((np.diff(pos) != 1) | (pos[1:] == p))
+                   + 1).tolist()]
+    runs = list(zip(starts, [*starts[1:], pos.size], pos[starts].tolist()))
+    for j, (j0, j1, c0) in enumerate(runs):
+        for i0, i1, r0 in runs[j:]:
+            part = update[i0:i1, j0:j1]
+            if r0 < p:
+                f11[r0:r0 + i1 - i0, c0:c0 + j1 - j0] += part
+            elif c0 < p:
+                f21[r0 - p:r0 - p + i1 - i0, c0:c0 + j1 - j0] += part
+            else:
+                f22[r0 - p:r0 - p + i1 - i0, c0 - p:c0 - p + j1 - j0] += part
+
+
+def _pack_lower(l11: np.ndarray, packed: np.ndarray,
+                upper: np.ndarray) -> None:
+    """The lower triangle of ``l11`` into ``packed``, column by column, a
+    few columns at a time; ``upper`` is an upper-triangular boolean mask of
+    the same shape."""
+    step = max(1, _CHUNK // l11.shape[0])
+    at = 0
+    for j0 in range(0, l11.shape[0], step):
+        # Row j of the transpose is column j of l11.
+        lower = l11.T[j0:j0 + step][upper[j0:j0 + step]]
+        packed[at:at + lower.size] = lower
+        at += lower.size
+
+
+def _flush(block: np.ndarray, tiny: float) -> None:
+    """Zero the entries of a contiguous block below ``tiny`` in magnitude."""
+    flat = block.reshape(-1, order="F")
+    for at in range(0, flat.size, _CHUNK):
+        chunk = flat[at:at + _CHUNK]
+        chunk[np.abs(chunk) < tiny] = 0.0
 
 
 def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
-                   rep: np.ndarray, dtype=np.float64) -> list:
+                   plan: _Workspace, dtype=np.float64) -> list:
     """Numeric phase: (L11, L21) of every node, in postorder, for the matrix
     scaled by ``scale`` (in tree order), in the precision of ``dtype``. L11
     is the Cholesky factor of the node's pivot block, packed by columns, and
-    L21 the rows of the front beyond it; None where empty. Fronts are
-    assembled in double precision and rounded to ``dtype``.
+    L21 the rows of the front beyond it; None where empty.
 
-    Only representatives (``rep[s] == s``, see ``_representatives``) are
-    assembled and factored; a twin's entry is its representative's. So the
-    factor holds the entries of the distinct fronts alone, all views of one
-    array: a single large block goes back to the system when freed, where
-    thousands of small ones stay in the heap of the process. A
-    representative's update is kept until the last node it stands for whose
-    parent is a representative has added it there."""
-    bounds, parent = tree.bounds, tree.parent
+    Only representatives (``plan.rep[s] == s``, see ``_representatives``)
+    are assembled and factored; a twin's entry is its representative's.
+    Everything lives in one array of ``dtype`` laid out by
+    ``_plan_workspace``. The factor fills it from the start: each F21 is
+    assembled, extended and solved in place at its final slot as L21, and
+    L11 is packed into the slot before it. F11 and F22 lie in the part the
+    factor has not yet reached, F11 until it is factored and packed, F22 as
+    a cached update until the last front that adds it. So no block is
+    allocated per front, and the pages of a freed block are the next
+    block's. A front is built by zeroing its blocks, writing its element
+    entries, summed in double precision and rounded once to ``dtype``, and
+    adding its children's updates."""
+    bounds = tree.bounds.tolist()
     n = bounds[-1]
+    rep = plan.rep.tolist()
+    factor_at, pivot_at = plan.factor.tolist(), plan.pivot.tolist()
+    update_at = plan.update.tolist()
     scale = np.append(scale, 0.0)  # position -1 reads this zero
-    distinct = rep == np.arange(rep.size)
-    feeds = (parent >= 0) & distinct[np.maximum(parent, 0)]
-    uses = np.bincount(rep[feeds], minlength=parent.size)
-    children = _children(parent)
+    children = _children(tree.parent)
     potrf, = get_lapack_funcs(("potrf",), dtype=dtype)
     trsm, syrk = get_blas_funcs(("trsm", "syrk"), dtype=dtype)
-    updates: dict[int, np.ndarray] = {}
-    packing: dict[int, np.ndarray] = {}  # few pivot orders recur
-    store = np.empty(int(fronts.entries[distinct].sum()), dtype=dtype)
+    work = np.empty(plan.size, dtype=dtype)
     # Below double precision, entries under sqrt(tiny) are zeroed, so that
     # no product of two entries is subnormal: subnormal operands slow the
     # BLAS kernels several times (eps=1e-6, N=64: ssyrk 0.79 s against
     # 0.06 s flushed). Against the unit diagonal such an entry lies 1e11
     # below single precision's unit round-off.
     flush = np.sqrt(np.finfo(dtype).tiny) if dtype != np.float64 else 0.0
-    at = 0
+    masks: dict[int, np.ndarray] = {}  # few pivot orders recur
     factor = []
     for s, rows in enumerate(fronts.rows):
-        if not distinct[s]:
+        if rep[s] != s:
             factor.append(factor[rep[s]])
             continue
         b0, b1 = bounds[s], bounds[s + 1]
         p, m = b1 - b0, rows.size
-        pivot_cols, rest = (front.astype(dtype, order="F", copy=False) for front
-                            in _assemble_front(fronts.parts, s, m, p, scale))
+        packed = work[factor_at[s]:factor_at[s] + p * (p + 1) // 2]
+        at = (pivot_at[s], factor_at[s] + packed.size, update_at[s])
+        front = (_region(work, at[0], p, p), _region(work, at[1], m - p, p),
+                 _region(work, at[2], m - p, m - p))
+        for block in front:
+            block.fill(0.0)
+        _assemble_front(fronts.parts, s, p, m, scale, work, at)
         for c in children[s]:
             child_rows = fronts.rows[c][bounds[c + 1] - bounds[c]:]
-            if not child_rows.size:  # a child with no update
-                continue
-            r = rep[c]
-            _extend_add(pivot_cols, rest, updates[r],
-                        np.searchsorted(rows, child_rows))
-            uses[r] -= 1
-            if not uses[r]:  # free it before factoring
-                del updates[r]
+            if child_rows.size:  # a child with an update
+                _extend_add(front, _region(work, update_at[rep[c]],
+                                           child_rows.size, child_rows.size),
+                            np.searchsorted(rows, child_rows))
         if flush:
-            pivot_cols[np.abs(pivot_cols) < flush] = 0.0
-            rest[np.abs(rest) < flush] = 0.0
-        l11 = l21 = None
-        if p:
-            l11, info = potrf(pivot_cols[:p], lower=1, clean=0)
-            if info != 0:
-                raise SolverError(
-                    f"matrix is not positive definite: pivot {info} of front "
-                    f"{s} fails (tree positions {b0}:{b1} of dimension {n}, "
-                    f"front order {m})")
-            packed = store[at:at + p * (p + 1) // 2]
-            at += packed.size
-            if m > p:
-                l21 = store[at:at + (m - p) * p].reshape((m - p, p), order="F")
-                at += l21.size
-                l21[:] = pivot_cols[p:]
-                l21 = trsm(1.0, l11, l21, side=1, lower=1, trans_a=1,
-                           overwrite_b=1)
-                if flush:
-                    l21[np.abs(l21) < flush] = 0.0
-                rest = syrk(-1.0, l21, beta=1.0, c=rest, lower=1,
-                            overwrite_c=1)
-            if p not in packing:
-                packing[p] = np.triu(np.ones((p, p), dtype=bool))
-            packed[:] = l11.T[packing[p]]
-            l11 = packed
-        if m > p and uses[s]:
-            updates[s] = rest
-        factor.append((l11, l21))
-        pivot_cols = rest = None  # free before the next front is built
+            for block in front:
+                _flush(block, flush)
+        if not p:
+            factor.append((None, None))
+            continue
+        f11, l21, f22 = front
+        _, info = potrf(f11, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise SolverError(
+                f"matrix is not positive definite: pivot {info} of front "
+                f"{s} fails (tree positions {b0}:{b1} of dimension {n}, "
+                f"front order {m})")
+        if p not in masks:
+            masks[p] = np.triu(np.ones((p, p), dtype=bool))
+        _pack_lower(f11, packed, masks[p])
+        if m > p:
+            trsm(1.0, f11, l21, side=1, lower=1, trans_a=1, overwrite_b=1)
+            if flush:
+                _flush(l21, flush)
+            syrk(-1.0, l21, beta=1.0, c=f22, lower=1, overwrite_c=1)
+        factor.append((packed, l21 if m > p else None))
     return factor
 
 
@@ -636,16 +733,19 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     perm = tree.perm
     rep = _representatives(fronts, tree, scale[perm])
     stored = int(fronts.entries[rep == np.arange(rep.size)].sum())
+    plan = _plan_workspace(fronts, tree, rep)
+    held = sum(group.block.nbytes for group in elements.groups)
 
     def numeric(dtype):
         memory = _physical_memory()
-        needed = np.dtype(dtype).itemsize * fronts.factor_nnz
+        needed = np.dtype(dtype).itemsize * plan.size + held
         if needed > memory:
             raise SolverError(
-                f"the factor of dimension {n} needs {fronts.factor_nnz} "
-                f"entries ({needed / 2**30:.1f} GiB), more than the "
+                f"the factorization of dimension {n} needs a workspace of "
+                f"{plan.size} entries and {held / 2**30:.1f} GiB of element "
+                f"blocks ({needed / 2**30:.1f} GiB in all), more than the "
                 f"{memory / 2**30:.1f} GiB of physical memory")
-        factor = _factor_fronts(fronts, tree, scale[perm], rep, dtype)
+        factor = _factor_fronts(fronts, tree, scale[perm], plan, dtype)
 
         def solve(rhs):
             w = _front_solve(factor, fronts.rows, tree.bounds,
@@ -654,7 +754,7 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
             x[perm] = scale[perm] * w
             return x
 
-        return solve, fronts.factor_nnz, stored
+        return solve, fronts.factor_nnz, stored, plan.size
 
     return numeric
 
@@ -674,16 +774,17 @@ def _superlu_factor(matrix, scale):
     if np.any(pivots <= 0.0) or not np.all(np.isfinite(pivots)):
         raise SolverError("matrix is not positive definite (min pivot "
                           f"{pivots.min():.3e}, dimension {matrix.shape[0]})")
-    return lambda rhs: scale * lu.solve(scale * rhs), lu.nnz, lu.nnz
+    return lambda rhs: scale * lu.solve(scale * rhs), lu.nnz, lu.nnz, 0
 
 
 def _factorize(matrix, scale, tree):
     """Cholesky factorization of the matrix scaled by ``scale`` on both
     sides, as a function of the precision: ``factor(dtype)`` returns
-    (solve, factor_nnz, factor_stored), where solve(b) returns A^-1 b to
-    the factor's precision. On the tree the symbolic phase and the front
-    keys run once, here, and every call checks the factor's size against
-    physical memory and runs the numeric phase in ``dtype``; without a tree
+    (solve, factor_nnz, factor_stored, workspace), where solve(b) returns
+    A^-1 b to the factor's precision. On the tree the symbolic phase, the
+    front keys and the workspace plan run once, here, and every call checks
+    the workspace and the element blocks against physical memory and runs
+    the numeric phase in ``dtype``; without a tree
     SuperLU factors in double precision whatever ``dtype``."""
     if tree is None:
         return lambda dtype: _superlu_factor(matrix, scale)
@@ -706,16 +807,16 @@ def residual_floor(matrix, x: np.ndarray, rhs: np.ndarray) -> float:
 def _solve_pcg(matrix, rhs, tol, scale, tree):
     """Double-precision CG preconditioned by the factorization, in single
     precision on a tree: (x, iterations, |b - Ax| / |b|, factor_nnz,
-    factor_stored). See ``solve_spd`` for the stop and fallback rules."""
+    factor_stored, workspace). See ``solve_spd`` for the stop and fallback rules."""
     factor = _factorize(matrix, scale, tree)
     dtype = np.float64 if tree is None else np.float32
     try:
-        precondition, factor_nnz, factor_stored = factor(dtype)
+        precondition, *counts = factor(dtype)
     except SolverError:
         if dtype == np.float64:
             raise
         dtype = np.float64
-        precondition, factor_nnz, factor_stored = factor(dtype)
+        precondition, *counts = factor(dtype)
     rhs_norm = float(np.linalg.norm(rhs))
     # x is the best iterate so far and r = b - A x its true residual.
     x, r, norm = np.zeros_like(rhs), rhs.copy(), rhs_norm
@@ -752,7 +853,7 @@ def _solve_pcg(matrix, rhs, tol, scale, tree):
         del precondition  # its factor goes before the new one is built
         precondition, *_ = factor(dtype)
         p = None
-    return x, iterations, norm / rhs_norm, factor_nnz, factor_stored
+    return x, iterations, norm / rhs_norm, *counts
 
 
 def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
@@ -766,13 +867,13 @@ def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
     direct: Cholesky factorization. With ``tree`` (the separator tree of
             ``assembly.fill_reducing_ordering``) it is multifrontal on the
             element form; a sparse matrix is first rewritten as 1x1 and 2x2
-            elements. The symbolic phase counts the factor entries and
-            raises before any numeric work if they would not fit in
-            physical memory, and a front that is not positive definite
-            raises, naming the front. A front equal bit for bit to an
-            earlier one shares its factor. Without a tree, SuperLU factors the
-            assembled matrix with its own ordering and its pivots are
-            checked for positivity.
+            elements. The numeric phase is planned in one array before
+            any numeric work, which raises if that array and the element
+            blocks would not fit in physical memory, and a front that is
+            not positive definite raises, naming the front. A front equal
+            bit for bit to an earlier one shares its factor. Without a
+            tree, SuperLU factors the assembled matrix with its own
+            ordering and its pivots are checked for positivity.
     pcg: conjugate gradients in double precision on the given matrix,
          preconditioned by the same factorization, which runs in single
          precision on the tree: its factor takes half the memory. It
@@ -805,7 +906,8 @@ def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
     rhs = np.asarray(rhs, dtype=float)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        report = SolveReport(method, 0, 0.0, time.perf_counter() - start, 0, 0)
+        report = SolveReport(method, 0, 0.0, time.perf_counter() - start,
+                             0, 0, 0)
         return np.zeros_like(rhs), report
     diag = matrix.diagonal()
     if np.any(diag <= 0.0):
@@ -816,11 +918,10 @@ def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
     scale = 1.0 / np.sqrt(diag)
 
     if method == "pcg":
-        x, iterations, rel, factor_nnz, factor_stored = _solve_pcg(
-            matrix, rhs, tol, scale, tree)
+        x, iterations, rel, *counts = _solve_pcg(matrix, rhs, tol, scale,
+                                                 tree)
     else:
-        solve, factor_nnz, factor_stored = _factorize(matrix, scale,
-                                                      tree)(np.float64)
+        solve, *counts = _factorize(matrix, scale, tree)(np.float64)
         x = solve(rhs)
         del solve  # free the factor before the residual check
         iterations = 0
@@ -832,4 +933,4 @@ def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
             raise SolverError(f"direct solve left relative residual {rel:.3e} "
                               f"above tolerance {tol:.1e}")
     return x, SolveReport(method, iterations, rel, time.perf_counter() - start,
-                          factor_nnz, factor_stored)
+                          *counts)

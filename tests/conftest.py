@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from wg_shishkin.basis import project_cell, project_edge
+from wg_shishkin.basis import legendre_table, project_cell, project_edge
 from wg_shishkin.mesh import SIDES, Cell, Edge, MeshParams, build_mesh
+from wg_shishkin.quadrature import gauss_legendre
 from wg_shishkin.weak_ops import LocalDofLayout
 
 
@@ -163,14 +164,98 @@ def roundoff_ratio(op, dofs, expected):
     return np.abs(op @ dofs - expected).max() / scale
 
 
+# Orthonormal Legendre bases of one cell or edge, as objects: oracles for
+# the package's batched tables and projections, which need no such object.
+
+
+class CellBasis:
+    """Tensor-product basis phi_{m,n}(x, y) on a rectangular cell.
+
+    The flat index is m*(k+1) + n with m the x-degree. Evaluation supports
+    pure derivatives through second order in each variable.
+    """
+
+    def __init__(self, cell: Cell, k: int):
+        if k < 3:
+            raise ValueError(f"degree k must be >= 3, got {k}")
+        self.cell = cell
+        self.k = k
+        self.dim = (k + 1) ** 2
+        self.x0, self.x1 = cell.x_range
+        self.y0, self.y1 = cell.y_range
+        self.h1, self.h2 = cell.widths
+
+    def eval(self, x: np.ndarray, y: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
+        """Table of shape (dim, npts) of d^dx/dx^dx d^dy/dy^dy phi_i."""
+        x = np.asarray(x, dtype=float).ravel()
+        y = np.asarray(y, dtype=float).ravel()
+        tx = (2.0 * x - self.x0 - self.x1) / self.h1
+        ty = (2.0 * y - self.y0 - self.y1) / self.h2
+        lx = legendre_table(self.k, tx, nderiv=dx)[dx]
+        ly = legendre_table(self.k, ty, nderiv=dy)[dy]
+        scale = (np.sqrt(2.0 / self.h1) * (2.0 / self.h1) ** dx
+                 * np.sqrt(2.0 / self.h2) * (2.0 / self.h2) ** dy)
+        kk = self.k + 1
+        return scale * (lx[:, None, :] * ly[None, :, :]).reshape(kk * kk, -1)
+
+    def quad_points(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tensor Gauss points (flattened) and combined weights on the cell."""
+        rule = gauss_legendre(q)
+        xq, wx = rule.mapped(self.x0, self.x1)
+        yq, wy = rule.mapped(self.y0, self.y1)
+        X, Y = np.meshgrid(xq, yq, indexing="ij")
+        W = np.outer(wx, wy)
+        return X.ravel(), Y.ravel(), W.ravel()
+
+
+class EdgeBasis:
+    """P_k basis on an edge, parameterized by arc length from the smaller to
+    the larger coordinate (fixed globally, so neighbor cells agree)."""
+
+    def __init__(self, edge: Edge, k: int):
+        self.edge = edge
+        self.k = k
+        self.dim = k + 1
+        (xa, ya), (xb, yb) = edge.endpoints
+        if edge.orientation == "horizontal":
+            self.t0, self.t1 = xa, xb
+        else:
+            self.t0, self.t1 = ya, yb
+        self.length = edge.length
+
+    def eval(self, t: np.ndarray) -> np.ndarray:
+        """Table of shape (k+1, npts) at coordinates t along the edge axis."""
+        t = np.asarray(t, dtype=float).ravel()
+        tau = (2.0 * t - self.t0 - self.t1) / self.length
+        return np.sqrt(2.0 / self.length) * legendre_table(self.k, tau)[0]
+
+    def quad_points(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gauss points on the edge as (x, y) arrays plus weights."""
+        rule = gauss_legendre(q)
+        tq, w = rule.mapped(self.t0, self.t1)
+        if self.edge.orientation == "horizontal":
+            y = np.full_like(tq, self.edge.endpoints[0][1])
+            return tq, y, w
+        x = np.full_like(tq, self.edge.endpoints[0][0])
+        return x, tq, w
+
+
+def golub_welsch(q):
+    """Gauss-Legendre nodes and weights on [-1, 1] from the eigenpairs of
+    the Jacobi matrix of the Legendre recurrence, beta_j = j / sqrt(4j^2 -
+    1) (Golub & Welsch 1969): an oracle independent of the package's rule,
+    which is numpy's ``leggauss``."""
+    j = np.arange(1, q)
+    beta = j / np.sqrt(4.0 * j * j - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 def reference_cell_moments(fun, cell, k, q=20):
-    """Moments (fun, phi_i)_T via an independent rule (numpy's Gauss nodes,
-    direct tensor summation against the orthonormal Legendre basis)."""
-    from numpy.polynomial.legendre import leggauss
-
-    from wg_shishkin.basis import CellBasis
-
-    t, w = leggauss(q)
+    """Moments (fun, phi_i)_T via an independent rule (Golub-Welsch Gauss
+    nodes, direct tensor summation against the orthonormal Legendre
+    basis)."""
+    t, w = golub_welsch(q)
     (x0, x1), (y0, y1) = cell.x_range, cell.y_range
     xq = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * t
     yq = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * t

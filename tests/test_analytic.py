@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import all_cells
+from conftest import CellBasis, all_cells
 from wg_shishkin.analytic import (ExactSolution, eval_bump, eval_g, eval_p,
                                   forcing, project_exact)
 from wg_shishkin.assembly import DofMap
-from wg_shishkin.basis import CellBasis
-from wg_shishkin.mesh import MeshParams, build_mesh
+from wg_shishkin.mesh import EPS_MIN, MeshParams, build_mesh
 
 RNG = np.random.default_rng(99)
 EPS_VALUES = (1.0, 1e-1, 1e-2, 1e-3, 1e-5, 1e-7)
@@ -141,6 +144,20 @@ class TestEnvelope:
             for j in range(5 - i):
                 assert np.all(np.isfinite(sol.partial(X, Y, i, j)))
         assert np.all(np.isfinite(sol.forcing(X, Y)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_eps=st.floats(min_value=math.log10(EPS_MIN), max_value=0.0))
+@example(log_eps=math.log10(EPS_MIN))
+@example(log_eps=0.0)
+def test_layer_profiles_finite_down_to_eps_floor(log_eps):
+    eps = min(max(10.0 ** log_eps, EPS_MIN), 1.0)
+    # The ends, where the layer terms peak, and points inside the layers.
+    t = np.concatenate([np.linspace(0.0, 1.0, 33), eps * np.arange(1, 4),
+                        1.0 - eps * np.arange(1, 4)])
+    for order in range(5):
+        assert np.all(np.isfinite(eval_g(t, eps, order)))
+        assert np.all(np.isfinite(eval_p(t, eps, order)))
 
 
 class TestProjectExact:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from conftest import all_cells, region_end_cells
-from wg_shishkin.basis import (CellBasis, EdgeBasis, project_all_cells,
-                               project_all_edges, project_cell, project_edge)
+from conftest import CellBasis, EdgeBasis, all_cells, region_end_cells
+from wg_shishkin.basis import (project_all_cells, project_all_edges,
+                               project_cell, project_edge)
 from wg_shishkin.mesh import MeshParams, build_mesh
 
 RNG = np.random.default_rng(20240817)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import all_cells, all_edges, loop_records
-from wg_shishkin.mesh import (MeshParams, axis_partition, build_mesh,
-                              transition_point)
+from wg_shishkin.mesh import (EPS_MIN, MeshParams, axis_partition,
+                              build_mesh, transition_point)
 
 
 class TestTransitionPoint:
@@ -126,6 +126,12 @@ class TestBuildMesh:
     def test_rejects_invalid_params(self, kwargs):
         with pytest.raises(ValueError):
             MeshParams(**kwargs)
+
+    def test_eps_floor(self):
+        assert MeshParams(n=8, eps=EPS_MIN, k=3).eps == EPS_MIN
+        for eps in (np.nextafter(EPS_MIN, 0.0), 1e-30, 1e-80):
+            with pytest.raises(ValueError, match="eps must lie"):
+                MeshParams(n=8, eps=eps, k=3)
 
     def test_alpha_defaults_to_k_plus_one(self):
         assert MeshParams(n=8, eps=1.0, k=3).alpha == 4.0

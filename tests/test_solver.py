@@ -18,6 +18,12 @@ def random_spd(dim):
     return sp.csr_matrix(a)
 
 
+def element_bytes(matrix) -> int:
+    """Bytes of the element blocks a sparse matrix is rewritten as."""
+    return sum(group.block.nbytes
+               for group in ElementMatrix.from_sparse(matrix).groups)
+
+
 class TestBasics:
     @pytest.mark.parametrize("method", ["direct", "pcg"])
     def test_identity(self, method):
@@ -133,9 +139,9 @@ class TestPcg:
         factored, symbolic_runs = [], []
         numeric, symbolic = solver._factor_fronts, solver._symbolic_phase
 
-        def spy(fronts, tree, scale, rep, dtype):
+        def spy(fronts, tree, scale, plan, dtype):
             factored.append(np.dtype(dtype))
-            return numeric(fronts, tree, scale, rep, dtype)
+            return numeric(fronts, tree, scale, plan, dtype)
 
         def symbolic_spy(elements, tree):
             symbolic_runs.append(elements.dim)
@@ -156,18 +162,23 @@ class TestPcg:
         # double-precision one must be refused before any numeric work.
         off = 1.0 - 1e-9
         matrix = sp.csr_matrix(np.array([[1.0, off], [off, 1.0]]))
+        tree = make_tree([0, 1], [0, 2], [-1])
+        _, report = solve_spd(matrix, np.array([1.0, -2.0]), tol=1e-12,
+                              tree=tree)
+        held = element_bytes(matrix)
         factored = []
         numeric = solver._factor_fronts
 
-        def spy(fronts, tree, scale, rep, dtype):
+        def spy(fronts, tree, scale, plan, dtype):
             factored.append(np.dtype(dtype))
-            return numeric(fronts, tree, scale, rep, dtype)
+            return numeric(fronts, tree, scale, plan, dtype)
 
         monkeypatch.setattr(solver, "_factor_fronts", spy)
-        monkeypatch.setattr(solver, "_physical_memory", lambda: 4 * 3)
+        monkeypatch.setattr(solver, "_physical_memory",
+                            lambda: 4 * report.workspace + held)
         with pytest.raises(SolverError, match="physical memory"):
             solve_spd(matrix, np.array([1.0, -2.0]), "pcg", tol=1e-12,
-                      tree=make_tree([0, 1], [0, 2], [-1]))
+                      tree=tree)
         assert factored == [np.float32]
 
     def test_k4_eps1_n64_matches_direct(self):
@@ -252,7 +263,9 @@ class TestFactorSize:
             self, mesh_system, monkeypatch):
         system, tree = mesh_system
         _, report = solve_spd(system.matrix, system.rhs, tol=1e-10, tree=tree)
-        needed = 8 * report.factor_nnz
+        # The workspace in double precision and the 1x1 and 2x2 element
+        # blocks the sparse matrix is rewritten as.
+        needed = 8 * report.workspace + element_bytes(system.matrix)
 
         def numeric(*args):
             raise AssertionError("numeric factorization started")
@@ -278,6 +291,66 @@ class TestFactorSize:
         fronts = solver._symbolic_phase(system.elements,
                                         fill_reducing_ordering(system))
         assert fronts.factor_nnz == entries
+
+
+class TestWorkspacePlan:
+    """The one array of the numeric phase, checked against its schedule
+    rederived here: distinct nodes in postorder, each building F11 and F22
+    while it is factored and reading its children's updates, the update
+    of a representative being read by the front of every distinct parent
+    of a node it stands for."""
+
+    @pytest.mark.parametrize("condense", [False, True],
+                             ids=["full", "condensed"])
+    @pytest.mark.parametrize("mesh_kind", ["shishkin", "uniform"])
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_live_blocks_never_overlap(self, n, k, mesh_kind, condense):
+        mesh = build_mesh(MeshParams(n=n, eps=1e-3, k=k, mesh_kind=mesh_kind))
+        system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
+                                 condense=condense)
+        tree = fill_reducing_ordering(system)
+        scale = 1.0 / np.sqrt(system.elements.diagonal())
+        fronts = solver._symbolic_phase(system.elements, tree)
+        plan = solver._plan_workspace(
+            fronts, tree, solver._representatives(fronts, tree,
+                                                  scale[tree.perm]))
+        rep, pivots = plan.rep, np.diff(tree.bounds)
+        distinct = np.flatnonzero(rep == np.arange(rep.size))
+        last_read = {}
+        for s in distinct:
+            for c in np.flatnonzero(tree.parent == s):
+                last_read[rep[c]] = s
+        blocks = []  # (start, stop, first step, last step, name)
+        for s in distinct:
+            p, below = pivots[s], fronts.rows[s].size - pivots[s]
+            blocks.append((plan.pivot[s], plan.pivot[s] + p * p, s, s,
+                           f"F11 of {s}"))
+            blocks.append((plan.update[s], plan.update[s] + below * below, s,
+                           last_read.get(s, s), f"F22 of {s}"))
+        blocks = [block for block in blocks if block[1] > block[0]]
+        written = 0
+        for s in distinct:
+            # The factor fills the array from the start in postorder.
+            assert plan.factor[s] == written
+            written += fronts.entries[s]  # node s's slot, F21 included
+            live = sorted(block for block in blocks
+                          if block[2] <= s <= block[3])
+            for start, stop, *_, name in live:
+                assert written <= start and stop <= plan.size, (s, name)
+            for before, after in zip(live, live[1:]):
+                assert before[1] <= after[0], (s, before[4], after[4])
+        assert written == fronts.entries[distinct].sum() <= plan.size
+
+    def test_reported_and_shared_by_both_methods(self, mesh_system):
+        system, tree = mesh_system
+        _, direct = solve_spd(system.elements, system.rhs, tol=1e-10,
+                              tree=tree)
+        _, pcg = solve_spd(system.elements, system.rhs, "pcg", tol=1e-8,
+                           tree=tree)
+        _, lu = solve_spd(system.elements, system.rhs, tol=1e-10)
+        assert pcg.workspace == direct.workspace >= direct.factor_stored
+        assert lu.workspace == 0
 
 
 class TestElementMatrix:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import (ROUNDOFF_FACTOR, all_cells, local_projection_dofs,
-                      reference_cell_moments, region_end_cells,
-                      roundoff_ratio)
-from wg_shishkin.basis import CellBasis, project_cell
+from conftest import (ROUNDOFF_FACTOR, CellBasis, all_cells,
+                      local_projection_dofs, reference_cell_moments,
+                      region_end_cells, roundoff_ratio)
+from wg_shishkin.basis import project_cell
 from wg_shishkin.mesh import MeshParams, build_mesh
 from wg_shishkin.weak_ops import (LocalDofLayout, local_stiffness,
                                   stabilizer_matrix, weak_gradient_matrix,
