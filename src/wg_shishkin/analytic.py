@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .basis import default_quadrature, project_all_cells, project_all_edges
-from .mesh import ShishkinMesh
+from .mesh import EPS_MIN, ShishkinMesh
 
 EXAMPLES = (0, 1, 2)
 _MAX_ORDER = 4
@@ -88,8 +88,8 @@ class ExactSolution:
     def __init__(self, example: int, eps: float):
         if example not in EXAMPLES:
             raise ValueError(f"example must be one of {EXAMPLES}, got {example}")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
+        if not EPS_MIN <= eps <= 1.0:
+            raise ValueError(f"eps must lie in [{EPS_MIN:g}, 1], got {eps}")
         self.example = example
         self.eps = eps
 

@@ -13,15 +13,15 @@ Local stiffness blocks depend on a cell only through its widths, so they are
 built once per width class (at most four classes on a Shishkin mesh). The
 system stays in element form (``solver.ElementMatrix``): per cell a scatter
 map into the free (or condensed) numbering, and per width class one block,
-the cell matrix A or its Schur complement onto the edge DOFs. The direct
-solver factors that form; a CSR matrix is assembled from it only on demand.
+the cell matrix A or its Schur complement onto the edge DOFs. The solver
+factors that form; ``SparseSystem.matrix`` assembles it as CSR for tests and
+the benchmark tracer only.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
@@ -106,7 +106,7 @@ class SparseSystem:
     free edge DOFs, with exact interior back-substitution data retained).
 
     ``elements`` holds the matrix in element form, and ``matrix`` assembles
-    it as CSR on first use. ``interior_factors`` maps each width class to
+    it as CSR on first use, for tests and the benchmark tracer. ``interior_factors`` maps each width class to
     the Cholesky factor of its interior block (condensed systems only).
     """
 
@@ -208,18 +208,6 @@ def assemble_system(mesh: ShishkinMesh, k: int, eps: float, forcing,
     """
     ctx = _AssemblyContext(mesh, k, eps, forcing, q)
     return _assemble_condensed(ctx) if condense else _assemble_full(ctx)
-
-
-def condense_interior(system: SparseSystem) -> SparseSystem:
-    """Schur complement onto the free edge DOFs of an uncondensed system."""
-    if system.condensed:
-        raise ValueError("system is already condensed")
-    return _assemble_condensed(system.ctx)
-
-
-def dump_matrix_market(system: SparseSystem, path) -> None:
-    """Debug dump of the assembled matrix in symmetric coordinate format."""
-    scipy.io.mmwrite(path, system.matrix.tocoo(), symmetry="symmetric")
 
 
 #: Most entities in a leaf of the separator tree. On the condensed N=128,

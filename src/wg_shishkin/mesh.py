@@ -228,8 +228,8 @@ def transition_point(n: int, eps: float, alpha: float) -> float:
     """Distance from the boundary at which the mesh switches fine -> coarse."""
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not EPS_MIN <= eps <= 1.0:
+        raise ValueError(f"eps must lie in [{EPS_MIN:g}, 1], got {eps}")
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return min(alpha * eps * math.log(n), 0.25)

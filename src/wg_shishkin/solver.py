@@ -1,20 +1,20 @@
-"""Sparse SPD solves: multifrontal Cholesky on a separator tree, SuperLU for a
-matrix given without one, and conjugate gradients preconditioned by either
-factorization.
+"""Sparse SPD solves: multifrontal Cholesky on a separator tree, and
+conjugate gradients preconditioned by it.
 
-A matrix comes either as a scipy sparse matrix or in element form, an
-``ElementMatrix``: the sum of small dense blocks, each placed at the rows and
-columns of its element's DOFs. Every solve scales the matrix symmetrically
-to unit diagonal first. Given the nested-dissection tree of
-``assembly.fill_reducing_ordering``, the matrix is factored front by front in
-postorder (George 1973), in the element form of the multifrontal method
-(Duff & Reid 1983): each element's block enters the front of the first node
-that owns one of its DOFs, and no global matrix is formed. A node's front is
-a dense matrix over its own DOFs and the ancestor DOFs they couple to.
-LAPACK ``potrf`` factors the node's pivot block, and the Schur complement of
-the rest passes to the parent. A front that ``dpotrf`` cannot factor proves
-the matrix indefinite, so every double-precision tree factorization
-certifies SPD at any size.
+A matrix comes in element form, an ``ElementMatrix``: the sum of small
+dense blocks, each placed at the rows and columns of its element's DOFs.
+Every solve scales the matrix symmetrically to unit diagonal first. On the
+nested-dissection tree of ``assembly.fill_reducing_ordering``, the matrix is
+factored front by front in postorder (George 1973), in the element form of
+the multifrontal method (Duff & Reid 1983): each element's block enters the
+front of the first node that owns one of its DOFs, and no global matrix is
+formed. A node's front is a dense matrix over its own DOFs and the ancestor
+DOFs they couple to. LAPACK ``potrf`` factors the node's pivot block, and
+the Schur complement of the rest passes to the parent. A front that
+``dpotrf`` cannot factor proves the matrix indefinite, so every
+double-precision factorization certifies SPD at any size. The CSR matrix
+``ElementMatrix.to_csr`` assembles serves tests and the benchmark tracer;
+no solve builds it.
 
 On a piecewise-uniform mesh most subtrees are translated copies of each
 other and build bit-identical fronts. Before any numeric work every node gets
@@ -35,8 +35,7 @@ array and the element blocks.
 The iterative method is double-precision CG on the given matrix,
 preconditioned by the tree factorization run in single precision: half the
 factor's memory, and a few iterations recover full accuracy (Langou et al.
-2006; Carson & Higham 2018). Without a tree the preconditioner is the
-SuperLU factor.
+2006; Carson & Higham 2018).
 """
 
 import bisect
@@ -46,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# benchmark/tracing.py wraps spla.splu until ROADMAP item 1 re-points it.
+import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 METHODS = ("direct", "pcg")
@@ -91,30 +91,11 @@ class ElementGroup:
 class ElementMatrix:
     """A symmetric ``dim`` x ``dim`` matrix held as the sum of its element
     blocks: the input of the tree factorization, which puts the blocks
-    straight into its fronts. ``to_csr`` assembles it."""
+    straight into its fronts. ``to_csr`` assembles it, for tests and the
+    benchmark tracer."""
 
     dim: int
     groups: tuple[ElementGroup, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.dim, self.dim)
-
-    @classmethod
-    def from_sparse(cls, matrix) -> "ElementMatrix":
-        """A symmetric sparse matrix as 1x1 elements on its diagonal and one
-        2x2 element per stored entry above it."""
-        n = matrix.shape[0]
-        upper = sp.triu(matrix, k=1, format="coo")
-        pairs = np.zeros((upper.nnz, 2, 2))
-        pairs[:, 0, 1] = pairs[:, 1, 0] = upper.data
-        no_faces = np.empty((0, 0), dtype=np.int64)
-        return cls(n, (
-            ElementGroup(np.arange(n)[:, None],
-                         np.asarray(matrix.diagonal(), dtype=float)[:, None, None],
-                         no_faces),
-            ElementGroup(np.stack([upper.row, upper.col], axis=1).astype(np.int64),
-                         pairs, no_faces)))
 
     def diagonal(self) -> np.ndarray:
         diag = np.zeros(self.dim)
@@ -252,22 +233,19 @@ class SolveReport:
     factorization bottoms out at |A||x|/|b| * eps_machine, which exceeds any
     fixed tolerance once the fourth-order terms dominate. For pcg it is that
     b-relative residual |b - Ax| / |b| of the iterate returned, the best
-    one seen, which is at most max(tol, 8 * ``residual_floor``). For an
-    ``ElementMatrix``, A x and |A| |x| come from the elements, and equal
-    those of the assembled matrix up to the order of summation. iterations
-    counts the CG steps of pcg, over both precisions; 0 for direct.
+    one seen, which is at most max(tol, 8 * ``residual_floor``). A x and
+    |A| |x| come from the elements, and equal those of the assembled matrix
+    up to the order of summation. iterations counts the CG steps of pcg,
+    over both precisions; 0 for direct.
 
-    factor_nnz counts the factor's entries: for a tree factorization the
-    packed pivot blocks and the front rows below them of every node,
-    counted by the symbolic phase; L + U for SuperLU. factor_stored counts
-    the entries the factor holds in memory: for a tree factorization those
-    of the distinct fronts only, as twins share one copy; factor_nnz for
-    SuperLU. workspace counts the entries of the one array the numeric
-    phase of a tree factorization works in: factor_stored, and above it
-    whatever the fronts and cached updates need beyond the factor's
-    unfilled part; 0 for SuperLU. For pcg all three count its
-    preconditioner, the same factor as the direct solve's, held in single
-    precision on a tree.
+    factor_nnz counts the factor's entries, the packed pivot blocks and the
+    front rows below them of every node, as the symbolic phase counts them.
+    factor_stored counts the entries the factor holds in memory, those of
+    the distinct fronts only, as twins share one copy. workspace counts the
+    entries of the one array the numeric phase works in: factor_stored, and
+    above it whatever the fronts and cached updates need beyond the
+    factor's unfilled part. For pcg all three count its preconditioner, the
+    same factor as the direct solve's, held in single precision.
     """
 
     method: str
@@ -723,6 +701,13 @@ def _front_solve(factor: list, fronts: list[np.ndarray], bounds: np.ndarray,
 
 def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
                  tree: SeparatorTree):
+    """Cholesky factorization on ``tree`` of the matrix scaled by ``scale``
+    on both sides, as a function of the precision: ``factor(dtype)``
+    returns (solve, factor_nnz, factor_stored, workspace), where solve(b)
+    returns A^-1 b to the factor's precision. The symbolic phase, the front
+    keys and the workspace plan run once, here, and every call checks the
+    workspace and the element blocks against physical memory and runs the
+    numeric phase in ``dtype``."""
     n = elements.dim
     if tree.perm.size != n or tree.bounds[-1] != n:
         raise ValueError(f"tree covers {tree.perm.size} DOFs, matrix has {n}")
@@ -759,62 +744,27 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     return numeric
 
 
-def _superlu_factor(matrix, scale):
-    # Symmetric-mode SuperLU with diagonal pivoting acts as an LDL'-type
-    # factorization on SPD input: a nonpositive pivot flags an indefinite
-    # matrix (the discrete norm would fail to be a norm).
-    scaling = sp.diags(scale)
-    try:
-        lu = spla.splu((scaling @ matrix @ scaling).tocsc(),
-                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SolverError(f"factorization breakdown: {exc}") from exc
-    pivots = lu.U.diagonal()
-    if np.any(pivots <= 0.0) or not np.all(np.isfinite(pivots)):
-        raise SolverError("matrix is not positive definite (min pivot "
-                          f"{pivots.min():.3e}, dimension {matrix.shape[0]})")
-    return lambda rhs: scale * lu.solve(scale * rhs), lu.nnz, lu.nnz, 0
-
-
-def _factorize(matrix, scale, tree):
-    """Cholesky factorization of the matrix scaled by ``scale`` on both
-    sides, as a function of the precision: ``factor(dtype)`` returns
-    (solve, factor_nnz, factor_stored, workspace), where solve(b) returns
-    A^-1 b to the factor's precision. On the tree the symbolic phase, the
-    front keys and the workspace plan run once, here, and every call checks
-    the workspace and the element blocks against physical memory and runs
-    the numeric phase in ``dtype``; without a tree
-    SuperLU factors in double precision whatever ``dtype``."""
-    if tree is None:
-        return lambda dtype: _superlu_factor(matrix, scale)
-    return _tree_factor(matrix, scale, tree)
-
-
-def residual_floor(matrix, x: np.ndarray, rhs: np.ndarray) -> float:
+def residual_floor(elements: ElementMatrix, x: np.ndarray,
+                   rhs: np.ndarray) -> float:
     """Round-off floor eps_mach * || |A| |x| || / ||b|| of |b - Ax| / |b|.
 
     Forming Ax in double precision already errs by about this much, so no
-    solver can certify a b-relative residual below it for this x. For an
-    ``ElementMatrix`` |A| |x| comes from the elements (``abs_matmul``).
+    solver can certify a b-relative residual below it for this x. |A| |x|
+    comes from the elements (``abs_matmul``).
     """
-    abs_ax = (matrix.abs_matmul(x) if isinstance(matrix, ElementMatrix)
-              else abs(matrix) @ np.abs(x))
-    return float(np.finfo(float).eps * np.linalg.norm(abs_ax)
+    return float(np.finfo(float).eps * np.linalg.norm(elements.abs_matmul(x))
                  / np.linalg.norm(rhs))
 
 
-def _solve_pcg(matrix, rhs, tol, scale, tree):
-    """Double-precision CG preconditioned by the factorization, in single
-    precision on a tree: (x, iterations, |b - Ax| / |b|, factor_nnz,
+def _solve_pcg(elements, rhs, tol, scale, tree):
+    """Double-precision CG preconditioned by the tree factorization in
+    single precision: (x, iterations, |b - Ax| / |b|, factor_nnz,
     factor_stored, workspace). See ``solve_spd`` for the stop and fallback rules."""
-    factor = _factorize(matrix, scale, tree)
-    dtype = np.float64 if tree is None else np.float32
+    factor = _tree_factor(elements, scale, tree)
+    dtype = np.float32
     try:
         precondition, *counts = factor(dtype)
     except SolverError:
-        if dtype == np.float64:
-            raise
         dtype = np.float64
         precondition, *counts = factor(dtype)
     rhs_norm = float(np.linalg.norm(rhs))
@@ -829,8 +779,8 @@ def _solve_pcg(matrix, rhs, tol, scale, tree):
         rz_next = float(r @ z)
         p = z if p is None else z + (rz_next / rz) * p
         rz = rz_next
-        x_next = x + (rz / float(p @ (matrix @ p))) * p
-        r_next = rhs - matrix @ x_next  # the true residual, every step
+        x_next = x + (rz / float(p @ (elements @ p))) * p
+        r_next = rhs - elements @ x_next  # the true residual, every step
         iterations += 1
         norm_next = float(np.linalg.norm(r_next))
         halved = norm_next <= norm / 2
@@ -838,7 +788,7 @@ def _solve_pcg(matrix, rhs, tol, scale, tree):
             x, r, norm = x_next, r_next, norm_next
         if halved:
             continue
-        floor = residual_floor(matrix, x, rhs)
+        floor = residual_floor(elements, x, rhs)
         if norm <= max(tol, 8 * floor) * rhs_norm:
             break
         if dtype == np.float64:
@@ -856,52 +806,41 @@ def _solve_pcg(matrix, rhs, tol, scale, tree):
     return x, iterations, norm / rhs_norm, *counts
 
 
-def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
-              method: str = "direct", tol: float = 1e-12,
-              tree: SeparatorTree | None = None
-              ) -> tuple[np.ndarray, SolveReport]:
-    """Solve an SPD system; aborts with SolverError on any failure.
+def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
+              method: str = "direct", tol: float = 1e-12, *,
+              tree: SeparatorTree) -> tuple[np.ndarray, SolveReport]:
+    """Solve an SPD system given in element form; aborts with SolverError on
+    any failure. ``tree`` is the separator tree the matrix is factored on,
+    as ``assembly.fill_reducing_ordering`` builds it.
 
-    ``matrix`` is a scipy sparse matrix or an ``ElementMatrix``.
-
-    direct: Cholesky factorization. With ``tree`` (the separator tree of
-            ``assembly.fill_reducing_ordering``) it is multifrontal on the
-            element form; a sparse matrix is first rewritten as 1x1 and 2x2
-            elements. The numeric phase is planned in one array before
-            any numeric work, which raises if that array and the element
-            blocks would not fit in physical memory, and a front that is
-            not positive definite raises, naming the front. A front equal
-            bit for bit to an earlier one shares its factor. Without a
-            tree, SuperLU factors the assembled matrix with its own
-            ordering and its pivots are checked for positivity.
+    direct: multifrontal Cholesky factorization on the tree. The numeric
+            phase is planned in one array before any numeric work, which
+            raises if that array and the element blocks would not fit in
+            physical memory, and a front that is not positive definite
+            raises, naming the front. A front equal bit for bit to an
+            earlier one shares its factor.
     pcg: conjugate gradients in double precision on the given matrix,
-         preconditioned by the same factorization, which runs in single
-         precision on the tree: its factor takes half the memory. It
-         computes the true residual |b - Ax| / |b| every step and stops at
-         tol, or once that residual no longer halves. Then it returns the
-         best iterate if its residual is at most max(tol, 8 * floor),
-         where floor is ``residual_floor(matrix, x, rhs)``, below which no
-         solver can go, and otherwise raises SolverError naming the
-         floor. A single-precision factorization that breaks down, or CG
-         that stagnates above that bound, is replaced once by the
+         preconditioned by the same factorization run in single precision:
+         its factor takes half the memory. It computes the true residual
+         |b - Ax| / |b| every step and stops at tol, or once that residual
+         no longer halves. Then it returns the best iterate if its residual
+         is at most max(tol, 8 * floor), where floor is
+         ``residual_floor(elements, x, rhs)``, below which no solver can
+         go, and otherwise raises SolverError naming the floor. A
+         single-precision factorization that breaks down, or CG that
+         stagnates above that bound, is replaced once by the
          double-precision factorization, and CG goes on from its best
          iterate; so a matrix the double-precision factorization finds
          indefinite raises as the direct solve does, naming the front.
 
-    With a tree a sparse matrix is rewritten as 1x1 and 2x2 elements, and
-    without one an ``ElementMatrix`` is assembled. A direct solve is checked
-    by its normwise backward error (see ``SolveReport``); on the element
-    form, A x, |A| |x| and ||A||_inf are computed exactly from the elements.
+    A direct solve is checked by its normwise backward error (see
+    ``SolveReport``); A x, |A| |x| and ||A||_inf are computed exactly from
+    the elements.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method}")
-    if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.size:
+    if elements.dim != rhs.size:
         raise ValueError("matrix/rhs dimension mismatch")
-    if tree is not None:
-        if not isinstance(matrix, ElementMatrix):
-            matrix = ElementMatrix.from_sparse(matrix)
-    elif isinstance(matrix, ElementMatrix):
-        matrix = matrix.to_csr()
     start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
     rhs_norm = float(np.linalg.norm(rhs))
@@ -909,7 +848,7 @@ def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
         report = SolveReport(method, 0, 0.0, time.perf_counter() - start,
                              0, 0, 0)
         return np.zeros_like(rhs), report
-    diag = matrix.diagonal()
+    diag = elements.diagonal()
     if np.any(diag <= 0.0):
         raise SolverError("matrix has a nonpositive diagonal entry")
     # Symmetric Jacobi equilibration: the trace-penalty and fourth-order
@@ -918,17 +857,16 @@ def solve_spd(matrix: "sp.spmatrix | ElementMatrix", rhs: np.ndarray,
     scale = 1.0 / np.sqrt(diag)
 
     if method == "pcg":
-        x, iterations, rel, *counts = _solve_pcg(matrix, rhs, tol, scale,
+        x, iterations, rel, *counts = _solve_pcg(elements, rhs, tol, scale,
                                                  tree)
     else:
-        solve, *counts = _factorize(matrix, scale, tree)(np.float64)
+        solve, *counts = _tree_factor(elements, scale, tree)(np.float64)
         x = solve(rhs)
         del solve  # free the factor before the residual check
         iterations = 0
-        residual = float(np.linalg.norm(rhs - matrix @ x))
-        norm_a = (matrix.norm_inf() if isinstance(matrix, ElementMatrix)
-                  else float(np.abs(matrix).sum(axis=1).max()))
-        rel = residual / (norm_a * float(np.linalg.norm(x)) + rhs_norm)
+        residual = float(np.linalg.norm(rhs - elements @ x))
+        rel = residual / (elements.norm_inf() * float(np.linalg.norm(x))
+                          + rhs_norm)
         if not np.isfinite(rel) or rel > tol:
             raise SolverError(f"direct solve left relative residual {rel:.3e} "
                               f"above tolerance {tol:.1e}")

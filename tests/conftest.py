@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from wg_shishkin.basis import legendre_table, project_cell, project_edge
 from wg_shishkin.mesh import SIDES, Cell, Edge, MeshParams, build_mesh
 from wg_shishkin.quadrature import gauss_legendre
+from wg_shishkin.solver import (ElementGroup, ElementMatrix, SeparatorTree,
+                                SolverError)
 from wg_shishkin.weak_ops import LocalDofLayout
 
 
@@ -264,3 +268,50 @@ def reference_cell_moments(fun, cell, k, q=20):
     basis = CellBasis(cell, k)
     values = basis.eval(X.ravel(), Y.ravel())
     return values @ (W.ravel() * fun(X.ravel(), Y.ravel()))
+
+
+# Sparse-matrix helpers: the solver takes only the element form and a
+# separator tree, so hand-made matrices reach it through these, and SuperLU
+# stays here as an independent sparse solver to check the tree solve against.
+
+
+def one_front(n):
+    """The one-node separator tree of n DOFs: the whole matrix is one dense
+    front, factored by one ``potrf``."""
+    return SeparatorTree(np.arange(n), np.array([0, n]), np.array([-1]))
+
+
+def elements_of(matrix):
+    """A symmetric sparse matrix as 1x1 elements on its diagonal and one
+    2x2 element per stored entry above it."""
+    n = matrix.shape[0]
+    upper = sp.triu(matrix, k=1, format="coo")
+    pairs = np.zeros((upper.nnz, 2, 2))
+    pairs[:, 0, 1] = pairs[:, 1, 0] = upper.data
+    no_faces = np.empty((0, 0), dtype=np.int64)
+    return ElementMatrix(n, (
+        ElementGroup(np.arange(n)[:, None],
+                     np.asarray(matrix.diagonal(), dtype=float)[:, None, None],
+                     no_faces),
+        ElementGroup(np.stack([upper.row, upper.col], axis=1).astype(np.int64),
+                     pairs, no_faces)))
+
+
+def superlu_solve(matrix, rhs):
+    """A^-1 b by SuperLU on the Jacobi-scaled sparse matrix, with its own
+    ordering. Symmetric-mode SuperLU with diagonal pivoting acts as an
+    LDL'-type factorization on SPD input, so a nonpositive pivot flags an
+    indefinite matrix."""
+    scale = 1.0 / np.sqrt(matrix.diagonal())
+    scaling = sp.diags(scale)
+    try:
+        lu = spla.splu((scaling @ matrix @ scaling).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"factorization breakdown: {exc}") from exc
+    pivots = lu.U.diagonal()
+    if np.any(pivots <= 0.0) or not np.all(np.isfinite(pivots)):
+        raise SolverError("matrix is not positive definite (min pivot "
+                          f"{pivots.min():.3e}, dimension {matrix.shape[0]})")
+    return scale * lu.solve(scale * rhs)

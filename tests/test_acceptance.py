@@ -15,8 +15,7 @@ import pytest
 from conftest import (ROUNDOFF_FACTOR, all_cells, local_projection_dofs,
                       roundoff_ratio)
 from wg_shishkin.analytic import ExactSolution, project_exact
-from wg_shishkin.assembly import (assemble_system, condense_interior,
-                                  fill_reducing_ordering)
+from wg_shishkin.assembly import assemble_system, fill_reducing_ordering
 from wg_shishkin.basis import project_cell
 from wg_shishkin.driver import RunConfig, run_case, triple_bar_norm
 from wg_shishkin.mesh import MeshParams, build_mesh
@@ -217,7 +216,7 @@ def test_criterion_7_structural_suite():
         system.matrix.sort_indices()
         assert np.array_equal(system.matrix.indices, transposed.indices)
         assert np.array_equal(system.matrix.data, transposed.data)
-        solve_spd(system.matrix, system.rhs, "direct", tol=1e-10,
+        solve_spd(system.elements, system.rhs, "direct", tol=1e-10,
                   tree=fill_reducing_ordering(system))  # certifies SPD
 
         # Norm equals the assembled quadratic form.
@@ -230,10 +229,10 @@ def test_criterion_7_structural_suite():
         mesh = build_mesh(MeshParams(n=n, eps=eps, k=3))
         sol = ExactSolution(1, eps)
         full = assemble_system(mesh, 3, eps, sol.forcing)
-        x_full, _ = solve_spd(full.matrix, full.rhs, tol=1e-10,
+        x_full, _ = solve_spd(full.elements, full.rhs, tol=1e-10,
                               tree=fill_reducing_ordering(full))
-        condensed = condense_interior(full)
-        x_cond, _ = solve_spd(condensed.matrix, condensed.rhs, tol=1e-10,
+        condensed = assemble_system(mesh, 3, eps, sol.forcing, condense=True)
+        x_cond, _ = solve_spd(condensed.elements, condensed.rhs, tol=1e-10,
                               tree=fill_reducing_ordering(condensed))
         u_full, u_cond = full.expand(x_full), condensed.expand(x_cond)
         rel = np.linalg.norm(u_full - u_cond) / np.linalg.norm(u_full)
@@ -244,13 +243,14 @@ def test_criterion_7_structural_suite():
         mesh = build_mesh(MeshParams(n=8, eps=eps, k=3))
         sol = ExactSolution(1, eps)
         system = assemble_system(mesh, 3, eps, sol.forcing)
-        x_direct, _ = solve_spd(system.matrix, system.rhs, "direct", tol=1e-10,
-                                tree=fill_reducing_ordering(system))
+        tree = fill_reducing_ordering(system)
+        x_direct, _ = solve_spd(system.elements, system.rhs, "direct",
+                                tol=1e-10, tree=tree)
         # |b - Ax| / |b| cannot go below its round-off floor (5.9e-12 at
         # eps=1, 1.2e-10 at eps=1e-7); ask for 1e-12 wherever it allows.
-        floor = residual_floor(system.matrix, x_direct, system.rhs)
-        x_pcg, _ = solve_spd(system.matrix, system.rhs, "pcg",
-                             tol=max(1e-12, 8 * floor))
+        floor = residual_floor(system.elements, x_direct, system.rhs)
+        x_pcg, _ = solve_spd(system.elements, system.rhs, "pcg",
+                             tol=max(1e-12, 8 * floor), tree=tree)
         rel = np.linalg.norm(x_direct - x_pcg) / np.linalg.norm(x_direct)
         assert rel < 1e-9, f"eps={eps:.0e}: direct/pcg drift {rel:.2e}"
     print("\nACCEPTANCE 7 (structural suite): PASS")

@@ -193,3 +193,19 @@ class TestProjectExact:
     def test_rejects_unknown_example(self):
         with pytest.raises(ValueError):
             ExactSolution(3, 1e-2)
+
+
+class TestEpsEnvelope:
+    """ExactSolution accepts the eps of ``MeshParams``, [EPS_MIN, 1]: far
+    below it the fourth derivative of the layer terms overflows."""
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nextafter(EPS_MIN, 0.0),
+                                     1e-80, np.nextafter(1.0, 2.0), 5.0])
+    def test_rejects_eps_outside(self, eps):
+        with pytest.raises(ValueError, match="eps must lie"):
+            ExactSolution(1, eps)
+
+    @pytest.mark.parametrize("eps", [EPS_MIN, 1.0])
+    def test_accepts_its_ends(self, eps):
+        sol = ExactSolution(1, eps)
+        assert np.isfinite(sol.factor_x(0.0, 4))

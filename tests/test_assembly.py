@@ -1,14 +1,9 @@
-import io
-
 import numpy as np
 import pytest
-import scipy.io
-import scipy.sparse as sp
 
-from conftest import all_cells, all_edges, loop_dof_tables
+from conftest import all_cells, all_edges, loop_dof_tables, superlu_solve
 from wg_shishkin.analytic import ExactSolution
 from wg_shishkin.assembly import (DofMap, assemble_system,
-                                  condense_interior, dump_matrix_market,
                                   fill_reducing_ordering, schur_complement)
 from wg_shishkin.mesh import MeshParams, build_mesh
 from wg_shishkin.solver import solve_spd
@@ -82,7 +77,8 @@ class TestAssemble:
         system = assemble_system(mesh_n8_eps1e2, 3, 1e-2,
                                  lambda x, y: np.zeros(np.broadcast(x, y).shape))
         assert np.all(system.rhs == 0.0)
-        x, report = solve_spd(system.matrix, system.rhs)
+        x, report = solve_spd(system.elements, system.rhs,
+                              tree=fill_reducing_ordering(system))
         assert np.all(x == 0.0)
         assert report.iterations == 0
 
@@ -132,9 +128,11 @@ class TestCondensation:
         mesh = build_mesh(MeshParams(n=8, eps=1e-3, k=3))
         sol = ExactSolution(1, 1e-3)
         full = assemble_system(mesh, 3, 1e-3, sol.forcing)
-        x_full, _ = solve_spd(full.matrix, full.rhs)
-        condensed = condense_interior(full)
-        x_cond, _ = solve_spd(condensed.matrix, condensed.rhs)
+        x_full, _ = solve_spd(full.elements, full.rhs,
+                              tree=fill_reducing_ordering(full))
+        condensed = assemble_system(mesh, 3, 1e-3, sol.forcing, condense=True)
+        x_cond, _ = solve_spd(condensed.elements, condensed.rhs,
+                              tree=fill_reducing_ordering(condensed))
         u_full = full.expand(x_full)
         u_cond = condensed.expand(x_cond)
         rel = np.linalg.norm(u_full - u_cond) / np.linalg.norm(u_full)
@@ -145,23 +143,6 @@ class TestCondensation:
         system = assemble_system(mesh_n8_eps1e2, 3, 1e-2, sol.forcing,
                                  condense=True)
         assert system.matrix.shape == (1472, 1472)  # 2496 - 1024
-
-    def test_direct_condensed_assembly_matches_condense_interior(self,
-                                                                 mesh_n4_eps1e2):
-        sol = ExactSolution(1, 1e-2)
-        full = assemble_system(mesh_n4_eps1e2, 3, 1e-2, sol.forcing)
-        via_op = condense_interior(full)
-        direct = assemble_system(mesh_n4_eps1e2, 3, 1e-2, sol.forcing,
-                                 condense=True)
-        assert np.abs(via_op.matrix - direct.matrix).max() == 0.0
-        assert via_op.rhs == pytest.approx(direct.rhs, abs=1e-15)
-
-    def test_condense_twice_rejected(self, mesh_n4_eps1e2):
-        sol = ExactSolution(1, 1e-2)
-        system = assemble_system(mesh_n4_eps1e2, 3, 1e-2, sol.forcing,
-                                 condense=True)
-        with pytest.raises(ValueError):
-            condense_interior(system)
 
     def test_schur_of_uncoupled_blocks_is_trivial(self):
         a_ii = np.diag([2.0, 3.0])
@@ -191,18 +172,8 @@ class TestOrdering:
     def test_permuted_solve_matches_default(self, mesh_n8_eps1e2):
         sol = ExactSolution(1, 1e-2)
         system = assemble_system(mesh_n8_eps1e2, 3, 1e-2, sol.forcing)
-        x_plain, _ = solve_spd(system.matrix, system.rhs)
-        x_tree, _ = solve_spd(system.matrix, system.rhs,
+        x_plain = superlu_solve(system.matrix, system.rhs)
+        x_tree, _ = solve_spd(system.elements, system.rhs,
                               tree=fill_reducing_ordering(system))
         assert np.linalg.norm(x_plain - x_tree) / np.linalg.norm(x_plain) < 1e-9
 
-
-def test_matrix_market_dump_roundtrip(tmp_path, mesh_n4_eps1e2):
-    sol = ExactSolution(1, 1e-2)
-    system = assemble_system(mesh_n4_eps1e2, 3, 1e-2, sol.forcing)
-    path = tmp_path / "system.mtx"
-    dump_matrix_market(system, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "%%MatrixMarket matrix coordinate real symmetric"
-    reloaded = scipy.io.mmread(path).tocsr()
-    assert np.abs(reloaded - system.matrix).max() < 1e-15

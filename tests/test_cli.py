@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+import wg_shishkin.solver as solver
 from wg_shishkin.cli import build_parser, main
 
 
@@ -64,3 +65,19 @@ def test_run_accepts_degree_above_four(tmp_path):
 def test_degree_below_three_is_an_error():
     with pytest.raises(ValueError, match="degree k must be >= 3"):
         main(["run", "--example", "0", "--k", "2", "--eps", "1", "--N", "8"])
+
+
+@pytest.mark.parametrize("method", ["direct", "pcg"])
+def test_memory_failure_is_a_solver_failure(monkeypatch, capsys, method):
+    def numeric(*args):
+        raise AssertionError("numeric factorization started")
+
+    monkeypatch.setattr(solver, "_physical_memory", lambda: 1 << 18)
+    monkeypatch.setattr(solver, "_factor_fronts", numeric)
+    code = main(["run", "--example", "1", "--k", "3", "--eps", "1e-2",
+                 "--N", "8", "--solver", method])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "solver failure" in captured.err
+    assert "physical memory" in captured.err
+    assert captured.out == ""

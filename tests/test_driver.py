@@ -94,6 +94,22 @@ class TestRunCase:
         assert run_case(config, 1.0, 8).error == pytest.approx(1.01e-3, rel=0.05)
 
     @pytest.mark.parametrize("method", ["direct", "pcg"])
+    def test_memory_failure_raises_before_numeric_work(self, monkeypatch,
+                                                       method):
+        # An N=8 case plans a workspace of about 266k entries: neither
+        # precision fits in 256 KiB, so pcg's double-precision fallback
+        # raises too.
+        def numeric(*args):
+            raise AssertionError("numeric factorization started")
+
+        monkeypatch.setattr(solver, "_physical_memory", lambda: 1 << 18)
+        monkeypatch.setattr(solver, "_factor_fronts", numeric)
+        config = RunConfig(example=1, k=3, eps_list=(1e-2,), n_list=(8,),
+                           method=method)
+        with pytest.raises(solver.SolverError, match="physical memory"):
+            run_case(config, 1e-2, 8)
+
+    @pytest.mark.parametrize("method", ["direct", "pcg"])
     @pytest.mark.parametrize("condense", ["on", "off"])
     def test_direct_case_never_builds_the_matrix(self, monkeypatch, condense,
                                                  method):

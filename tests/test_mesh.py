@@ -19,8 +19,10 @@ class TestTransitionPoint:
         assert transition_point(8, 1e-3, 4.0) == pytest.approx(
             0.008317766166719343, rel=1e-14)
 
-    @pytest.mark.parametrize("n,eps,alpha", [(2, 1.0, 4.0), (8, 0.0, 4.0),
-                                             (8, -1e-3, 4.0), (8, 1.0, 0.0)])
+    @pytest.mark.parametrize("n,eps,alpha", [
+        (2, 1.0, 4.0), (8, 0.0, 4.0), (8, -1e-3, 4.0), (8, 1.0, 0.0),
+        (8, 1e-300, 2.5), (8, np.nextafter(EPS_MIN, 0.0), 4.0),
+        (8, np.nextafter(1.0, 2.0), 4.0), (8, 5.0, 4.0)])
     def test_rejects_bad_arguments(self, n, eps, alpha):
         with pytest.raises(ValueError):
             transition_point(n, eps, alpha)
