@@ -65,9 +65,11 @@ class ConvergenceRecord:
 
 
 def triple_bar_norm(coeffs: np.ndarray, mesh: ShishkinMesh, k: int, eps: float,
-                    dofmap: DofMap | None = None) -> float:
+                    dofmap: DofMap | None = None, ops: dict | None = None) -> float:
     """Discrete energy norm sqrt(eps^2 |Lap_w v|^2 + |grad_w v|^2 + s(v, v))
-    of a free-DOF coefficient vector (constrained entries are zero)."""
+    of a free-DOF coefficient vector (constrained entries are zero). ``ops``
+    maps each width class to its local operators, as the assembly builds
+    them (``SparseSystem.ctx.ops``); missing, they are built here."""
     if dofmap is None:
         dofmap = DofMap(mesh, k)
     if coeffs.size != dofmap.n_free:
@@ -75,13 +77,14 @@ def triple_bar_norm(coeffs: np.ndarray, mesh: ShishkinMesh, k: int, eps: float,
                          f"got {coeffs.size}")
     raw = dofmap.expand_free(coeffs)
     total = 0.0
-    for cells in mesh.width_classes().values():
-        ops = local_stiffness(mesh.cell(cells[0]), k, eps,
-                              mesh.h_fine, mesh.h_coarse)
+    for widths, cells in mesh.width_classes().items():
+        op = (ops[widths] if ops is not None else
+              local_stiffness(mesh.cell(cells[0]), k, eps, mesh.h_fine,
+                              mesh.h_coarse))
         local = raw[dofmap.cell_dofs[cells]]
-        total += eps * eps * float(np.sum((local @ ops.L.T) ** 2))
-        total += float(np.sum((local @ ops.G.T) ** 2))
-        total += float(np.einsum("ci,ij,cj->", local, ops.S, local))
+        total += eps * eps * float(np.sum((local @ op.L.T) ** 2))
+        total += float(np.sum((local @ op.G.T) ** 2))
+        total += float(np.einsum("ci,ij,cj->", local, op.S, local))
     return math.sqrt(max(total, 0.0))
 
 
@@ -101,7 +104,8 @@ def run_case(config: RunConfig, eps: float, n: int) -> ConvergenceRecord:
     projected = project_exact(mesh, config.k, config.example, eps,
                               q=config.quad, dofmap=system.dofmap)
     error = triple_bar_norm(projected[system.dofmap.free_raw] - numeric,
-                            mesh, config.k, eps, dofmap=system.dofmap)
+                            mesh, config.k, eps, dofmap=system.dofmap,
+                            ops=system.ctx.ops)
     return ConvergenceRecord(example=config.example, mesh_kind=config.mesh_kind,
                              k=config.k, eps=eps, n=n, error=error)
 

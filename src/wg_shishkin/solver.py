@@ -32,6 +32,15 @@ array reaches past the factor only as far as those blocks need. So a freed
 front leaves no heap behind, and the physical-memory check counts this
 array and the element blocks.
 
+Python steps per node are kept few. Each node lists its DOFs that couple
+beyond their own face first and the face-only ones last (``_pivot_order``),
+so a child's update lands in at most four runs of consecutive rows of its
+parent's front and is added by a few slice-adds. The symbolic phase takes
+one sort per tree height, not one per node, and a triangular solve steps
+by height too (level scheduling, Anderson & Saad 1989): the twins of one
+height share one factor, so each group of twins takes one triangular solve
+and one product over all their columns of the right-hand side.
+
 The iterative method is double-precision CG on the given matrix,
 preconditioned by the tree factorization run in single precision: half the
 factor's memory, and a few iterations recover full accuracy (Langou et al.
@@ -42,6 +51,7 @@ import bisect
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -262,20 +272,11 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _element_parts(group: ElementGroup) -> list[tuple[np.ndarray, ...]]:
-    """Split every element of a group into parts, each a clique whose DOFs
-    meet in one front. A part is (its DOFs, one row per element; its
-    nonzero block entries on and below the diagonal, shared or one row per
-    element; the rows and the columns of those entries among its DOFs).
-
-    A position is linked when its block row has a nonzero entry outside
-    its own face; a position in no face is a face by itself. The entries
-    among linked positions form one part. Every other nonzero entry lies
-    within one face, since an entry across faces links both its positions,
-    so the rest forms one part per face. A DOF that couples only within its
-    face, as a tangential gradient couples only along its edge, then widens
-    no front but its own node's, just as in the assembled matrix.
-    """
+def _links(group: ElementGroup) -> tuple[np.ndarray, ...]:
+    """(nonzero, face, linked) of a group's local positions: which block
+    entries are nonzero in some element, the face of every position, and
+    whether its block row has a nonzero entry outside its own face. A
+    position in no face is a face by itself."""
     m = group.index.shape[1]
     nonzero = group.block != 0
     if nonzero.ndim == 3:
@@ -283,8 +284,24 @@ def _element_parts(group: ElementGroup) -> list[tuple[np.ndarray, ...]]:
     face = np.arange(m, 2 * m)
     for f, positions in enumerate(group.faces):
         face[positions] = f
-    linked = (nonzero & (face[:, None] != face)).any(axis=1)
-    a, b = np.tril_indices(m)
+    return nonzero, face, (nonzero & (face[:, None] != face)).any(axis=1)
+
+
+def _element_parts(group: ElementGroup) -> list[tuple[np.ndarray, ...]]:
+    """Split every element of a group into parts, each a clique whose DOFs
+    meet in one front. A part is (its DOFs, one row per element; its
+    nonzero block entries on and below the diagonal, shared or one row per
+    element; the rows and the columns of those entries among its DOFs).
+
+    The entries among linked positions (see ``_links``) form one part.
+    Every other nonzero entry lies within one face, since an entry across
+    faces links both its positions, so the rest forms one part per face. A
+    DOF that couples only within its face, as a tangential gradient couples
+    only along its edge, then widens no front but its own node's, just as in
+    the assembled matrix.
+    """
+    nonzero, face, linked = _links(group)
+    a, b = np.tril_indices(group.index.shape[1])
     keep = nonzero[a, b]
     a, b = a[keep], b[keep]
     among_linked = linked[a] & linked[b]
@@ -298,6 +315,21 @@ def _element_parts(group: ElementGroup) -> list[tuple[np.ndarray, ...]]:
                           np.searchsorted(cols, a[sel]),
                           np.searchsorted(cols, b[sel])))
     return parts
+
+
+def _pivot_order(elements: ElementMatrix, tree: SeparatorTree) -> SeparatorTree:
+    """``tree`` with each node's positions stably reordered: the DOFs some
+    element links beyond their face (see ``_links``) first, the face-only
+    ones last. Nodes, bounds and parents stay. A face-only DOF reaches no
+    front but its own node's, so the rows a child's update reaches in its
+    parent's front, the parent's linked pivots and ancestor rows, fall in a
+    few runs of consecutive rows and not in one run per face."""
+    face_only = np.ones(elements.dim + 1, dtype=bool)  # index -1 writes the last
+    for group in elements.groups:
+        face_only[group.index[:, _links(group)[2]]] = False
+    node = np.repeat(np.arange(tree.parent.size), np.diff(tree.bounds))
+    order = np.argsort(2 * node + face_only[tree.perm], kind="stable")
+    return SeparatorTree(tree.perm[order], tree.bounds, tree.parent)
 
 
 @dataclass(frozen=True)
@@ -320,12 +352,22 @@ class _PartPlan:
 @dataclass(frozen=True)
 class _Fronts:
     """Result of the symbolic phase: the ascending tree positions of every
-    node's front, the element parts sorted by node, and the number of
-    factor entries of every node."""
+    node's front, node s's the ``sizes[s]`` entries of ``flat`` from
+    ``starts[s]`` on in steps of ``steps[s]``, the element parts sorted by
+    node, and the number of factor entries of every node."""
 
-    rows: list[np.ndarray]
+    flat: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    steps: np.ndarray
     parts: list[_PartPlan]
     entries: np.ndarray
+
+    @cached_property
+    def rows(self) -> list[np.ndarray]:
+        """Every node's front rows, as views of ``flat``."""
+        return [self.flat[a:a + m * k:k] for a, m, k in zip(
+            self.starts.tolist(), self.sizes.tolist(), self.steps.tolist())]
 
     @property
     def factor_nnz(self) -> int:
@@ -366,41 +408,95 @@ def _symbolic_phase(elements: ElementMatrix, tree: SeparatorTree) -> _Fronts:
             pairs = pairs[order]
         sorted_parts.append((starts, node[order], positions[order], pairs, a, b))
 
-    reached: list[list[np.ndarray]] = [[] for _ in range(n_nodes)]
-    fronts = []
-    for s in range(n_nodes):
-        b0, b1 = bounds[s], bounds[s + 1]
-        rows = np.unique(np.concatenate(
-            [np.arange(b0, b1, dtype=np.int64), *reached[s],
-             *(positions[starts[s]:starts[s + 1]].ravel()
-               for starts, _, positions, *_ in sorted_parts
-               if starts[s] < starts[s + 1])]))
-        rows = rows[np.searchsorted(rows, 0):]  # drop the -1 of left-out DOFs
-        reached[s] = []
-        if rows.size and rows[0] < b0:
-            raise ValueError(f"the front of node {s} reaches position "
-                             f"{rows[0]}, which none of its ancestors owns: "
-                             "the tree does not separate the matrix")
-        if rows.size > b1 - b0:
-            if parent[s] < 0:
-                raise ValueError(f"root node {s} couples beyond its positions")
-            reached[parent[s]].append(rows[b1 - b0:])
-        fronts.append(rows)
-
-    # Front rows of all nodes as one ascending key node * (n + 1) + position,
-    # so that one search finds every element DOF's row in its node's front.
-    sizes = np.array([rows.size for rows in fronts])
+    keys, sizes = _front_keys(tree, [(entering, positions) for
+                                     _, entering, positions, *_ in sorted_parts])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    keys = np.repeat(np.arange(n_nodes, dtype=np.int64) * (n + 1), sizes)
-    keys += np.concatenate(fronts)
     plans = []
     for starts, node, positions, pairs, a, b in sorted_parts:
         # A left-out DOF's key, node * (n + 1) - 1, finds the node's first row.
         local = (np.searchsorted(keys, node[:, None] * (n + 1) + positions)
                  - offsets[node][:, None])
         plans.append(_PartPlan(starts, positions, local, pairs, a, b))
+    keys -= np.repeat(np.arange(n_nodes) * (n + 1), sizes)  # now positions
     pivots = np.diff(bounds)
-    return _Fronts(fronts, plans, pivots * (pivots + 1) // 2 + pivots * (sizes - pivots))
+    return _Fronts(keys, offsets[:-1], sizes, np.ones_like(sizes), plans,
+                   pivots * (pivots + 1) // 2 + pivots * (sizes - pivots))
+
+
+def _front_keys(tree: SeparatorTree, parts: list[tuple[np.ndarray, np.ndarray]]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's front rows as one ascending array of keys node * (n + 1)
+    + position, and the number of rows of every node. A front holds its
+    node's positions, the positions of the element parts that enter it,
+    given as (entering node, positions) of each element of each part, and
+    the rows of its children's fronts beyond their pivots. Nodes of one
+    height (see ``_heights``) are independent, so each height takes one
+    sort of the keys of all its nodes, and no step is taken per node."""
+    bounds, parent = tree.bounds, tree.parent
+    n = bounds[-1]
+    pivots = np.diff(bounds)
+    height = _heights(parent)
+    levels = np.arange(height.max() + 2)
+    by_height = []  # each part's elements by the height of their node
+    for entering, positions in parts:
+        order = np.argsort(height[entering], kind="stable")
+        by_height.append((entering, positions, order, np.searchsorted(
+            height[entering[order]], levels).tolist()))
+    reached: list[list[np.ndarray]] = [[] for _ in levels[:-1]]
+    batches = []
+    sizes = np.zeros(parent.size, dtype=np.int64)
+    for h in range(len(reached)):
+        nodes = np.flatnonzero(height == h)
+        p = pivots[nodes]
+        own = np.arange(p.sum()) + np.repeat(bounds[nodes] - np.cumsum(p) + p, p)
+        keys = [np.repeat(nodes * (n + 1), p) + own, *reached[h]]
+        for entering, positions, order, starts in by_height:
+            at = order[starts[h]:starts[h + 1]]
+            keys.append((entering[at, None] * (n + 1)
+                         + positions[at])[positions[at] >= 0])
+        keys = np.sort(np.concatenate(keys))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        node = keys // (n + 1)
+        rows = keys - node * (n + 1)
+        first = np.flatnonzero(np.diff(node, prepend=-1))
+        wrong = first[rows[first] < bounds[node[first]]]
+        if wrong.size:
+            raise ValueError(f"the front of node {node[wrong[0]]} reaches "
+                             f"position {rows[wrong[0]]}, which none of its "
+                             "ancestors owns: the tree does not separate the "
+                             "matrix")
+        beyond = rows >= bounds[node + 1]
+        up = parent[node[beyond]]
+        if np.any(up < 0):
+            raise ValueError(f"root node {node[beyond][up < 0][0]} couples "
+                             "beyond its positions")
+        up_keys = up * (n + 1) + rows[beyond]
+        for g in np.unique(height[up]).tolist():
+            reached[g].append(up_keys[height[up] == g])
+        reached[h] = []
+        sizes += np.bincount(node, minlength=parent.size)
+        batches.append(keys)
+    offsets = np.cumsum(sizes) - sizes
+    every = np.empty(sizes.sum(), dtype=np.int64)
+    for keys in batches:
+        node = keys // (n + 1)
+        every[offsets[node] + np.arange(node.size)
+              - np.searchsorted(node, node)] = keys
+    return every, sizes
+
+
+def _heights(parent: np.ndarray) -> np.ndarray:
+    """Every node's height: the length of the longest path down to a leaf.
+    A node's children are lower than it, so nodes of one height are
+    independent of each other."""
+    height = np.zeros(parent.size, dtype=np.int64)
+    child = np.flatnonzero(parent >= 0)
+    while True:
+        taller = np.zeros_like(height)
+        np.maximum.at(taller, parent[child], height[child] + 1)
+        if np.array_equal(taller, height):
+            return height
+        height = taller
 
 
 def _children(parent: np.ndarray) -> list[list[int]]:
@@ -424,29 +520,35 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree,
     rows that update lands on. Keys are compared as bytes, so nodes of equal
     key assemble the same numbers in the same order and get the same factor
     and update."""
-    bounds = tree.bounds
+    pivots = np.diff(tree.bounds).tolist()
     scale = np.append(scale, 0.0)  # position -1 reads this zero
-    parts = [(plan.starts, plan.local, scale[plan.positions],
+    parts = [(plan.starts.tolist(), plan.local, scale[plan.positions],
               plan.pairs if plan.pairs.ndim == 2 else None)
              for plan in fronts.parts]
+    entering: list[list[int]] = [[] for _ in fronts.rows]
+    for i, plan in enumerate(fronts.parts):
+        for s in np.flatnonzero(np.diff(plan.starts)).tolist():
+            entering[s].append(i)
     children = _children(tree.parent)
     rep = np.empty(len(fronts.rows), dtype=np.int64)
     first: dict[bytes, int] = {}
     for s, rows in enumerate(fronts.rows):
-        entering = [i for i, (starts, *_) in enumerate(parts)
-                    if starts[s] < starts[s + 1]]
-        key = [np.array([rows.size, bounds[s + 1] - bounds[s],
-                         len(entering), len(children[s])])]
-        for i in entering:
+        # The counts first, then the arrays they size.
+        head = [rows.size, pivots[s], len(entering[s]), len(children[s])]
+        arrays = []
+        for i in entering[s]:
             starts, local, at_dofs, pairs = parts[i]
             e0, e1 = starts[s], starts[s + 1]
-            key += [np.array([i, e1 - e0]), local[e0:e1], at_dofs[e0:e1]]
+            head += [i, e1 - e0]
+            arrays += [local[e0:e1], at_dofs[e0:e1]]
             if pairs is not None:
-                key.append(pairs[e0:e1])
+                arrays.append(pairs[e0:e1])
         for c in children[s]:
-            pos = np.searchsorted(rows, fronts.rows[c][bounds[c + 1] - bounds[c]:])
-            key += [np.array([rep[c], pos.size]), pos]
-        rep[s] = first.setdefault(b"".join(part.tobytes() for part in key), s)
+            pos = np.searchsorted(rows, fronts.rows[c][pivots[c]:])
+            head += [int(rep[c]), pos.size]
+            arrays.append(pos)
+        key = np.array(head).tobytes() + b"".join(a.tobytes() for a in arrays)
+        rep[s] = first.setdefault(key, s)
     return rep
 
 
@@ -522,12 +624,11 @@ def _region(work: np.ndarray, at: int, rows: int, cols: int) -> np.ndarray:
 def _assemble_front(plans: list[_PartPlan], s: int, p: int, m: int,
                     scale: np.ndarray, work: np.ndarray,
                     at: tuple[int, int, int]) -> None:
-    """Write the scaled blocks of the element parts that enter node s into
+    """Add the scaled blocks of the element parts that enter node s into
     its zeroed F11, F21 and F22, which start at the entries ``at`` of
-    ``work``. Each entry is summed in double precision, in the order the
-    parts list it, and rounded once to the dtype of ``work``. Only lower
+    ``work``. Each block entry is rounded to the dtype of ``work`` and
+    summed in it, in the order the parts list the entries. Only lower
     triangles are filled: the factorization reads no other part."""
-    flat, weights = [], []
     q = m - p
     for plan in plans:
         e0, e1 = plan.starts[s], plan.starts[s + 1]
@@ -540,27 +641,39 @@ def _assemble_front(plans: list[_PartPlan], s: int, p: int, m: int,
         local = plan.local[e0:e1]
         r, c = np.take(local, plan.a, axis=1), np.take(local, plan.b, axis=1)
         hi, lo = np.maximum(r, c), np.minimum(r, c)
-        flat.append(np.where(lo >= p, at[2] + hi - p + q * (lo - p),
-                             np.where(hi < p, at[0] + hi + p * lo,
-                                      at[1] + hi - p + q * lo)).ravel())
-        weights.append(values.ravel())
-    if flat:
-        targets, inverse = np.unique(np.concatenate(flat), return_inverse=True)
-        work[targets] = np.bincount(inverse, np.concatenate(weights))
+        np.add.at(work, np.where(lo >= p, at[2] + hi - p + q * (lo - p),
+                                 np.where(hi < p, at[0] + hi + p * lo,
+                                          at[1] + hi - p + q * lo)),
+                  values.astype(work.dtype, copy=False))
+
+
+def _runs(pos: np.ndarray, p: int) -> list[tuple[int, int, int]]:
+    """The runs of ``pos``, ascending rows of a front with ``p`` pivots:
+    (start, stop, first row) of each stretch of consecutive rows on one
+    side of the pivots."""
+    starts = [0, *(np.flatnonzero((np.diff(pos) != 1) | (pos[1:] == p))
+                   + 1).tolist()]
+    return list(zip(starts, [*starts[1:], pos.size], pos[starts].tolist()))
 
 
 def _extend_add(front: tuple[np.ndarray, ...], update: np.ndarray,
                 pos: np.ndarray) -> None:
     """Add a child's update (lower triangle) at rows and columns ``pos`` of
     a front held as (F11, F21, F22). The child's rows fall in runs of
-    consecutive front rows, each on one side of the pivots, so each pair of
-    runs is one slice of the update added to one slice of a block, in
-    place and with no temporary."""
+    consecutive front rows (``_runs``), so each pair of runs is one slice of
+    the update added to one slice of a block, in place and with no
+    temporary.
+
+    The pivot order of ``_pivot_order`` keeps the runs few. An update
+    reaches the parent's linked pivots, which come first in the parent's
+    positions, and ancestor rows, which are linked DOFs too; the face-only
+    DOFs it skips sit together at the end of each node's positions. So an
+    update lands in at most four runs, where with one face-only DOF per
+    edge between the linked ones it would break at every edge (32 runs at
+    the root of N=32, k=3)."""
     f11, f21, f22 = front
     p = f11.shape[0]
-    starts = [0, *(np.flatnonzero((np.diff(pos) != 1) | (pos[1:] == p))
-                   + 1).tolist()]
-    runs = list(zip(starts, [*starts[1:], pos.size], pos[starts].tolist()))
+    runs = _runs(pos, p)
     for j, (j0, j1, c0) in enumerate(runs):
         for i0, i1, r0 in runs[j:]:
             part = update[i0:i1, j0:j1]
@@ -610,8 +723,8 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
     factor has not yet reached, F11 until it is factored and packed, F22 as
     a cached update until the last front that adds it. So no block is
     allocated per front, and the pages of a freed block are the next
-    block's. A front is built by zeroing its blocks, writing its element
-    entries, summed in double precision and rounded once to ``dtype``, and
+    block's. A front is built by zeroing its blocks, adding its element
+    entries, each rounded to ``dtype`` (see ``_assemble_front``), and
     adding its children's updates."""
     bounds = tree.bounds.tolist()
     n = bounds[-1]
@@ -675,27 +788,65 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
     return factor
 
 
-def _front_solve(factor: list, fronts: list[np.ndarray], bounds: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
-    """Solve L L^T w = y in place, one front at a time, in the precision of
-    the factor, which is that of y."""
-    tpsv, = get_blas_funcs(("tpsv",), dtype=y.dtype)
-    for s, (l11, l21) in enumerate(factor):
-        if l11 is None:
-            continue
-        b0, b1 = bounds[s], bounds[s + 1]
-        y[b0:b1] = tpsv(b1 - b0, l11, y[b0:b1], lower=1)
+def _solve_groups(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray
+                  ) -> tuple[_Fronts, list[tuple[int, np.ndarray, np.ndarray]]]:
+    """``fronts`` laid out for the solve, and the nodes with pivots in
+    groups of twins, one per (height, representative) and by ascending
+    height: (the representative, whose factor the group shares; the twins'
+    pivot positions as the columns of a (p, t) array; the front rows below
+    their pivots, (m - p, t)). Twins build equal subtrees, so they have
+    equal heights and equal front sizes. Each group's rows are laid out as
+    one (m, t) array, twin j's in column j, and both arrays of the group
+    are slices of it: the solve holds no second copy of the fronts."""
+    pivots, sizes = np.diff(tree.bounds), fronts.sizes
+    nodes = np.lexsort((rep, _heights(tree.parent)))
+    flat = np.empty_like(fronts.flat)
+    starts, steps = np.empty_like(fronts.starts), np.empty_like(sizes)
+    groups, at = [], 0
+    for twins in np.split(nodes, np.flatnonzero(np.diff(rep[nodes])) + 1):
+        r, t = int(rep[twins[0]]), twins.size
+        p, m = pivots[r], sizes[r]
+        block = flat[at:at + m * t].reshape(m, t)
+        block[:] = fronts.flat[fronts.starts[twins] + np.arange(m)[:, None]]
+        starts[twins], steps[twins] = at + np.arange(t), t
+        if p:
+            groups.append((r, block[:p], block[p:]))
+        at += m * t
+    return _Fronts(flat, starts, sizes, steps, fronts.parts,
+                   fronts.entries), groups
+
+
+def _front_solve(factor: list, groups: list, y: np.ndarray) -> np.ndarray:
+    """Solve L L^T w = y in place, in the precision of the factor, which is
+    that of y, by level scheduling (Anderson & Saad 1989): nodes of one
+    height depend on none of each other, so each group of twins of
+    ``_solve_groups`` gathers its columns of y into one block and takes one
+    triangular solve and one product with its shared factor. Twins may
+    update the same rows, as two equal subtrees of one parent do, so the
+    updates are summed entry by entry. A group of twins unpacks its L11 for
+    the solve and drops it after."""
+    tpsv, trsm = get_blas_funcs(("tpsv", "trsm"), dtype=y.dtype)
+    tpttr, = get_lapack_funcs(("tpttr",), dtype=y.dtype)
+
+    def solve(l11, block, trans):
+        p, t = block.shape
+        if t == 1:
+            return tpsv(p, l11, block[:, 0], lower=1, trans=trans)[:, None]
+        full, _ = tpttr(p, l11, uplo="L")
+        return trsm(1.0, full, block, lower=1, trans_a=trans)
+
+    for r, pivots, below in groups:
+        l11, l21 = factor[r]
+        x = solve(l11, y[pivots], 0)
+        y[pivots] = x
         if l21 is not None:
-            y[fronts[s][b1 - b0:]] -= l21 @ y[b0:b1]
-    for s in range(len(factor) - 1, -1, -1):
-        l11, l21 = factor[s]
-        if l11 is None:
-            continue
-        b0, b1 = bounds[s], bounds[s + 1]
-        piv = y[b0:b1]
+            np.subtract.at(y, below, l21 @ x)
+    for r, pivots, below in reversed(groups):
+        l11, l21 = factor[r]
+        block = y[pivots]
         if l21 is not None:
-            piv = piv - l21.T @ y[fronts[s][b1 - b0:]]
-        y[b0:b1] = tpsv(b1 - b0, l11, piv, lower=1, trans=1)
+            block -= l21.T @ y[below]
+        y[pivots] = solve(l11, block, 1)
     return y
 
 
@@ -704,21 +855,23 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     """Cholesky factorization on ``tree`` of the matrix scaled by ``scale``
     on both sides, as a function of the precision: ``factor(dtype)``
     returns (solve, factor_nnz, factor_stored, workspace), where solve(b)
-    returns A^-1 b to the factor's precision. The symbolic phase, the front
-    keys and the workspace plan run once, here, and every call checks the
-    workspace and the element blocks against physical memory and runs the
-    numeric phase in ``dtype``."""
+    returns A^-1 b to the factor's precision. The pivot order, the symbolic
+    phase, the front keys, the workspace plan and the solve's groups run
+    once, here, and every call checks the workspace and the element blocks
+    against physical memory and runs the numeric phase in ``dtype``."""
     n = elements.dim
     if tree.perm.size != n or tree.bounds[-1] != n:
         raise ValueError(f"tree covers {tree.perm.size} DOFs, matrix has {n}")
     if not np.all((tree.parent > np.arange(tree.parent.size))
                   | (tree.parent == -1)):
         raise ValueError("tree nodes are not in postorder")
+    tree = _pivot_order(elements, tree)
     fronts = _symbolic_phase(elements, tree)
     perm = tree.perm
     rep = _representatives(fronts, tree, scale[perm])
     stored = int(fronts.entries[rep == np.arange(rep.size)].sum())
     plan = _plan_workspace(fronts, tree, rep)
+    fronts, groups = _solve_groups(fronts, tree, rep)
     held = sum(group.block.nbytes for group in elements.groups)
 
     def numeric(dtype):
@@ -733,7 +886,7 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
         factor = _factor_fronts(fronts, tree, scale[perm], plan, dtype)
 
         def solve(rhs):
-            w = _front_solve(factor, fronts.rows, tree.bounds,
+            w = _front_solve(factor, groups,
                              (scale[perm] * rhs[perm]).astype(dtype, copy=False))
             x = np.empty(n)
             x[perm] = scale[perm] * w

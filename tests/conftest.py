@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_blas_funcs
 
 from wg_shishkin.basis import legendre_table, project_cell, project_edge
 from wg_shishkin.mesh import SIDES, Cell, Edge, MeshParams, build_mesh
@@ -315,3 +316,28 @@ def superlu_solve(matrix, rhs):
         raise SolverError("matrix is not positive definite (min pivot "
                           f"{pivots.min():.3e}, dimension {matrix.shape[0]})")
     return scale * lu.solve(scale * rhs)
+
+
+def front_solve_per_node(factor, fronts, bounds, y):
+    """Solve L L^T w = y in place, one node at a time in postorder and back,
+    twins included, with one packed triangular solve per node and pass: the
+    tree solve before level scheduling, kept as a reference. ``factor``
+    holds (L11 packed, L21) of every node, ``fronts`` its front rows."""
+    tpsv, = get_blas_funcs(("tpsv",), dtype=y.dtype)
+    for s, (l11, l21) in enumerate(factor):
+        if l11 is None:
+            continue
+        b0, b1 = bounds[s], bounds[s + 1]
+        y[b0:b1] = tpsv(b1 - b0, l11, y[b0:b1], lower=1)
+        if l21 is not None:
+            y[fronts[s][b1 - b0:]] -= l21 @ y[b0:b1]
+    for s in range(len(factor) - 1, -1, -1):
+        l11, l21 = factor[s]
+        if l11 is None:
+            continue
+        b0, b1 = bounds[s], bounds[s + 1]
+        piv = y[b0:b1]
+        if l21 is not None:
+            piv = piv - l21.T @ y[fronts[s][b1 - b0:]]
+        y[b0:b1] = tpsv(b1 - b0, l11, piv, lower=1, trans=1)
+    return y

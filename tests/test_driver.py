@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from numpy.polynomial.legendre import leggauss
 
 import wg_shishkin.driver as driver
@@ -53,6 +54,33 @@ class TestTripleBarNorm:
         oracle = math.sqrt(float(np.sum(W * (lap ** 2 + grad2))))
         assert value == pytest.approx(oracle, rel=1e-11)
 
+    @pytest.mark.parametrize("condense", [False, True])
+    def test_assembly_operators_give_the_same_norm(self, mesh_n8_eps1e2,
+                                                   condense, monkeypatch):
+        eps = 1e-2
+        system = assemble_system(mesh_n8_eps1e2, 3, eps,
+                                 ExactSolution(1, eps).forcing,
+                                 condense=condense)
+        v = RNG.standard_normal(system.dofmap.n_free)
+        rebuilt = triple_bar_norm(v, mesh_n8_eps1e2, 3, eps,
+                                  dofmap=system.dofmap)
+
+        def local_stiffness(*args, **kwargs):
+            raise AssertionError("the norm rebuilt the local operators")
+
+        monkeypatch.setattr(driver, "local_stiffness", local_stiffness)
+        assert triple_bar_norm(v, mesh_n8_eps1e2, 3, eps, dofmap=system.dofmap,
+                               ops=system.ctx.ops) == rebuilt
+
+    def test_run_case_builds_local_operators_once(self, monkeypatch):
+        # The assembly builds one set per width class; the norm reuses it.
+        def local_stiffness(*args, **kwargs):
+            raise AssertionError("the norm rebuilt the local operators")
+
+        monkeypatch.setattr(driver, "local_stiffness", local_stiffness)
+        config = RunConfig(example=1, k=3, eps_list=(1e-2,), n_list=(8,))
+        run_case(config, 1e-2, 8)
+
     def test_dimension_mismatch_rejected(self, mesh_n4_eps1e2):
         with pytest.raises(ValueError):
             triple_bar_norm(np.zeros(3), mesh_n4_eps1e2, 3, 1e-2)
@@ -83,16 +111,6 @@ class TestRunCase:
         with pytest.raises(ValueError, match="at least 4 points"):
             run_case(config, 1e-2, 8)
 
-    @pytest.mark.parametrize("condense", ["on", "off"])
-    def test_direct_case_never_calls_superlu(self, monkeypatch, condense):
-        def splu(*args, **kwargs):
-            raise AssertionError("a mesh system was factored by SuperLU")
-
-        monkeypatch.setattr(solver.spla, "splu", splu)
-        config = RunConfig(example=1, k=3, eps_list=(1.0,), n_list=(8,),
-                           condense=condense)
-        assert run_case(config, 1.0, 8).error == pytest.approx(1.01e-3, rel=0.05)
-
     @pytest.mark.parametrize("method", ["direct", "pcg"])
     def test_memory_failure_raises_before_numeric_work(self, monkeypatch,
                                                        method):
@@ -113,10 +131,16 @@ class TestRunCase:
     @pytest.mark.parametrize("condense", ["on", "off"])
     def test_direct_case_never_builds_the_matrix(self, monkeypatch, condense,
                                                  method):
+        # Neither method assembles the CSR matrix or hands a system to
+        # SuperLU: both factor the element form on the tree.
         def to_csr(self):
             raise AssertionError(f"a {method} case assembled the CSR matrix")
 
+        def splu(*args, **kwargs):
+            raise AssertionError(f"a {method} case was factored by SuperLU")
+
         monkeypatch.setattr(solver.ElementMatrix, "to_csr", to_csr)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
         config = RunConfig(example=1, k=3, eps_list=(1.0,), n_list=(8,),
                            condense=condense, method=method)
         assert run_case(config, 1.0, 8).error == pytest.approx(1.01e-3, rel=0.05)

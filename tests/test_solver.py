@@ -125,6 +125,23 @@ class TestTreeSolve:
         assert x == pytest.approx(np.linalg.solve(matrix.toarray(), rhs),
                                   rel=1e-13)
 
+    def test_twins_that_update_the_same_rows(self):
+        # Two equal chains hang from one separator DOF at the same end, so
+        # the leaves are twins that share one group of the solve and both
+        # update the separator's row.
+        matrix = sp.lil_matrix(sp.block_diag([tridiagonal(3), tridiagonal(3),
+                                              sp.identity(1) * 4.0]))
+        matrix[2, 6] = matrix[6, 2] = matrix[5, 6] = matrix[6, 5] = -1.0
+        matrix = matrix.tocsr()
+        rhs = RNG.standard_normal(7)
+        for method in ("direct", "pcg"):
+            x, report = solve_sparse(matrix, rhs, method,
+                                     tree=make_tree(np.arange(7), [0, 3, 6, 7],
+                                                    [2, 2, -1]))
+            assert report.factor_stored < report.factor_nnz
+            assert x == pytest.approx(np.linalg.solve(matrix.toarray(), rhs),
+                                      rel=1e-13)
+
     def test_rejects_tree_that_does_not_separate(self):
         # Positions 2 and 3 are coupled but lie in sibling leaves.
         with pytest.raises(ValueError, match="does not separate"):
@@ -301,6 +318,67 @@ class TestFactorSize:
                                         fill_reducing_ordering(system))
         assert fronts.factor_nnz == entries
 
+    @pytest.mark.parametrize("n, k, quad, entries, stored, workspace", [
+        (32, 3, None, 4_086_528, 3_443_856, 4_009_168),
+        (16, 4, 5, 1_235_200, 1_235_200, 1_464_128),
+    ])
+    def test_small_case_factor_sizes(self, n, k, quad, entries, stored,
+                                     workspace):
+        # What the pivot order leaves alone: the fronts' sizes, the twins
+        # and the workspace plan.
+        mesh = build_mesh(MeshParams(n=n, eps=1e-3, k=k))
+        system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
+                                 q=quad, condense=True)
+        _, report = solve_spd(system.elements, system.rhs, tol=1e-10,
+                              tree=fill_reducing_ordering(system))
+        assert (report.factor_nnz, report.factor_stored, report.workspace) == (
+            entries, stored, workspace)
+
+
+class TestPivotOrder:
+    """Within each node the DOFs linked beyond their face come first, so a
+    child's update lands in a few runs of its parent's front."""
+
+    @pytest.mark.parametrize("mesh_kind", ["shishkin", "uniform"])
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_updates_land_in_few_runs(self, n, k, mesh_kind):
+        mesh = build_mesh(MeshParams(n=n, eps=1e-3, k=k, mesh_kind=mesh_kind))
+        system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
+                                 condense=True)
+        elements = system.elements
+        original = fill_reducing_ordering(system)
+        tree = solver._pivot_order(elements, original)
+        assert np.array_equal(tree.bounds, original.bounds)
+        assert np.array_equal(tree.parent, original.parent)
+        for s in range(tree.parent.size):
+            b0, b1 = tree.bounds[s], tree.bounds[s + 1]
+            assert np.array_equal(np.sort(tree.perm[b0:b1]),
+                                  np.sort(original.perm[b0:b1]))
+
+        linked = np.zeros(elements.dim + 1, dtype=bool)
+        for group in elements.groups:
+            held = group.index >= 0
+            for position in np.flatnonzero(solver._links(group)[2]):
+                linked[group.index[held[:, position], position]] = True
+        linked = linked[tree.perm]  # by tree position
+        fronts = solver._symbolic_phase(elements, tree)
+        most = 0
+        for c in np.flatnonzero(tree.parent >= 0):
+            s = tree.parent[c]
+            b0, b1 = tree.bounds[s], tree.bounds[s + 1]
+            # Linked DOFs first: no face-only DOF precedes a linked one.
+            assert np.all(np.diff(linked[b0:b1].astype(int)) <= 0), s
+            child_rows = fronts.rows[c][tree.bounds[c + 1] - tree.bounds[c]:]
+            if not child_rows.size:
+                continue
+            # An update reaches no face-only DOF: the parent's pivots it
+            # reaches are its linked ones.
+            assert linked[child_rows].all(), c
+            pos = np.searchsorted(fronts.rows[s], child_rows)
+            most = max(most, len(solver._runs(pos, b1 - b0)))
+        assert 1 < most <= 4
+
 
 class TestWorkspacePlan:
     """The one array of the numeric phase, checked against its schedule
@@ -318,7 +396,8 @@ class TestWorkspacePlan:
         mesh = build_mesh(MeshParams(n=n, eps=1e-3, k=k, mesh_kind=mesh_kind))
         system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
                                  condense=condense)
-        tree = fill_reducing_ordering(system)
+        tree = solver._pivot_order(system.elements,
+                                   fill_reducing_ordering(system))
         scale = 1.0 / np.sqrt(system.elements.diagonal())
         fronts = solver._symbolic_phase(system.elements, tree)
         plan = solver._plan_workspace(
