@@ -127,20 +127,26 @@ class TestRunCase:
         with pytest.raises(solver.SolverError, match="physical memory"):
             run_case(config, 1e-2, 8)
 
+    @pytest.mark.parametrize("condense", ["on", "off"])
+    def test_direct_case_never_calls_superlu(self, monkeypatch, condense):
+        def splu(*args, **kwargs):
+            raise AssertionError("a mesh system was factored by SuperLU")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        config = RunConfig(example=1, k=3, eps_list=(1.0,), n_list=(8,),
+                           condense=condense)
+        assert run_case(config, 1.0, 8).error == pytest.approx(1.01e-3, rel=0.05)
+
     @pytest.mark.parametrize("method", ["direct", "pcg"])
     @pytest.mark.parametrize("condense", ["on", "off"])
     def test_direct_case_never_builds_the_matrix(self, monkeypatch, condense,
                                                  method):
-        # Neither method assembles the CSR matrix or hands a system to
-        # SuperLU: both factor the element form on the tree.
+        # Neither method assembles the CSR matrix: both factor the element
+        # form on the tree.
         def to_csr(self):
             raise AssertionError(f"a {method} case assembled the CSR matrix")
 
-        def splu(*args, **kwargs):
-            raise AssertionError(f"a {method} case was factored by SuperLU")
-
         monkeypatch.setattr(solver.ElementMatrix, "to_csr", to_csr)
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
         config = RunConfig(example=1, k=3, eps_list=(1.0,), n_list=(8,),
                            condense=condense, method=method)
         assert run_case(config, 1.0, 8).error == pytest.approx(1.01e-3, rel=0.05)
