@@ -84,7 +84,7 @@ def triple_bar_norm(coeffs: np.ndarray, mesh: ShishkinMesh, k: int, eps: float,
         local = raw[dofmap.cell_dofs[cells]]
         total += eps * eps * float(np.sum((local @ op.L.T) ** 2))
         total += float(np.sum((local @ op.G.T) ** 2))
-        total += float(np.einsum("ci,ij,cj->", local, op.S, local))
+        total += float(np.sum((local @ op.S) * local))
     return math.sqrt(max(total, 0.0))
 
 

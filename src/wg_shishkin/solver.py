@@ -3,24 +3,32 @@ conjugate gradients preconditioned by it.
 
 A matrix comes in element form, an ``ElementMatrix``: the sum of small
 dense blocks, each placed at the rows and columns of its element's DOFs.
-Every solve scales the matrix symmetrically to unit diagonal first. On the
-nested-dissection tree of ``assembly.fill_reducing_ordering``, the matrix is
-factored front by front in postorder (George 1973), in the element form of
-the multifrontal method (Duff & Reid 1983): each element's block enters the
-front of the first node that owns one of its DOFs, and no global matrix is
-formed. A node's front is a dense matrix over its own DOFs and the ancestor
-DOFs they couple to. LAPACK ``potrf`` factors the node's pivot block, and
-the Schur complement of the rest passes to the parent. A front that
-``dpotrf`` cannot factor proves the matrix indefinite, so every
-double-precision factorization certifies SPD at any size. The CSR matrix
-``ElementMatrix.to_csr`` assembles serves tests and the benchmark tracer;
-no solve builds it.
+Every solve first scales the matrix symmetrically by powers of two, D A D
+with D = 2^round(-log2(diag) / 2), so that its diagonal lies in [1/2, 2]
+(``_power_of_two_scale``). On the nested-dissection tree of
+``assembly.fill_reducing_ordering``, the matrix is factored front by front
+in postorder (George 1973), in the element form of the multifrontal method
+(Duff & Reid 1983): each element's block enters the front of the first node
+that owns one of its DOFs, and no global matrix is formed. A node's front
+is a dense matrix over its own DOFs and the ancestor DOFs they couple to.
+LAPACK ``potrf`` factors the node's pivot block, and the Schur complement
+of the rest passes to the parent. A front that ``dpotrf`` cannot factor
+proves the matrix indefinite, so every double-precision factorization
+certifies SPD at any size. The CSR matrix ``ElementMatrix.to_csr``
+assembles serves tests and the benchmark tracer; no solve builds it.
 
 On a piecewise-uniform mesh most subtrees are translated copies of each
-other and build bit-identical fronts. Before any numeric work every node gets
-an exact key of what enters its front, and only the first node with a given
-key is factored; its twins share its factor (Przemieniecki 1963: repeated
-substructures are condensed once).
+other and build fronts that are equal before scaling, though a DOF next to
+the boundary or a transition line may have another diagonal, and so
+another scale, than its copy. Before any numeric work every node gets an
+exact key of what enters its unscaled front, and only the first node with a
+given key is factored; its twins share its factor (Przemieniecki 1963:
+repeated substructures are condensed once). Scaling by powers of two adds
+no rounding error (Higham 2002, ch. 10; LAPACK's ``DPOEQUB`` picks its
+factors so), so a twin's scaled front is E F E for its representative's F,
+with E the ratio of their scales on the front rows, and its factor is
+exactly E times the representative's. Unscaled, D^-1 L, the factors are
+equal, and the solve uses them so.
 
 The numeric phase runs in one array (Amestoy, Duff, L'Excellent & Koster
 2001): the distinct fronts' factors fill it from the start in postorder,
@@ -150,21 +158,36 @@ class ElementMatrix:
             # A face is known by its largest DOF: distinct faces hold
             # disjoint DOFs. A face with every position left out adds nothing.
             every = np.concatenate([dofs for dofs, _ in faces])
-            keys, inverse = np.unique(every.max(axis=1), return_inverse=True)
-            dofs_of = np.empty((keys.size, every.shape[1]), dtype=np.int64)
-            dofs_of[inverse] = every
-            if not np.array_equal(dofs_of[inverse], every):
+            f = every.shape[1]
+            # Every element's face block is one row of ``blocks``: a shared
+            # block's row serves all its elements. The last row is zero.
+            blocks = np.concatenate([block.reshape(-1, f * f) for _, block
+                                     in faces] + [np.zeros((1, f * f))])
+            first = np.cumsum([0] + [block.size // f**2 for _, block in faces])
+            row = np.concatenate([
+                start + (np.arange(dofs.shape[0]) if block.ndim == 3 else
+                         np.zeros(dofs.shape[0], dtype=np.int64))
+                for (dofs, block), start in zip(faces, first)])
+            keys = every.max(axis=1)
+            order = np.lexsort((row, keys))
+            new = np.diff(keys[order], prepend=-2) != 0
+            face = np.cumsum(new) - 1
+            dofs_of = every[order[new]]
+            if not np.array_equal(dofs_of[face], every[order]):
                 raise ValueError("elements list a shared face's DOFs in "
                                  "different orders")
-            summed = np.zeros((keys.size, every.shape[1], every.shape[1]))
-            start = 0
-            for dofs, block in faces:
-                np.add.at(summed, inverse[start:start + dofs.shape[0]], block)
-                start += dofs.shape[0]
-            keep = keys >= 0
-            dofs_of, summed = dofs_of[keep], summed[keep]
+            # The rows of each face's holders; faces whose holders have the
+            # same rows have the same summed block, taken once.
+            slot = np.arange(order.size) - np.flatnonzero(new)[face]
+            holders = np.full((dofs_of.shape[0], slot.max() + 1), first[-1])
+            holders[face, slot] = row[order]
+            by = np.lexsort(holders.T)
+            alike = np.diff(holders[by], axis=0).any(axis=1)
+            sums = np.empty(dofs_of.shape)
+            for at in np.split(by, np.flatnonzero(alike) + 1):
+                summed = blocks[holders[at[0]]].sum(axis=0).reshape(f, f)
+                sums[at] = padded[dofs_of[at]] @ np.abs(summed).T
             held = dofs_of >= 0
-            sums = np.einsum("kab,kb->ka", np.abs(summed), padded[dofs_of])
             y += np.bincount(dofs_of[held], sums[held], minlength=self.dim)
         return y
 
@@ -251,7 +274,8 @@ class SolveReport:
     factor_nnz counts the factor's entries, the packed pivot blocks and the
     front rows below them of every node, as the symbolic phase counts them.
     factor_stored counts the entries the factor holds in memory, those of
-    the distinct fronts only, as twins share one copy. workspace counts the
+    the distinct fronts only: twins, fronts equal up to a power-of-two
+    scaling of their rows and columns, share one copy. workspace counts the
     entries of the one array the numeric phase works in: factor_stored, and
     above it whatever the fronts and cached updates need beyond the
     factor's unfilled part. For pcg all three count its preconditioner, the
@@ -265,6 +289,12 @@ class SolveReport:
     factor_nnz: int
     factor_stored: int
     workspace: int
+
+
+def _power_of_two_scale(diag: np.ndarray) -> np.ndarray:
+    """The symmetric scale D = 2^round(-log2(diag) / 2) of a positive
+    diagonal: D diag D lies in [1/2, 2], and scaling by D rounds nothing."""
+    return np.ldexp(1.0, -np.round(np.log2(diag) / 2).astype(np.int64))
 
 
 def _physical_memory() -> int:
@@ -507,22 +537,22 @@ def _children(parent: np.ndarray) -> list[list[int]]:
     return children
 
 
-def _representatives(fronts: _Fronts, tree: SeparatorTree,
-                     scale: np.ndarray) -> np.ndarray:
-    """The first node in postorder whose front equals node s's bit for bit,
-    for every s: s itself where no earlier node does.
+def _representatives(fronts: _Fronts, tree: SeparatorTree) -> np.ndarray:
+    """The first node in postorder whose front equals node s's before
+    scaling, bit for bit, for every s: s itself where no earlier node does.
 
-    A node's key holds everything its front is built from: the front's
-    shape; for each element part that enters it, the part's index, the
-    elements' rows in the front, the scale at their DOFs and, where the
-    part's blocks are stacked, their values; for each child, its
-    representative (whose update equals the child's, by induction) and the
+    A node's key holds everything its unscaled front is built from: the
+    front's shape; for each element part that enters it, the part's index,
+    the elements' rows in the front, which of their DOFs the matrix holds (a
+    left-out DOF reads row 0, as a held one may) and, where the part's
+    blocks are stacked, their values; for each child, its representative
+    (whose update equals the child's up to scaling, by induction) and the
     rows that update lands on. Keys are compared as bytes, so nodes of equal
-    key assemble the same numbers in the same order and get the same factor
-    and update."""
+    key assemble the same numbers in the same order, each scaled by a power
+    of two, and their factors and updates are exact rescalings of each
+    other (see ``_factor_fronts``)."""
     pivots = np.diff(tree.bounds).tolist()
-    scale = np.append(scale, 0.0)  # position -1 reads this zero
-    parts = [(plan.starts.tolist(), plan.local, scale[plan.positions],
+    parts = [(plan.starts.tolist(), plan.local, plan.positions >= 0,
               plan.pairs if plan.pairs.ndim == 2 else None)
              for plan in fronts.parts]
     entering: list[list[int]] = [[] for _ in fronts.rows]
@@ -537,10 +567,10 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree,
         head = [rows.size, pivots[s], len(entering[s]), len(children[s])]
         arrays = []
         for i in entering[s]:
-            starts, local, at_dofs, pairs = parts[i]
+            starts, local, held, pairs = parts[i]
             e0, e1 = starts[s], starts[s + 1]
             head += [i, e1 - e0]
-            arrays += [local[e0:e1], at_dofs[e0:e1]]
+            arrays += [local[e0:e1], held[e0:e1]]
             if pairs is not None:
                 arrays.append(pairs[e0:e1])
         for c in children[s]:
@@ -553,7 +583,7 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree,
 
 
 #: Entries a temporary of the numeric phase holds at most: the chunks in
-#: which a factor block is packed or flushed.
+#: which a factor block is packed or flushed, or a rescaled update added.
 _CHUNK = 1 << 16
 
 
@@ -657,12 +687,14 @@ def _runs(pos: np.ndarray, p: int) -> list[tuple[int, int, int]]:
 
 
 def _extend_add(front: tuple[np.ndarray, ...], update: np.ndarray,
-                pos: np.ndarray) -> None:
+                pos: np.ndarray, scale: np.ndarray | None = None) -> None:
     """Add a child's update (lower triangle) at rows and columns ``pos`` of
-    a front held as (F11, F21, F22). The child's rows fall in runs of
-    consecutive front rows (``_runs``), so each pair of runs is one slice of
-    the update added to one slice of a block, in place and with no
-    temporary.
+    a front held as (F11, F21, F22); where ``scale`` is given, add E U E
+    with E = diag(scale) on the update's rows in place of U. The child's
+    rows fall in runs of consecutive front rows (``_runs``), so each pair of
+    runs is one slice of the update added to one slice of a block, in place
+    and with no temporary, or, rescaled, a chunk of at most ``_CHUNK``
+    entries at a time.
 
     The pivot order of ``_pivot_order`` keeps the runs few. An update
     reaches the parent's linked pivots, which come first in the parent's
@@ -676,13 +708,22 @@ def _extend_add(front: tuple[np.ndarray, ...], update: np.ndarray,
     runs = _runs(pos, p)
     for j, (j0, j1, c0) in enumerate(runs):
         for i0, i1, r0 in runs[j:]:
-            part = update[i0:i1, j0:j1]
             if r0 < p:
-                f11[r0:r0 + i1 - i0, c0:c0 + j1 - j0] += part
+                target = f11[r0:r0 + i1 - i0, c0:c0 + j1 - j0]
             elif c0 < p:
-                f21[r0 - p:r0 - p + i1 - i0, c0:c0 + j1 - j0] += part
+                target = f21[r0 - p:r0 - p + i1 - i0, c0:c0 + j1 - j0]
             else:
-                f22[r0 - p:r0 - p + i1 - i0, c0 - p:c0 - p + j1 - j0] += part
+                target = f22[r0 - p:r0 - p + i1 - i0, c0 - p:c0 - p + j1 - j0]
+            part = update[i0:i1, j0:j1]
+            if scale is None:
+                target += part
+                continue
+            rows, cols = scale[i0:i1, None], scale[j0:j1]
+            step = max(1, _CHUNK // (i1 - i0))
+            for k in range(0, j1 - j0, step):
+                chunk = part[:, k:k + step] * rows
+                chunk *= cols[k:k + step]
+                target[:, k:k + step] += chunk
 
 
 def _pack_lower(l11: np.ndarray, packed: np.ndarray,
@@ -709,13 +750,26 @@ def _flush(block: np.ndarray, tiny: float) -> None:
 
 def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
                    plan: _Workspace, dtype=np.float64) -> list:
-    """Numeric phase: (L11, L21) of every node, in postorder, for the matrix
-    scaled by ``scale`` (in tree order), in the precision of ``dtype``. L11
-    is the Cholesky factor of the node's pivot block, packed by columns, and
-    L21 the rows of the front beyond it; None where empty.
+    """Numeric phase: (L11, L21, d) of every node, in postorder, for the
+    matrix scaled by ``scale`` (in tree order, powers of two), in the
+    precision of ``dtype``. L11 is the Cholesky factor of the node's pivot
+    block, packed by columns, L21 the rows of the front beyond it and d the
+    scale at the front's rows; None where empty.
 
     Only representatives (``plan.rep[s] == s``, see ``_representatives``)
-    are assembled and factored; a twin's entry is its representative's.
+    are assembled and factored; a twin's entry is its representative's. A
+    twin's own factor would be E (L11, L21), with E = d_twin / d on the
+    front rows, so the unscaled factor d^-1 (L11, L21) serves both, and a
+    distinct parent adds a twin child's update as E U E from its
+    representative's U (``_extend_add``). In double precision this equals
+    factoring the twin on its own, bit for bit, barring over- and
+    underflow. In single precision the flush below zeroes the entries under
+    sqrt(tiny) of the representative's front, not of the twin's, so a
+    twin's preconditioner differs from its own factor only in entries under
+    sqrt(tiny) * 2^12 for E within 2^[-6, 6], far below single precision's
+    round-off. A twin's front is congruent to its representative's, so the
+    representative's ``dpotrf`` certifies it SPD as well.
+
     Everything lives in one array of ``dtype`` laid out by
     ``_plan_workspace``. The factor fills it from the start: each F21 is
     assembled, extended and solved in place at its final slot as L21, and
@@ -740,7 +794,10 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
     # no product of two entries is subnormal: subnormal operands slow the
     # BLAS kernels several times (eps=1e-6, N=64: ssyrk 0.79 s against
     # 0.06 s flushed). Against the unit diagonal such an entry lies 1e11
-    # below single precision's unit round-off.
+    # below single precision's unit round-off. F11 and F21 are flushed once
+    # the front is built and L21 once it is solved; F22 is not, as ``syrk``
+    # only adds to it, and its entries are flushed in the ancestor's F11 or
+    # F21 they reach.
     flush = np.sqrt(np.finfo(dtype).tiny) if dtype != np.float64 else 0.0
     masks: dict[int, np.ndarray] = {}  # few pivot orders recur
     factor = []
@@ -758,16 +815,22 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
             block.fill(0.0)
         _assemble_front(fronts.parts, s, p, m, scale, work, at)
         for c in children[s]:
-            child_rows = fronts.rows[c][bounds[c + 1] - bounds[c]:]
-            if child_rows.size:  # a child with an update
-                _extend_add(front, _region(work, update_at[rep[c]],
-                                           child_rows.size, child_rows.size),
-                            np.searchsorted(rows, child_rows))
+            pc, r = bounds[c + 1] - bounds[c], rep[c]
+            child_rows = fronts.rows[c][pc:]
+            if not child_rows.size:  # a child without an update
+                continue
+            ratio = None
+            if r != c:
+                ratio = scale[child_rows] / scale[fronts.rows[r][pc:]]
+                ratio = None if np.all(ratio == 1.0) else ratio.astype(dtype)
+            _extend_add(front, _region(work, update_at[r], child_rows.size,
+                                       child_rows.size),
+                        np.searchsorted(rows, child_rows), ratio)
         if flush:
-            for block in front:
+            for block in front[:2]:
                 _flush(block, flush)
         if not p:
-            factor.append((None, None))
+            factor.append((None, None, None))
             continue
         f11, l21, f22 = front
         _, info = potrf(f11, lower=1, clean=0, overwrite_a=1)
@@ -784,7 +847,8 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
             if flush:
                 _flush(l21, flush)
             syrk(-1.0, l21, beta=1.0, c=f22, lower=1, overwrite_c=1)
-        factor.append((packed, l21 if m > p else None))
+        factor.append((packed, l21 if m > p else None,
+                       scale[rows].astype(dtype)))
     return factor
 
 
@@ -817,14 +881,18 @@ def _solve_groups(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray
 
 
 def _front_solve(factor: list, groups: list, y: np.ndarray) -> np.ndarray:
-    """Solve L L^T w = y in place, in the precision of the factor, which is
-    that of y, by level scheduling (Anderson & Saad 1989): nodes of one
-    height depend on none of each other, so each group of twins of
-    ``_solve_groups`` gathers its columns of y into one block and takes one
-    triangular solve and one product with its shared factor. Twins may
-    update the same rows, as two equal subtrees of one parent do, so the
-    updates are summed entry by entry. A group of twins unpacks its L11 for
-    the solve and drops it after."""
+    """Solve A x = y in place, in the precision of the factor, which is that
+    of y, with A = G G^T and G = d^-1 L the unscaled factor of every node:
+    twins share it, so y stays unscaled and each group of twins of
+    ``_solve_groups`` takes its representative's d. The pivot block of y is
+    scaled by d before the forward triangular solve and after the backward
+    one, and the rows below by d^-1 around the products with L21. Nodes of
+    one height depend on none of each other (level scheduling, Anderson &
+    Saad 1989), so each group gathers its columns of y into one block and
+    takes one triangular solve and one product with its shared factor.
+    Twins may update the same rows, as two equal subtrees of one parent do,
+    so the updates are summed entry by entry. A group of twins unpacks its
+    L11 for the solve and drops it after."""
     tpsv, trsm = get_blas_funcs(("tpsv", "trsm"), dtype=y.dtype)
     tpttr, = get_lapack_funcs(("tpttr",), dtype=y.dtype)
 
@@ -836,29 +904,32 @@ def _front_solve(factor: list, groups: list, y: np.ndarray) -> np.ndarray:
         return trsm(1.0, full, block, lower=1, trans_a=trans)
 
     for r, pivots, below in groups:
-        l11, l21 = factor[r]
-        x = solve(l11, y[pivots], 0)
+        l11, l21, d = factor[r]
+        p = pivots.shape[0]
+        x = solve(l11, y[pivots] * d[:p, None], 0)
         y[pivots] = x
         if l21 is not None:
-            np.subtract.at(y, below, l21 @ x)
+            np.subtract.at(y, below, (l21 @ x) / d[p:, None])
     for r, pivots, below in reversed(groups):
-        l11, l21 = factor[r]
+        l11, l21, d = factor[r]
+        p = pivots.shape[0]
         block = y[pivots]
         if l21 is not None:
-            block -= l21.T @ y[below]
-        y[pivots] = solve(l11, block, 1)
+            block -= l21.T @ (y[below] / d[p:, None])
+        y[pivots] = d[:p, None] * solve(l11, block, 1)
     return y
 
 
 def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
                  tree: SeparatorTree):
     """Cholesky factorization on ``tree`` of the matrix scaled by ``scale``
-    on both sides, as a function of the precision: ``factor(dtype)``
-    returns (solve, factor_nnz, factor_stored, workspace), where solve(b)
-    returns A^-1 b to the factor's precision. The pivot order, the symbolic
-    phase, the front keys, the workspace plan and the solve's groups run
-    once, here, and every call checks the workspace and the element blocks
-    against physical memory and runs the numeric phase in ``dtype``."""
+    (powers of two) on both sides, as a function of the precision:
+    ``factor(dtype)`` returns (solve, factor_nnz, factor_stored, workspace),
+    where solve(b) returns A^-1 b to the factor's precision. The pivot order,
+    the symbolic phase, the front keys, the workspace plan and the solve's
+    groups run once, here, and every call checks the workspace and the
+    element blocks against physical memory and runs the numeric phase in
+    ``dtype``."""
     n = elements.dim
     if tree.perm.size != n or tree.bounds[-1] != n:
         raise ValueError(f"tree covers {tree.perm.size} DOFs, matrix has {n}")
@@ -868,7 +939,7 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     tree = _pivot_order(elements, tree)
     fronts = _symbolic_phase(elements, tree)
     perm = tree.perm
-    rep = _representatives(fronts, tree, scale[perm])
+    rep = _representatives(fronts, tree)
     stored = int(fronts.entries[rep == np.arange(rep.size)].sum())
     plan = _plan_workspace(fronts, tree, rep)
     fronts, groups = _solve_groups(fronts, tree, rep)
@@ -886,10 +957,9 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
         factor = _factor_fronts(fronts, tree, scale[perm], plan, dtype)
 
         def solve(rhs):
-            w = _front_solve(factor, groups,
-                             (scale[perm] * rhs[perm]).astype(dtype, copy=False))
             x = np.empty(n)
-            x[perm] = scale[perm] * w
+            x[perm] = _front_solve(factor, groups,
+                                   rhs[perm].astype(dtype, copy=False))
             return x
 
         return solve, fronts.factor_nnz, stored, plan.size
@@ -970,8 +1040,9 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
             phase is planned in one array before any numeric work, which
             raises if that array and the element blocks would not fit in
             physical memory, and a front that is not positive definite
-            raises, naming the front. A front equal bit for bit to an
-            earlier one shares its factor.
+            raises, naming the front. A front equal to an earlier one up
+            to a power-of-two scaling shares its factor. One step of
+            iterative refinement follows the solve.
     pcg: conjugate gradients in double precision on the given matrix,
          preconditioned by the same factorization run in single precision:
          its factor takes half the memory. It computes the true residual
@@ -1004,10 +1075,12 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
     diag = elements.diagonal()
     if np.any(diag <= 0.0):
         raise SolverError("matrix has a nonpositive diagonal entry")
-    # Symmetric Jacobi equilibration: the trace-penalty and fourth-order
-    # blocks differ in scale by several orders of magnitude, which otherwise
-    # dominates the forward error of the factorization.
-    scale = 1.0 / np.sqrt(diag)
+    # Symmetric equilibration by powers of two: the trace-penalty and
+    # fourth-order blocks differ in scale by several orders of magnitude,
+    # which otherwise dominates the forward error of the factorization. A
+    # power of two adds no rounding error, so fronts that differ only in
+    # their DOFs' scales share one factor (see ``_representatives``).
+    scale = _power_of_two_scale(diag)
 
     if method == "pcg":
         x, iterations, rel, *counts = _solve_pcg(elements, rhs, tol, scale,
@@ -1015,6 +1088,11 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
     else:
         solve, *counts = _tree_factor(elements, scale, tree)(np.float64)
         x = solve(rhs)
+        # One step of iterative refinement in double precision (Skeel 1980;
+        # Higham 2002, ch. 12): where the discretization error nears the
+        # round-off floor, as at k=4, eps=1, N=64, the forward error of an
+        # unrefined solution shows in the reported error.
+        x += solve(rhs - elements @ x)
         del solve  # free the factor before the residual check
         iterations = 0
         residual = float(np.linalg.norm(rhs - elements @ x))

@@ -319,25 +319,28 @@ def superlu_solve(matrix, rhs):
 
 
 def front_solve_per_node(factor, fronts, bounds, y):
-    """Solve L L^T w = y in place, one node at a time in postorder and back,
+    """Solve A x = y in place, one node at a time in postorder and back,
     twins included, with one packed triangular solve per node and pass: the
     tree solve before level scheduling, kept as a reference. ``factor``
-    holds (L11 packed, L21) of every node, ``fronts`` its front rows."""
+    holds (L11 packed, L21, d) of every node, ``fronts`` its front rows; the
+    node's unscaled factor is d^-1 (L11, L21)."""
     tpsv, = get_blas_funcs(("tpsv",), dtype=y.dtype)
-    for s, (l11, l21) in enumerate(factor):
+    for s, (l11, l21, d) in enumerate(factor):
         if l11 is None:
             continue
         b0, b1 = bounds[s], bounds[s + 1]
-        y[b0:b1] = tpsv(b1 - b0, l11, y[b0:b1], lower=1)
+        p = b1 - b0
+        y[b0:b1] = tpsv(p, l11, d[:p] * y[b0:b1], lower=1)
         if l21 is not None:
-            y[fronts[s][b1 - b0:]] -= l21 @ y[b0:b1]
+            y[fronts[s][p:]] -= (l21 @ y[b0:b1]) / d[p:]
     for s in range(len(factor) - 1, -1, -1):
-        l11, l21 = factor[s]
+        l11, l21, d = factor[s]
         if l11 is None:
             continue
         b0, b1 = bounds[s], bounds[s + 1]
+        p = b1 - b0
         piv = y[b0:b1]
         if l21 is not None:
-            piv = piv - l21.T @ y[fronts[s][b1 - b0:]]
-        y[b0:b1] = tpsv(b1 - b0, l11, piv, lower=1, trans=1)
+            piv = piv - l21.T @ (y[fronts[s][p:]] / d[p:])
+        y[b0:b1] = d[:p] * tpsv(p, l11, piv, lower=1, trans=1)
     return y

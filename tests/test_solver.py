@@ -319,12 +319,12 @@ class TestFactorSize:
         assert fronts.factor_nnz == entries
 
     @pytest.mark.parametrize("n, k, quad, entries, stored, workspace", [
-        (32, 3, None, 4_086_528, 3_443_856, 4_009_168),
-        (16, 4, 5, 1_235_200, 1_235_200, 1_464_128),
+        (32, 3, None, 4_086_528, 2_686_128, 3_375_344),
+        (16, 4, 5, 1_235_200, 1_065_680, 1_294_608),
     ])
     def test_small_case_factor_sizes(self, n, k, quad, entries, stored,
                                      workspace):
-        # What the pivot order leaves alone: the fronts' sizes, the twins
+        # The fronts' sizes, the twins (equal up to a power-of-two scaling)
         # and the workspace plan.
         mesh = build_mesh(MeshParams(n=n, eps=1e-3, k=k))
         system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
@@ -398,11 +398,9 @@ class TestWorkspacePlan:
                                  condense=condense)
         tree = solver._pivot_order(system.elements,
                                    fill_reducing_ordering(system))
-        scale = 1.0 / np.sqrt(system.elements.diagonal())
         fronts = solver._symbolic_phase(system.elements, tree)
         plan = solver._plan_workspace(
-            fronts, tree, solver._representatives(fronts, tree,
-                                                  scale[tree.perm]))
+            fronts, tree, solver._representatives(fronts, tree))
         rep, pivots = plan.rep, np.diff(tree.bounds)
         distinct = np.flatnonzero(rep == np.arange(rep.size))
         last_read = {}
@@ -486,10 +484,11 @@ def stacked(elements):
 
 
 class TestFrontSharing:
-    """Twin fronts share one factor, so a key that missed anything a front
-    is built from would hand a node its twin's factor: each change below
-    touches one front that has a twin, and the tree solve must still match
-    SuperLU while the distinct fronts, and so the stored entries, grow."""
+    """Twin fronts, equal up to a power-of-two scaling, share one factor, so
+    a key that missed anything a front is built from would hand a node its
+    twin's factor: each change in ``test_key_misses_nothing`` touches one
+    front that has a twin, and the tree solve must still match SuperLU while
+    the distinct fronts, and so the stored entries, grow."""
 
     @pytest.fixture(scope="class")
     def uniform_system(self):
@@ -511,7 +510,7 @@ class TestFrontSharing:
             report.factor_nnz, report.factor_stored)
 
     @pytest.mark.parametrize("change", ["cell diagonal", "cell off-diagonal",
-                                        "dof diagonal"])
+                                        "held to left out"])
     def test_key_misses_nothing(self, uniform_system, change):
         system, tree = uniform_system
         _, report = solve_spd(system.elements, system.rhs, tol=1e-10, tree=tree)
@@ -531,14 +530,86 @@ class TestFrontSharing:
             group.block[cell, at, other] *= 1 + 1e-3
             group.block[cell, other, at] *= 1 + 1e-3
         else:
-            # No cell block changes: the fronts of the cells that hold the
-            # DOF differ from their twins' by the scale alone.
-            diagonal = elements.diagonal()[dof]
-            elements = ElementMatrix(elements.dim, elements.groups + (
-                ElementGroup(np.array([[dof]]), np.array([[1e-3 * diagonal]]),
+            # Every element that holds the first pivot of a twin, row 0 of
+            # its front, leaves it out. A left-out DOF reads row 0 too, so
+            # only the key's mask of held DOFs tells this front from its
+            # representative's. A new element couples the pivot to the
+            # next, and the representative's first two pivots alike, so
+            # that both nodes keep their pivot order and their parts.
+            (d, e), pair = first_pivots_of_a_twin(elements, tree)
+            coupling = elements.diagonal()[d] * np.array([[1.0, -0.5],
+                                                          [-0.5, 1.0]])
+            elements = ElementMatrix(elements.dim, tuple(
+                ElementGroup(np.where(g.index == d, -1, g.index), g.block,
+                             g.faces) for g in elements.groups) + (
+                ElementGroup(np.array([[d, e], pair]), coupling,
                              np.empty((0, 0), dtype=np.int64)),))
         x_tree, changed = solve_spd(elements, system.rhs, tol=1e-10, tree=tree)
         x_lu = superlu_solve(elements.to_csr(), system.rhs)
         assert np.linalg.norm(x_tree - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
         assert changed.factor_stored > report.factor_stored
         assert changed.factor_nnz == report.factor_nnz
+
+    @pytest.mark.parametrize("mesh_kind, n", [("uniform", 16),
+                                              ("shishkin", 32)])
+    def test_twins_that_differ_in_scale_share_their_factor(self, mesh_kind, n):
+        mesh = build_mesh(MeshParams(n=n, eps=1e-2, k=3, mesh_kind=mesh_kind))
+        system = assemble_system(mesh, 3, 1e-2, ExactSolution(1, 1e-2).forcing,
+                                 condense=True)
+        tree = fill_reducing_ordering(system)
+        elements = system.elements
+        if mesh_kind == "uniform":
+            # Four times the diagonal at a DOF of the root separator halves
+            # that DOF's scale, so the fronts below that hold it differ from
+            # their translated copies by the scale alone.
+            _, before = solve_spd(elements, system.rhs, tol=1e-10, tree=tree)
+            dof = tree.perm[(tree.bounds[-2] + tree.bounds[-1]) // 2]
+            elements = ElementMatrix(elements.dim, elements.groups + (
+                ElementGroup(np.array([[dof]]),
+                             np.array([[3.0 * elements.diagonal()[dof]]]),
+                             np.empty((0, 0), dtype=np.int64)),))
+        x_tree, report = solve_spd(elements, system.rhs, tol=1e-10, tree=tree)
+        x_lu = superlu_solve(elements.to_csr(), system.rhs)
+        assert np.linalg.norm(x_tree - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
+        assert report.factor_stored < stored_if_twins_share_a_scale(elements,
+                                                                    tree)
+        if mesh_kind == "uniform":
+            assert report.factor_stored == before.factor_stored
+
+
+def first_pivots_of_a_twin(elements, tree):
+    """The first two pivots of a node t that shares its representative's
+    factor, and those of the representative, where every element that holds
+    t's first pivot enters t's front and holds another pivot of t: left out
+    there, its element parts still enter t, and no front changes its rows."""
+    tree = solver._pivot_order(elements, tree)
+    fronts = solver._symbolic_phase(elements, tree)
+    rep = solver._representatives(fronts, tree)
+    bounds = tree.bounds
+    for t in np.flatnonzero(rep != np.arange(rep.size)):
+        b0, b1 = bounds[t], bounds[t + 1]
+        if b1 - b0 < 2:
+            continue
+        for plan in fronts.parts:
+            node = np.repeat(np.arange(bounds.size - 1), np.diff(plan.starts))
+            mine = ((plan.positions >= b0) & (plan.positions < b1)).sum(axis=1)
+            holds = (plan.positions == b0).any(axis=1)
+            if np.any(holds & ((node != t) | (mine < 2))):
+                break
+        else:
+            r = bounds[rep[t]]
+            return tree.perm[[b0, b0 + 1]], tree.perm[[r, r + 1]]
+    raise AssertionError("no twin whose first pivot only its own front holds")
+
+
+def stored_if_twins_share_a_scale(elements, tree) -> int:
+    """The factor entries stored if twins had also to agree in the scale at
+    every front row: a lower bound on those of a key that holds the scale."""
+    tree = solver._pivot_order(elements, tree)
+    fronts = solver._symbolic_phase(elements, tree)
+    rep = solver._representatives(fronts, tree)
+    scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
+    first = {}
+    for s, rows in enumerate(fronts.rows):
+        first.setdefault((rep[s], scale[rows].tobytes()), s)
+    return int(fronts.entries[list(first.values())].sum())

@@ -95,9 +95,9 @@ def test_grouped_solve_matches_per_node_solve(n, k, log_eps, mesh_kind,
                              condense=condense)
     elements = system.elements
     tree = solver._pivot_order(elements, fill_reducing_ordering(system))
-    scale = (1.0 / np.sqrt(elements.diagonal()))[tree.perm]
+    scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
     fronts = solver._symbolic_phase(elements, tree)
-    rep = solver._representatives(fronts, tree, scale)
+    rep = solver._representatives(fronts, tree)
     dtype, rtol = (np.float32, 1e-5) if single else (np.float64, 1e-12)
     factor = solver._factor_fronts(fronts, tree, scale,
                                    solver._plan_workspace(fronts, tree, rep),
@@ -109,3 +109,43 @@ def test_grouped_solve_matches_per_node_solve(n, k, log_eps, mesh_kind,
     assert grouped.dtype == dtype
     assert (np.abs(grouped - per_node).max()
             <= rtol * np.abs(per_node).max())
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([4, 8, 12]), k=st.sampled_from([3, 4]),
+       log_eps=st.floats(min_value=-8.0, max_value=0.0),
+       mesh_kind=st.sampled_from(["shishkin", "uniform"]),
+       condense=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_power_of_two_scaling_rescales_the_factor_exactly(n, k, log_eps,
+                                                         mesh_kind, condense,
+                                                         seed):
+    # The numeric phase with scale D and with 2^j D, j in [-6, 6] per DOF:
+    # every distinct node's L11 and L21 are the first's with row i scaled by
+    # 2^j_i, bit for bit, so the unscaled factor d^-1 (L11, L21) is the
+    # same. Twin children's updates are rescaled on the way too.
+    eps = 10.0 ** log_eps
+    mesh = build_mesh(MeshParams(n=n, eps=eps, k=k, mesh_kind=mesh_kind))
+    system = assemble_system(mesh, k, eps, ExactSolution(1, eps).forcing,
+                             condense=condense)
+    elements = system.elements
+    tree = solver._pivot_order(elements, fill_reducing_ordering(system))
+    fronts = solver._symbolic_phase(elements, tree)
+    rep = solver._representatives(fronts, tree)
+    plan = solver._plan_workspace(fronts, tree, rep)
+    scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
+    shift = np.random.default_rng(seed).integers(-6, 7, elements.dim)
+    factor = solver._factor_fronts(fronts, tree, scale, plan)
+    other = solver._factor_fronts(fronts, tree, np.ldexp(scale, shift), plan)
+    pivots = np.diff(tree.bounds)
+    for s in np.flatnonzero(rep == np.arange(rep.size)):
+        (l11, l21, d), (m11, m21, e) = factor[s], other[s]
+        if l11 is None:
+            continue
+        p, rows = pivots[s], fronts.rows[s]
+        times = np.ldexp(1.0, shift[rows])
+        # Packed by columns: column j holds rows j to p - 1.
+        packed_rows = np.concatenate([np.arange(j, p) for j in range(p)])
+        assert np.array_equal(e, d * times)
+        assert np.array_equal(m11, l11 * times[packed_rows])
+        if l21 is not None:
+            assert np.array_equal(m21, l21 * times[p:, None])
