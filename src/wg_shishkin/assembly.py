@@ -13,9 +13,12 @@ Local stiffness blocks depend on a cell only through its widths, so they are
 built once per width class (at most four classes on a Shishkin mesh). The
 system stays in element form (``solver.ElementMatrix``): per cell a scatter
 map into the free (or condensed) numbering, and per width class one block,
-the cell matrix A or its Schur complement onto the edge DOFs. The solver
-factors that form; ``SparseSystem.matrix`` assembles it as CSR for tests and
-the benchmark tracer only.
+the cell matrix A or its Schur complement onto the edge DOFs, each computed
+in extended precision and rounded once. The mesh and every block are
+symmetric about x = 1/2 and y = 1/2, and each group of elements says so
+(``ElementGroup.mirrors``). The solver factors that form;
+``SparseSystem.matrix`` assembles it as CSR for tests and the benchmark
+tracer only.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .basis import project_all_cells
 from .mesh import ShishkinMesh
 from .solver import ElementGroup, ElementMatrix, SeparatorTree
-from .weak_ops import LocalDofLayout, LocalOperators, local_stiffness
+from .weak_ops import (LocalDofLayout, LocalOperators, local_stiffness,
+                       mirror_average)
 
 
 class DofMap:
@@ -141,19 +145,40 @@ class SparseSystem:
         return full
 
 
-def schur_complement(a_ii: np.ndarray, a_ie: np.ndarray, a_ee: np.ndarray):
+def schur_complement(a_ii: np.ndarray, a_ie: np.ndarray, a_ee: np.ndarray,
+                     reflections=()):
     """Eliminate the leading SPD block; returns the Schur complement and the
     Cholesky factor used for back-substitution.
+
+    The Schur complement is computed in the blocks' precision, by a small
+    Cholesky factorization that needs no LAPACK, averaged over
+    ``reflections`` of the edge positions (``weak_ops.mirror_average``) and
+    rounded to double once: given the extended-precision blocks of
+    ``weak_ops.local_stiffness``, each entry lies within an ulp of exact,
+    though the interior block's condition reaches 1e17. The factor for the
+    back-substitution is ``cho_factor`` of ``a_ii`` rounded to double.
 
     With zero coupling this degenerates to (a_ee, factor): the two blocks
     solve independently and eliminating interiors is exact.
     """
-    try:
-        factor = cho_factor(a_ii)
-    except np.linalg.LinAlgError as exc:  # contradicts the PSD structure
-        raise RuntimeError("interior block is not positive definite") from exc
-    schur = a_ee - a_ie.T @ cho_solve(factor, a_ie)
-    return 0.5 * (schur + schur.T), factor
+    n = a_ii.shape[0]
+    lower = np.zeros_like(a_ii)
+    for j in range(n):
+        pivot = a_ii[j, j] - lower[j, :j] @ lower[j, :j]
+        if not pivot > 0:  # contradicts the PSD structure
+            raise RuntimeError("interior block is not positive definite")
+        lower[j, j] = np.sqrt(pivot)
+        lower[j + 1:, j] = (a_ii[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]
+                            ) / lower[j, j]
+    # W = lower^-1 a_ie by forward substitution; the Schur complement is
+    # a_ee - W'W.
+    w = np.empty_like(a_ie)
+    for i in range(n):
+        w[i] = (a_ie[i] - lower[i, :i] @ w[:i]) / lower[i, i]
+    schur = a_ee - w.T @ w
+    schur = mirror_average((schur + schur.T) / 2, reflections)
+    return (schur.astype(np.float64),
+            cho_factor(np.asarray(a_ii, dtype=np.float64)))
 
 
 def _side_faces(layout: LocalDofLayout, offset: int) -> np.ndarray:
@@ -164,12 +189,27 @@ def _side_faces(layout: LocalDofLayout, offset: int) -> np.ndarray:
     return offset + np.arange(4)[:, None] * n + np.arange(n)
 
 
+def _mirrors(ctx: _AssemblyContext, cells: np.ndarray, offset: int) -> tuple:
+    """``ElementGroup.mirrors`` of a width class: under the mesh's
+    reflection about x = 1/2, then y = 1/2, each cell's mirror cell, in the
+    same class, and the cell's local reflection (``LocalDofLayout.reflection``)
+    from local position ``offset`` on."""
+    n = ctx.mesh.n
+    i, j = np.divmod(cells, n)
+    mirrors = []
+    for axis, image in enumerate(((n - 1 - i) * n + j, i * n + n - 1 - j)):
+        positions, signs = ctx.dofmap.layout.reflection(axis)
+        mirrors.append((np.searchsorted(cells, image),
+                        positions[offset:] - offset, signs[offset:]))
+    return tuple(mirrors)
+
+
 def _assemble_full(ctx: _AssemblyContext) -> SparseSystem:
     dofmap = ctx.dofmap
     faces = _side_faces(dofmap.layout, dofmap.layout.n_interior)
     groups = tuple(
         ElementGroup(dofmap.free_index[dofmap.cell_dofs[cells]],
-                     ctx.ops[widths].A, faces)
+                     ctx.ops[widths].A, faces, _mirrors(ctx, cells, 0))
         for widths, cells in ctx.classes.items())
     rhs = np.zeros(dofmap.n_free)
     rhs[:dofmap.n_interior_total] = ctx.interior_rhs.ravel()
@@ -186,12 +226,14 @@ def _assemble_condensed(ctx: _AssemblyContext) -> SparseSystem:
     groups, factors = [], {}
     rhs = np.zeros(n_cond)
     for widths, cells in ctx.classes.items():
-        A = ctx.ops[widths].A
-        schur, factors[widths] = schur_complement(A[:ni, :ni], A[:ni, ni:],
-                                                  A[ni:, ni:])
+        A, exact = ctx.ops[widths].A, ctx.ops[widths].A_extended
+        mirrors = _mirrors(ctx, cells, ni)
+        schur, factors[widths] = schur_complement(
+            exact[:ni, :ni], exact[:ni, ni:], exact[ni:, ni:],
+            [(positions, signs) for _, positions, signs in mirrors])
         fidx = dofmap.free_index[dofmap.cell_dofs[cells, ni:]]
         cond_idx = np.where(fidx >= 0, fidx - dofmap.n_interior_total, -1)
-        groups.append(ElementGroup(cond_idx, schur, faces))
+        groups.append(ElementGroup(cond_idx, schur, faces, mirrors))
         contrib = -cho_solve(factors[widths], ctx.interior_rhs[cells].T).T @ A[:ni, ni:]
         keep = cond_idx >= 0
         np.add.at(rhs, cond_idx[keep], contrib[keep])
@@ -217,7 +259,7 @@ _LEAF_ENTITIES = 8
 
 
 def _nested_dissection(points: np.ndarray, ids: np.ndarray, groups: list,
-                       parents: list) -> int:
+                       parents: list, images: tuple, center: int) -> int:
     """Recursive geometric bisection on the entity lattice. Appends the
     subtree's entity groups in postorder, with their parents (-1 for this
     subtree's root, set by the caller), and returns the root's index.
@@ -226,6 +268,16 @@ def _nested_dissection(points: np.ndarray, ids: np.ndarray, groups: list,
     coupling either moves one step diagonally or jumps two steps along one
     axis through an in-between entity, so a single even-coordinate lattice
     line is a separator.
+
+    ``images[axis]`` maps every entity to its mirror image across the
+    lattice line ``center`` normal to ``axis``, the mesh's midline. Where a
+    cut is that line and the node's entities are their own image, the
+    second half is built as the image of the first, group by group in the
+    same order, so that mirror nodes list mirror entities at equal offsets.
+    A separator that the other reflection maps onto itself lists its
+    entities below the midline first, then their images in the same order,
+    then any on the midline: the image of its first half, in position
+    order, is its second half.
     """
     children = []
     if ids.size > _LEAF_ENTITIES:
@@ -241,9 +293,26 @@ def _nested_dissection(points: np.ndarray, ids: np.ndarray, groups: list,
             coord = p[:, axis]
             left = coord < cut
             right = coord > cut
-            children = [_nested_dissection(points, ids[side], groups, parents)
-                        for side in (left, right)]
+            first = len(groups)
+            children.append(_nested_dissection(points, ids[left], groups,
+                                               parents, images, center))
+            if cut == center and _maps_onto_itself(ids, images[axis]):
+                offset = len(groups) - first
+                groups.extend([images[axis][g] for g in groups[first:]])
+                parents.extend([q + offset if q >= 0 else -1
+                                for q in parents[first:]])
+                children.append(len(groups) - 1)
+            else:
+                children.append(_nested_dissection(points, ids[right], groups,
+                                                   parents, images, center))
             ids = ids[~(left | right)]
+            other = 1 - axis
+            if (2 * int(lo[other]) + int(span[other]) == 2 * center
+                    and _maps_onto_itself(ids, images[other])):
+                coord = points[ids, other]
+                below = ids[coord < center]
+                ids = np.concatenate([below, images[other][below],
+                                      ids[coord == center]])
     node = len(groups)
     groups.append(ids)
     parents.append(-1)
@@ -252,12 +321,23 @@ def _nested_dissection(points: np.ndarray, ids: np.ndarray, groups: list,
     return node
 
 
+def _maps_onto_itself(ids: np.ndarray, image: np.ndarray) -> bool:
+    return np.array_equal(np.sort(image[ids]), np.sort(ids))
+
+
 def fill_reducing_ordering(system: SparseSystem) -> SeparatorTree:
     """Nested-dissection ordering of the system's DOFs with its separator
     tree. Each entity's DOFs stay together, each subtree's DOFs are
     contiguous and every separator follows the two halves it separates, so
     the tree factorization of ``solver.solve_spd`` has near-minimal fill.
-    Nodes are numbered in postorder, the root last."""
+    Nodes are numbered in postorder, the root last.
+
+    The mesh is symmetric about x = 1/2 and y = 1/2, and the top cuts lie
+    on those lines, so the tree is built mirror-symmetric there (see
+    ``_nested_dissection``): a node and its mirror image list mirror DOFs at
+    equal offsets, and each DOF's image, under a reflection that maps the
+    node's front onto its image's, sits at the same row of that front. The
+    solver finds these mirror twins through ``ElementGroup.mirrors``."""
     dofmap = system.dofmap
     mesh = dofmap.mesh
     points = mesh.lattice  # cells, then edges
@@ -273,9 +353,15 @@ def fill_reducing_ordering(system: SparseSystem) -> SeparatorTree:
             np.pad(cell_dofs, ((0, 0), (0, width - ni)), constant_values=-1),
             np.pad(dofs, ((0, 0), (0, width - dofs.shape[1])), constant_values=-1)])
 
+    top = 2 * mesh.n  # the lattice spans 0..top on both axes
+    at = np.full((top + 1, top + 1), -1, dtype=np.int64)
+    at[points[:, 0], points[:, 1]] = np.arange(points.shape[0])
+    images = (at[top - points[:, 0], points[:, 1]],
+              at[points[:, 0], top - points[:, 1]])
     groups: list[np.ndarray] = []
     parents: list[int] = []
-    _nested_dissection(points, np.arange(points.shape[0]), groups, parents)
+    _nested_dissection(points, np.arange(points.shape[0]), groups, parents,
+                       images, mesh.n)
     ordered = dofs[np.concatenate(groups)]
     perm = ordered[ordered >= 0]
     node_of = np.repeat(np.arange(len(groups)), [g.size for g in groups])

@@ -20,15 +20,21 @@ assembles serves tests and the benchmark tracer; no solve builds it.
 On a piecewise-uniform mesh most subtrees are translated copies of each
 other and build fronts that are equal before scaling, though a DOF next to
 the boundary or a transition line may have another diagonal, and so
-another scale, than its copy. Before any numeric work every node gets an
-exact key of what enters its unscaled front, and only the first node with a
-given key is factored; its twins share its factor (Przemieniecki 1963:
-repeated substructures are condensed once). Scaling by powers of two adds
-no rounding error (Higham 2002, ch. 10; LAPACK's ``DPOEQUB`` picks its
-factors so), so a twin's scaled front is E F E for its representative's F,
-with E the ratio of their scales on the front rows, and its factor is
-exactly E times the representative's. Unscaled, D^-1 L, the factors are
-equal, and the solve uses them so.
+another scale, than its copy. The mesh is also symmetric about x = 1/2 and
+y = 1/2, and the top of the tree with it (``assembly.fill_reducing_ordering``),
+so the fronts of its four quadrants are mirror images: equal up to the
+signs of their rows, as a reflection negates a gradient component and the
+odd Legendre modes along it (``ElementGroup.mirrors``). Before any numeric
+work every node gets an exact key of what enters its unscaled front, and
+a node whose key is new is checked against its mirror images; only the
+first node of each kind is factored, and its twins share its factor
+(Przemieniecki 1963: repeated substructures are condensed once; Bossavit
+1986 on symmetry). Scaling by signed powers of two adds no rounding error
+(Higham 2002, ch. 10; LAPACK's ``DPOEQUB`` picks its factors so), so a
+twin's scaled front is E F E for its representative's F, with E the ratio
+of their scales on the front rows times the twin's signs, and its factor is
+exactly E L S_p, with S_p the signs on the pivots. Unscaled, D^-1 L, the
+factors are equal up to those signs, and the solve uses them so.
 
 The numeric phase runs in one array (Amestoy, Duff, L'Excellent & Koster
 2001): the distinct fronts' factors fill it from the start in postorder,
@@ -98,11 +104,22 @@ class ElementGroup:
     entry between two positions of one face may be a sum over the elements
     that hold the face, who list its DOFs in the same order; every other
     entry comes from one element alone.
+
+    ``mirrors`` lists symmetries of the matrix the solver may use to share
+    factors between mirror-image fronts (see ``_mirror_maps``): for each,
+    (elements, positions, signs), saying that element elements[e] holds at
+    local position a the image of element e's DOF at position positions[a],
+    times signs[a], and that its block is e's so permuted and signed. Both
+    maps are involutions, and every face is held by at most two elements.
+    Every group of a matrix lists its symmetries in the same order; a group
+    without them makes its DOFs no mirror image of any other. The solver
+    checks each claim before it relies on it.
     """
 
     index: np.ndarray
     block: np.ndarray
     faces: np.ndarray
+    mirrors: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -274,8 +291,9 @@ class SolveReport:
     factor_nnz counts the factor's entries, the packed pivot blocks and the
     front rows below them of every node, as the symbolic phase counts them.
     factor_stored counts the entries the factor holds in memory, those of
-    the distinct fronts only: twins, fronts equal up to a power-of-two
-    scaling of their rows and columns, share one copy. workspace counts the
+    the distinct fronts only: twins, fronts equal up to a signed
+    power-of-two scaling of their rows and columns, as translated copies
+    and mirror images are, share one copy. workspace counts the
     entries of the one array the numeric phase works in: factor_stored, and
     above it whatever the fronts and cached updates need beyond the
     factor's unfilled part. For pcg all three count its preconditioner, the
@@ -537,21 +555,92 @@ def _children(parent: np.ndarray) -> list[list[int]]:
     return children
 
 
-def _representatives(fronts: _Fronts, tree: SeparatorTree) -> np.ndarray:
-    """The first node in postorder whose front equals node s's before
-    scaling, bit for bit, for every s: s itself where no earlier node does.
+def _mirror_maps(elements: ElementMatrix, tree: SeparatorTree) -> list:
+    """The symmetries the element groups claim (``ElementGroup.mirrors``),
+    checked and read as maps of tree positions: for each, (image, sign,
+    tainted), where position image[q] holds sign[q] times the image of the
+    DOF at position q (-1 where no element says), and tainted[q] marks a
+    DOF that some element holds which breaks the claim. An element breaks
+    it if its mirror element does not hold the images of its DOFs with
+    their signs, or does not hold the signed image of its block; a whole
+    group does if its maps are no involutions, if its pattern of nonzero
+    block entries or its faces, which shape its parts (``_element_parts``),
+    do not map onto themselves, or if it claims no such symmetry."""
+    n = elements.dim
+    count = max((len(group.mirrors) for group in elements.groups), default=0)
+    position = np.full(n + 1, -1, dtype=np.int64)  # index -1 reads -1
+    position[tree.perm] = np.arange(n)
+    maps = []
+    for r in range(count):
+        image = np.full(n + 1, -1, dtype=np.int64)
+        sign = np.zeros(n + 1)
+        for group in elements.groups:
+            if len(group.mirrors) > r:
+                elems, slots, signs = group.mirrors[r]
+                image[group.index[:, slots]] = group.index[elems]
+                sign[group.index[:, slots]] = signs
+        tainted = np.zeros(n + 1, dtype=bool)
+        for group in elements.groups:
+            if len(group.mirrors) <= r:
+                tainted[group.index] = True
+                continue
+            elems, slots, signs = group.mirrors[r]
+            src, dst = group.index[:, slots], group.index[elems]
+            ok = (((image[src] == dst) & (sign[src] == signs))
+                  | ((src < 0) & (dst < 0))).all(axis=1)
+            pictured = (signs[:, None]
+                        * group.block[..., slots[:, None], slots] * signs)
+            if group.block.ndim == 3:
+                ok &= (group.block[elems] == pictured).all(axis=(1, 2))
+            nonzero, face, _ = _links(group)
+            same_face = face[:, None] == face
+            ok &= (np.array_equal(elems[elems], np.arange(elems.size))
+                   and np.array_equal(slots[slots], np.arange(slots.size))
+                   and np.array_equal(signs[slots], signs)
+                   and np.array_equal(nonzero[slots[:, None], slots], nonzero)
+                   and np.array_equal(same_face[slots[:, None], slots],
+                                      same_face)
+                   and (group.block.ndim == 3
+                        or np.array_equal(pictured, group.block)))
+            tainted[group.index[~ok]] = True
+        at = image[tree.perm]
+        maps.append((position[at], sign[tree.perm], tainted[tree.perm]))
+    return maps
+
+
+def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
+                     ) -> tuple[np.ndarray, list]:
+    """For every node s, its representative: a node no later in postorder
+    whose front equals s's before scaling up to the signs of its rows, bit
+    for bit, and those signs: (rep, signs), with signs[s] None where all
+    are +1, as for every representative (rep[s] == s). Node s's unscaled
+    front is then S rep[s]'s unscaled front S, with S = diag(signs[s]).
 
     A node's key holds everything its unscaled front is built from: the
     front's shape; for each element part that enters it, the part's index,
     the elements' rows in the front, which of their DOFs the matrix holds (a
     left-out DOF reads row 0, as a held one may) and, where the part's
     blocks are stacked, their values; for each child, its representative
-    (whose update equals the child's up to scaling, by induction) and the
-    rows that update lands on. Keys are compared as bytes, so nodes of equal
-    key assemble the same numbers in the same order, each scaled by a power
-    of two, and their factors and updates are exact rescalings of each
-    other (see ``_factor_fronts``)."""
+    and signs (whose update equals the child's up to scaling and signs, by
+    induction) and the rows that update lands on. Keys are compared as
+    bytes, so nodes of equal key assemble the same numbers in the same
+    order, each scaled by a power of two, and their factors and updates
+    are exact rescalings of each other (see ``_factor_fronts``).
+
+    A node whose key no earlier node has may still be the mirror image of
+    an earlier node t, under one of ``mirrors`` (``_mirror_maps``), whose
+    image map takes t's first pivot into s's. It is taken as t's twin, with
+    the signs of the map on t's rows times t's signs, only where that map
+    takes t's front rows, in order, onto s's; no pivot of either node is
+    tainted, so every element that enters s or t keeps the claim (an
+    element enters the node of its first DOF) and those that enter s are
+    the images of those that enter t; and each child of s has the
+    representative of the child of t at its place, with the signs that
+    make its update the image of that child's. A front entry sums at most
+    two element terms, whose order does not matter, and the updates in the
+    order of the children, so s's front is t's so signed, bit for bit."""
     pivots = np.diff(tree.bounds).tolist()
+    node_of = np.append(np.repeat(np.arange(len(pivots)), pivots), -1)
     parts = [(plan.starts.tolist(), plan.local, plan.positions >= 0,
               plan.pairs if plan.pairs.ndim == 2 else None)
              for plan in fronts.parts]
@@ -561,7 +650,33 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree) -> np.ndarray:
             entering[s].append(i)
     children = _children(tree.parent)
     rep = np.empty(len(fronts.rows), dtype=np.int64)
+    signs: list = [None] * len(fronts.rows)
     first: dict[bytes, int] = {}
+
+    def below(c):  # the signs of the rows of child c's update
+        return b"" if signs[c] is None else signs[c][pivots[c]:].tobytes()
+
+    def mirrored(s, t, image, sign, tainted):
+        rows, rows_t = fronts.rows[s], fronts.rows[t]
+        if (pivots[t] != pivots[s] or rows_t.size != rows.size
+                or len(children[t]) != len(children[s])
+                or not np.array_equal(image[rows_t], rows)
+                or tainted[rows[:pivots[s]]].any()
+                or tainted[rows_t[:pivots[s]]].any()):
+            return False
+        for c, c_t in zip(children[s], children[t]):
+            p = pivots[c]
+            if rep[c] != rep[c_t] or not np.array_equal(
+                    image[fronts.rows[c_t][p:]], fronts.rows[c][p:]):
+                return False
+            ours = (np.ones(rows.size - p) if signs[c] is None
+                    else signs[c][p:])
+            theirs = sign[fronts.rows[c_t][p:]] * (
+                1.0 if signs[c_t] is None else signs[c_t][p:])
+            if not np.array_equal(ours, theirs):
+                return False
+        return True
+
     for s, rows in enumerate(fronts.rows):
         # The counts first, then the arrays they size.
         head = [rows.size, pivots[s], len(entering[s]), len(children[s])]
@@ -576,10 +691,22 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree) -> np.ndarray:
         for c in children[s]:
             pos = np.searchsorted(rows, fronts.rows[c][pivots[c]:])
             head += [int(rep[c]), pos.size]
-            arrays.append(pos)
-        key = np.array(head).tobytes() + b"".join(a.tobytes() for a in arrays)
-        rep[s] = first.setdefault(key, s)
-    return rep
+            arrays += [pos, below(c)]
+        key = np.array(head).tobytes() + b"".join(
+            a if isinstance(a, bytes) else a.tobytes() for a in arrays)
+        seen = first.setdefault(key, s)
+        rep[s], signs[s] = (s, None) if seen == s else (rep[seen], signs[seen])
+        if seen != s or not pivots[s]:
+            continue
+        for image, sign, tainted in mirrors:
+            t = int(node_of[image[tree.bounds[s]]])
+            if 0 <= t < s and mirrored(s, t, image, sign, tainted):
+                flips = sign[fronts.rows[t]] * (1.0 if signs[t] is None
+                                                else signs[t])
+                rep[s] = rep[t]
+                signs[s] = None if np.all(flips == 1.0) else flips
+                break
+    return rep, signs
 
 
 #: Entries a temporary of the numeric phase holds at most: the chunks in
@@ -592,17 +719,19 @@ class _Workspace:
     """Where the numeric phase keeps every block in its one array of
     ``size`` entries. Distinct node s (``rep[s] == s``) keeps its packed L11
     from ``factor[s]``, with L21 right after it, and builds F11 at
-    ``pivot[s]`` and F22, its update, at ``update[s]``, all column-major."""
+    ``pivot[s]`` and F22, its update, at ``update[s]``, all column-major.
+    ``rep`` and ``signs`` are the twins of ``_representatives``."""
 
     rep: np.ndarray
     size: int
     factor: np.ndarray
     pivot: np.ndarray
     update: np.ndarray
+    signs: list
 
 
-def _plan_workspace(fronts: _Fronts, tree: SeparatorTree,
-                    rep: np.ndarray) -> _Workspace:
+def _plan_workspace(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray,
+                    signs: list) -> _Workspace:
     """Lay out the numeric phase in one array (Amestoy et al. 2001): the
     distinct fronts' factors fill it from the start in postorder, and every
     F11 and F22 goes into the part the factor has not yet reached.
@@ -610,9 +739,10 @@ def _plan_workspace(fronts: _Fronts, tree: SeparatorTree,
     A dry run of the schedule of ``_factor_fronts``. Node s's F11 lives
     while s is factored; its F22 is made then and lives until the last
     distinct node that adds it as a child's update (Liu 1992). Each block,
-    F22 first, goes to the lowest offset clear of the blocks live at the
-    time and of the factor entries written by the end of its last node,
-    that node's F21 included (first fit)."""
+    F11 first, goes clear of the blocks live at the time and of the factor
+    entries written by the end of its last node, that node's F21 included:
+    into the smallest gap between live blocks that holds it, else above
+    them all (best fit). At N=128, k=3 first fit needed 10% more."""
     parent = tree.parent
     distinct = rep == np.arange(rep.size)
     pivots = np.diff(tree.bounds).tolist()
@@ -630,20 +760,21 @@ def _plan_workspace(fronts: _Fronts, tree: SeparatorTree,
     live = []  # (start, stop, last node) of every live block, by offset
     size = ends[-1]
     for s in np.flatnonzero(distinct).tolist():
-        for offset, entries, until in ((update, below[s] ** 2, last[s]),
-                                       (pivot, pivots[s] ** 2, s)):
+        for offset, entries, until in ((pivot, pivots[s] ** 2, s),
+                                       (update, below[s] ** 2, last[s])):
             if not entries:
                 continue
-            at = ends[until]
+            at, fits = ends[until], []  # (gap, offset) of the gaps that fit
             for start, stop, _ in live:
                 if start - at >= entries:
-                    break
+                    fits.append((start - at, at))
                 at = max(at, stop)
+            at = min(fits)[1] if fits else at
             offset[s] = at
             bisect.insort(live, (at, at + entries, until))
             size = max(size, at + entries)
         live = [block for block in live if block[2] > s]
-    return _Workspace(rep, size, factor, pivot, update)
+    return _Workspace(rep, size, factor, pivot, update, signs)
 
 
 def _region(work: np.ndarray, at: int, rows: int, cols: int) -> np.ndarray:
@@ -758,17 +889,19 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
 
     Only representatives (``plan.rep[s] == s``, see ``_representatives``)
     are assembled and factored; a twin's entry is its representative's. A
-    twin's own factor would be E (L11, L21), with E = d_twin / d on the
-    front rows, so the unscaled factor d^-1 (L11, L21) serves both, and a
-    distinct parent adds a twin child's update as E U E from its
-    representative's U (``_extend_add``). In double precision this equals
-    factoring the twin on its own, bit for bit, barring over- and
-    underflow. In single precision the flush below zeroes the entries under
-    sqrt(tiny) of the representative's front, not of the twin's, so a
-    twin's preconditioner differs from its own factor only in entries under
-    sqrt(tiny) * 2^12 for E within 2^[-6, 6], far below single precision's
-    round-off. A twin's front is congruent to its representative's, so the
-    representative's ``dpotrf`` certifies it SPD as well.
+    twin's own factor would be E (L11, L21) S_p, with E = S d_twin / d on
+    the front rows, S its signs (``plan.signs``) and S_p those on its
+    pivots, so the unscaled factor d^-1 (L11, L21) serves both up to the
+    signs (``_front_solve``), and a distinct parent adds a twin child's
+    update as E U E from its representative's U (``_extend_add``). In
+    double precision this equals factoring the twin on its own, bit for
+    bit, barring over- and underflow. In single precision the flush below
+    zeroes the entries under sqrt(tiny) of the representative's front, not
+    of the twin's, so a twin's preconditioner differs from its own factor
+    only in entries under sqrt(tiny) * 2^12 for |E| within 2^[-6, 6], far
+    below single precision's round-off. A twin's front is congruent to its
+    representative's, so the representative's ``dpotrf`` certifies it SPD
+    as well.
 
     Everything lives in one array of ``dtype`` laid out by
     ``_plan_workspace``. The factor fills it from the start: each F21 is
@@ -822,6 +955,8 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
             ratio = None
             if r != c:
                 ratio = scale[child_rows] / scale[fronts.rows[r][pc:]]
+                if plan.signs[c] is not None:
+                    ratio *= plan.signs[c][pc:]
                 ratio = None if np.all(ratio == 1.0) else ratio.astype(dtype)
             _extend_add(front, _region(work, update_at[r], child_rows.size,
                                        child_rows.size),
@@ -852,16 +987,19 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
     return factor
 
 
-def _solve_groups(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray
-                  ) -> tuple[_Fronts, list[tuple[int, np.ndarray, np.ndarray]]]:
+def _solve_groups(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray,
+                  signs: list) -> tuple[_Fronts, list[tuple]]:
     """``fronts`` laid out for the solve, and the nodes with pivots in
     groups of twins, one per (height, representative) and by ascending
     height: (the representative, whose factor the group shares; the twins'
     pivot positions as the columns of a (p, t) array; the front rows below
-    their pivots, (m - p, t)). Twins build equal subtrees, so they have
-    equal heights and equal front sizes. Each group's rows are laid out as
-    one (m, t) array, twin j's in column j, and both arrays of the group
-    are slices of it: the solve holds no second copy of the fronts."""
+    their pivots, (m - p, t); the signs of those rows relative to the
+    representative's (``_representatives``), two int8 arrays of the same
+    shapes, or None where all are +1). Twins build equal subtrees, so they
+    have equal heights and equal front sizes. Each group's rows are laid
+    out as one (m, t) array, twin j's in column j, and both arrays of
+    positions are slices of it: the solve holds no second copy of the
+    fronts."""
     pivots, sizes = np.diff(tree.bounds), fronts.sizes
     nodes = np.lexsort((rep, _heights(tree.parent)))
     flat = np.empty_like(fronts.flat)
@@ -874,7 +1012,13 @@ def _solve_groups(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray
         block[:] = fronts.flat[fronts.starts[twins] + np.arange(m)[:, None]]
         starts[twins], steps[twins] = at + np.arange(t), t
         if p:
-            groups.append((r, block[:p], block[p:]))
+            flips = [signs[s] for s in twins]
+            if all(f is None for f in flips):
+                groups.append((r, block[:p], block[p:], None, None))
+            else:
+                flips = np.stack([np.ones(m) if f is None else f
+                                  for f in flips], axis=1).astype(np.int8)
+                groups.append((r, block[:p], block[p:], flips[:p], flips[p:]))
         at += m * t
     return _Fronts(flat, starts, sizes, steps, fronts.parts,
                    fronts.entries), groups
@@ -883,16 +1027,20 @@ def _solve_groups(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray
 def _front_solve(factor: list, groups: list, y: np.ndarray) -> np.ndarray:
     """Solve A x = y in place, in the precision of the factor, which is that
     of y, with A = G G^T and G = d^-1 L the unscaled factor of every node:
-    twins share it, so y stays unscaled and each group of twins of
-    ``_solve_groups`` takes its representative's d. The pivot block of y is
-    scaled by d before the forward triangular solve and after the backward
-    one, and the rows below by d^-1 around the products with L21. Nodes of
-    one height depend on none of each other (level scheduling, Anderson &
-    Saad 1989), so each group gathers its columns of y into one block and
-    takes one triangular solve and one product with its shared factor.
-    Twins may update the same rows, as two equal subtrees of one parent do,
-    so the updates are summed entry by entry. A group of twins unpacks its
-    L11 for the solve and drops it after."""
+    twins share it up to the signs of their rows, so y stays unscaled and
+    each group of twins of ``_solve_groups`` takes its representative's d.
+    The pivot block of y is scaled by d before the forward triangular solve
+    and after the backward one, and the rows below by d^-1 around the
+    products with L21. A twin with signs S (S_p on its pivots) has the
+    factor S G S_p, so its pivot block and its rows below are multiplied by
+    S around the same products, and the forward solve leaves S_p times its
+    own result in its pivot rows, which only its backward solve reads.
+    Nodes of one height depend on none of each other (level scheduling,
+    Anderson & Saad 1989), so each group gathers its columns of y into one
+    block and takes one triangular solve and one product with its shared
+    factor. Twins may update the same rows, as two equal subtrees of one
+    parent do, so the updates are summed entry by entry. A group of twins
+    unpacks its L11 for the solve and drops it after."""
     tpsv, trsm = get_blas_funcs(("tpsv", "trsm"), dtype=y.dtype)
     tpttr, = get_lapack_funcs(("tpttr",), dtype=y.dtype)
 
@@ -903,20 +1051,32 @@ def _front_solve(factor: list, groups: list, y: np.ndarray) -> np.ndarray:
         full, _ = tpttr(p, l11, uplo="L")
         return trsm(1.0, full, block, lower=1, trans_a=trans)
 
-    for r, pivots, below in groups:
+    for r, pivots, below, on_pivots, on_below in groups:
         l11, l21, d = factor[r]
         p = pivots.shape[0]
-        x = solve(l11, y[pivots] * d[:p, None], 0)
+        block = y[pivots] * d[:p, None]
+        if on_pivots is not None:
+            block *= on_pivots
+        x = solve(l11, block, 0)
         y[pivots] = x
         if l21 is not None:
-            np.subtract.at(y, below, (l21 @ x) / d[p:, None])
-    for r, pivots, below in reversed(groups):
+            update = (l21 @ x) / d[p:, None]
+            if on_below is not None:
+                update *= on_below
+            np.subtract.at(y, below, update)
+    for r, pivots, below, on_pivots, on_below in reversed(groups):
         l11, l21, d = factor[r]
         p = pivots.shape[0]
         block = y[pivots]
         if l21 is not None:
-            block -= l21.T @ (y[below] / d[p:, None])
-        y[pivots] = d[:p, None] * solve(l11, block, 1)
+            rows = y[below] / d[p:, None]
+            if on_below is not None:
+                rows *= on_below
+            block -= l21.T @ rows
+        x = d[:p, None] * solve(l11, block, 1)
+        if on_pivots is not None:
+            x *= on_pivots
+        y[pivots] = x
     return y
 
 
@@ -939,10 +1099,10 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     tree = _pivot_order(elements, tree)
     fronts = _symbolic_phase(elements, tree)
     perm = tree.perm
-    rep = _representatives(fronts, tree)
+    rep, signs = _representatives(fronts, tree, _mirror_maps(elements, tree))
     stored = int(fronts.entries[rep == np.arange(rep.size)].sum())
-    plan = _plan_workspace(fronts, tree, rep)
-    fronts, groups = _solve_groups(fronts, tree, rep)
+    plan = _plan_workspace(fronts, tree, rep, signs)
+    fronts, groups = _solve_groups(fronts, tree, rep, signs)
     held = sum(group.block.nbytes for group in elements.groups)
 
     def numeric(dtype):
@@ -1041,7 +1201,7 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
             raises if that array and the element blocks would not fit in
             physical memory, and a front that is not positive definite
             raises, naming the front. A front equal to an earlier one up
-            to a power-of-two scaling shares its factor. One step of
+            to a signed power-of-two scaling shares its factor. One step of
             iterative refinement follows the solve.
     pcg: conjugate gradients in double precision on the given matrix,
          preconditioned by the same factorization run in single precision:
@@ -1079,7 +1239,8 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
     # fourth-order blocks differ in scale by several orders of magnitude,
     # which otherwise dominates the forward error of the factorization. A
     # power of two adds no rounding error, so fronts that differ only in
-    # their DOFs' scales share one factor (see ``_representatives``).
+    # their DOFs' scales and signs share one factor (see
+    # ``_representatives``).
     scale = _power_of_two_scale(diag)
 
     if method == "pcg":

@@ -1,9 +1,14 @@
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_blas_funcs
 
+from wg_shishkin import solver
 from wg_shishkin.basis import legendre_table, project_cell, project_edge
 from wg_shishkin.mesh import SIDES, Cell, Edge, MeshParams, build_mesh
 from wg_shishkin.quadrature import gauss_legendre
@@ -318,29 +323,197 @@ def superlu_solve(matrix, rhs):
     return scale * lu.solve(scale * rhs)
 
 
-def front_solve_per_node(factor, fronts, bounds, y):
+def front_solve_per_node(factor, fronts, bounds, y, signs=None):
     """Solve A x = y in place, one node at a time in postorder and back,
     twins included, with one packed triangular solve per node and pass: the
     tree solve before level scheduling, kept as a reference. ``factor``
-    holds (L11 packed, L21, d) of every node, ``fronts`` its front rows; the
-    node's unscaled factor is d^-1 (L11, L21)."""
+    holds (L11 packed, L21, d) of every node, ``fronts`` its front rows and
+    ``signs`` its rows' signs relative to its representative's, or None;
+    the node's unscaled factor is S d^-1 (L11, L21) S_p, with S = diag of
+    its signs and S_p their pivot block."""
     tpsv, = get_blas_funcs(("tpsv",), dtype=y.dtype)
+    signs = [None] * len(factor) if signs is None else signs
     for s, (l11, l21, d) in enumerate(factor):
         if l11 is None:
             continue
         b0, b1 = bounds[s], bounds[s + 1]
         p = b1 - b0
-        y[b0:b1] = tpsv(p, l11, d[:p] * y[b0:b1], lower=1)
+        flip = np.ones(len(fronts[s])) if signs[s] is None else signs[s]
+        # G11 = S_p d^-1 L11 S_p: solve with it in the node's own terms.
+        y[b0:b1] = flip[:p] * tpsv(p, l11, d[:p] * flip[:p] * y[b0:b1],
+                                   lower=1)
         if l21 is not None:
-            y[fronts[s][p:]] -= (l21 @ y[b0:b1]) / d[p:]
+            y[fronts[s][p:]] -= (flip[p:] * (l21 @ (flip[:p] * y[b0:b1]))
+                                 / d[p:])
     for s in range(len(factor) - 1, -1, -1):
         l11, l21, d = factor[s]
         if l11 is None:
             continue
         b0, b1 = bounds[s], bounds[s + 1]
         p = b1 - b0
+        flip = np.ones(len(fronts[s])) if signs[s] is None else signs[s]
         piv = y[b0:b1]
         if l21 is not None:
-            piv = piv - l21.T @ (y[fronts[s][p:]] / d[p:])
-        y[b0:b1] = d[:p] * tpsv(p, l11, piv, lower=1, trans=1)
+            below = flip[p:] * y[fronts[s][p:]] / d[p:]
+            piv = piv - flip[:p] * (l21.T @ below)
+        y[b0:b1] = flip[:p] * d[:p] * tpsv(p, l11, flip[:p] * piv, lower=1,
+                                           trans=1)
     return y
+
+
+def assembled_fronts(fronts, tree, scale):
+    """Every node's front with pivots as the numeric phase builds it, just
+    before it is factored: copies of (F11, F21, F22), lower triangles only,
+    from a run of ``solver._factor_fronts`` in which every node is factored
+    on its own, no twins shared."""
+    n_nodes = tree.parent.size
+    plan = solver._plan_workspace(fronts, tree, np.arange(n_nodes),
+                                  [None] * n_nodes)
+    built, pending = {}, []
+    assemble, lapack = solver._assemble_front, solver.get_lapack_funcs
+
+    def spy_assemble(plans, s, p, m, scale, work, at):
+        assemble(plans, s, p, m, scale, work, at)
+        pending.append((s, p, m, work, at))
+
+    def spy_lapack(names, dtype):
+        potrf, = lapack(names, dtype=dtype)
+
+        def recorded(f11, **kwargs):  # every front's children are added
+            s, p, m, work, at = pending.pop()
+            built[s] = tuple(
+                np.tril(solver._region(work, a, rows, cols)) if rows == cols
+                else solver._region(work, a, rows, cols).copy()
+                for a, rows, cols in zip(at, (p, m - p, m - p),
+                                         (p, p, m - p)))
+            return potrf(f11, **kwargs)
+
+        return (recorded,)
+
+    with mock.patch.object(solver, "_assemble_front", spy_assemble), \
+            mock.patch.object(solver, "get_lapack_funcs", spy_lapack):
+        solver._factor_fronts(fronts, tree, scale, plan)
+    return built
+
+
+# Extended-precision oracle of the class blocks: the Legendre polynomials in
+# exact rational arithmetic, everything after in 40-digit decimal arithmetic.
+
+
+def _legendre_exact(k):
+    """Unnormalized Legendre polynomials P_0..P_k as rational coefficient
+    lists (Bonnet's recurrence), and with them the 1D factors of the
+    orthonormal basis sqrt(m + 1/2) P_m: values and slopes at -1 and +1,
+    and (P_j, P_m'), (P_j, P_m'') over [-1, 1]."""
+    polys = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for m in range(1, k):
+        shifted = [Fraction(0)] + [(2 * m + 1) * c for c in polys[m]]
+        lower = [m * c for c in polys[m - 1]] + [Fraction(0)] * 2
+        polys.append([(a - b) / (m + 1) for a, b in zip(shifted, lower)])
+
+    def derive(p):
+        return [i * c for i, c in enumerate(p)][1:] or [Fraction(0)]
+
+    def at(p, t):
+        return sum(c * t ** i for i, c in enumerate(p))
+
+    def inner(p, q):  # integral of p q over [-1, 1]
+        prod = [Fraction(0)] * (len(p) + len(q))
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                prod[i + j] += a * b
+        return sum(2 * c / (i + 1) for i, c in enumerate(prod) if i % 2 == 0)
+
+    root = [(Decimal(2 * m + 1) / 2).sqrt() for m in range(k + 1)]
+
+    def dec(f):
+        return Decimal(f.numerator) / Decimal(f.denominator)
+
+    polys = polys[:k + 1]
+    value = [[root[m] * dec(at(p, t)) for t in (-1, 1)]
+             for m, p in enumerate(polys)]
+    slope = [[root[m] * dec(at(derive(p), t)) for t in (-1, 1)]
+             for m, p in enumerate(polys)]
+    d1 = [[root[j] * root[m] * dec(inner(polys[j], derive(polys[m])))
+           for m in range(k + 1)] for j in range(k + 1)]
+    d2 = [[root[j] * root[m] * dec(inner(polys[j], derive(derive(polys[m]))))
+           for m in range(k + 1)] for j in range(k + 1)]
+    return value, slope, d1, d2
+
+
+def decimal_class_block(widths, k, eps, h, H, condense):
+    """The class block of a cell of ``widths`` in 40-digit decimal
+    arithmetic: the stiffness eps^2 L'L + G'G + S of the layout of
+    ``weak_ops``, or, with ``condense``, its Schur complement onto the edge
+    DOFs. An oracle for ``weak_ops.local_stiffness`` and
+    ``assembly.schur_complement``, independent of binary floating point."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        value, slope, d1, d2 = _legendre_exact(k)
+        kk, ni = k + 1, (k + 1) ** 2
+        n_loc = ni + 12 * kk
+        h1, h2 = (Decimal(w) for w in widths)
+        eps, h, H = Decimal(eps), Decimal(h), Decimal(H)
+        sx, sy = (2 / h1).sqrt(), (2 / h2).sqrt()
+        L = np.full((ni, n_loc), Decimal(0), dtype=object)
+        G = np.full((2 * ni, n_loc), Decimal(0), dtype=object)
+        jumps = []  # (coefficient, jump row) of the stabilizer
+        c_grad, c_val = eps * eps / h, eps * eps / (h * h * H) + 1 / H
+        for mx in range(kk):
+            for my in range(kk):
+                i = mx * kk + my
+                # (phi_d, Lap phi_i) and -(phi_d, div q) over the cell.
+                for j in range(kk):
+                    L[i, j * kk + my] += (2 / h1) ** 2 * d2[j][mx]
+                    L[i, mx * kk + j] += (2 / h2) ** 2 * d2[j][my]
+                    G[i, j * kk + my] -= (2 / h1) * d1[j][mx]
+                    G[ni + i, mx * kk + j] -= (2 / h2) * d1[j][my]
+        for side, (vertical, end, sign) in enumerate(
+                ((False, 0, -1), (True, 1, 1), (False, 1, 1), (True, 0, -1))):
+            base = ni + side * 3 * kk
+            # Moments <chi_j, D phi_i> of the side's edge basis chi_j.
+            val = np.full((ni, kk), Decimal(0), dtype=object)
+            dx, dy = val.copy(), val.copy()
+            for mx in range(kk):
+                for my in range(kk):
+                    i = mx * kk + my
+                    # The normal factor at the side, the tangential one
+                    # against the edge basis.
+                    normal, along = (mx, my) if vertical else (my, mx)
+                    s, hn, ht = (sx, h1, h2) if vertical else (sy, h2, h1)
+                    for j in range(kk):
+                        at_side = s * value[normal][end]
+                        val[i, j] = at_side * (j == along)
+                        slope_n = (s * (2 / hn) * slope[normal][end]
+                                   * (j == along))
+                        slope_t = at_side * (2 / ht) * d1[j][along]
+                        dx[i, j], dy[i, j] = ((slope_n, slope_t) if vertical
+                                              else (slope_t, slope_n))
+            trace, gx, gy = (base + np.arange(kk) + kk * t for t in range(3))
+            if vertical:
+                L[:, trace] -= sign * dx
+                L[:, gx] += sign * val
+                G[:ni, trace] += sign * val
+            else:
+                L[:, trace] -= sign * dy
+                L[:, gy] += sign * val
+                G[ni:, trace] += sign * val
+            for coefficient, moments, dofs in ((c_val, val, trace),
+                                               (c_grad, dx, gx),
+                                               (c_grad, dy, gy)):
+                row = np.full((kk, n_loc), Decimal(0), dtype=object)
+                row[:, :ni] = moments.T
+                row[np.arange(kk), dofs] = Decimal(-1)
+                jumps.append((coefficient, row))
+        A = eps * eps * (L.T @ L) + G.T @ G
+        for coefficient, row in jumps:
+            A = A + coefficient * (row.T @ row)
+        if not condense:
+            return A
+        # Gaussian elimination of the interior block.
+        a = A.copy()
+        for j in range(ni):
+            for i in range(j + 1, n_loc):
+                factor = a[i, j] / a[j, j]
+                a[i, j + 1:] = a[i, j + 1:] - factor * a[j, j + 1:]
+        return a[ni:, ni:]

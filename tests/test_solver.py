@@ -319,13 +319,13 @@ class TestFactorSize:
         assert fronts.factor_nnz == entries
 
     @pytest.mark.parametrize("n, k, quad, entries, stored, workspace", [
-        (32, 3, None, 4_086_528, 2_686_128, 3_375_344),
-        (16, 4, 5, 1_235_200, 1_065_680, 1_294_608),
+        (32, 3, None, 4_086_528, 1_011_132, 1_408_668),
+        (16, 4, 5, 1_235_200, 347_560, 499_476),
     ])
     def test_small_case_factor_sizes(self, n, k, quad, entries, stored,
                                      workspace):
-        # The fronts' sizes, the twins (equal up to a power-of-two scaling)
-        # and the workspace plan.
+        # The fronts' sizes, the twins (equal up to a signed power-of-two
+        # scaling, mirror images included) and the workspace plan.
         mesh = build_mesh(MeshParams(n=n, eps=1e-3, k=k))
         system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
                                  q=quad, condense=True)
@@ -399,8 +399,8 @@ class TestWorkspacePlan:
         tree = solver._pivot_order(system.elements,
                                    fill_reducing_ordering(system))
         fronts = solver._symbolic_phase(system.elements, tree)
-        plan = solver._plan_workspace(
-            fronts, tree, solver._representatives(fronts, tree))
+        plan = solver._plan_workspace(fronts, tree, *solver._representatives(
+            fronts, tree, solver._mirror_maps(system.elements, tree)))
         rep, pivots = plan.rep, np.diff(tree.bounds)
         distinct = np.flatnonzero(rep == np.arange(rep.size))
         last_read = {}
@@ -474,21 +474,23 @@ class TestElementMatrix:
 
 
 def stacked(elements):
-    """The same matrix with a block of its own for every element."""
+    """The same matrix with a block of its own for every element, and the
+    same mirror symmetries."""
     return ElementMatrix(elements.dim, tuple(
         ElementGroup(group.index,
                      np.repeat(group.block[None], group.index.shape[0], axis=0)
                      if group.block.ndim == 2 else group.block.copy(),
-                     group.faces)
+                     group.faces, group.mirrors)
         for group in elements.groups))
 
 
 class TestFrontSharing:
-    """Twin fronts, equal up to a power-of-two scaling, share one factor, so
-    a key that missed anything a front is built from would hand a node its
-    twin's factor: each change in ``test_key_misses_nothing`` touches one
-    front that has a twin, and the tree solve must still match SuperLU while
-    the distinct fronts, and so the stored entries, grow."""
+    """Twin fronts, equal up to a signed power-of-two scaling, share one
+    factor, so a key or a mirror check that missed anything a front is
+    built from would hand a node its twin's factor: each change in
+    ``test_key_misses_nothing`` touches one front that has a twin, and the
+    tree solve must still match SuperLU while the distinct fronts, and so
+    the stored entries, grow."""
 
     @pytest.fixture(scope="class")
     def uniform_system(self):
@@ -510,7 +512,8 @@ class TestFrontSharing:
             report.factor_nnz, report.factor_stored)
 
     @pytest.mark.parametrize("change", ["cell diagonal", "cell off-diagonal",
-                                        "held to left out"])
+                                        "held to left out",
+                                        "cell of one quadrant"])
     def test_key_misses_nothing(self, uniform_system, change):
         system, tree = uniform_system
         _, report = solve_spd(system.elements, system.rhs, tol=1e-10, tree=tree)
@@ -541,9 +544,22 @@ class TestFrontSharing:
                                                           [-0.5, 1.0]])
             elements = ElementMatrix(elements.dim, tuple(
                 ElementGroup(np.where(g.index == d, -1, g.index), g.block,
-                             g.faces) for g in elements.groups) + (
+                             g.faces, g.mirrors) for g in elements.groups) + (
                 ElementGroup(np.array([[d, e], pair]), coupling,
                              np.empty((0, 0), dtype=np.int64)),))
+        if change == "cell of one quadrant":
+            # One cell block of the lower left quadrant, all of it, so that
+            # the block stays SPD: the fronts it enters stop sharing a
+            # factor with their mirror images in the other three quadrants,
+            # whose blocks stay, and with their translated copies.
+            before = sharing(elements, tree)
+            group.block[17] *= 1 + 1e-3  # cell (1, 1)
+            after = sharing(elements, tree)
+            node = first_node_of(elements, tree, group.index[17])
+            twins = np.flatnonzero(before[0] == before[0][node])
+            assert any(before[1][s] is not None for s in twins)
+            assert [s for s in twins
+                    if after[0][s] == after[0][node]] == [node]
         x_tree, changed = solve_spd(elements, system.rhs, tol=1e-10, tree=tree)
         x_lu = superlu_solve(elements.to_csr(), system.rhs)
         assert np.linalg.norm(x_tree - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
@@ -561,7 +577,7 @@ class TestFrontSharing:
         if mesh_kind == "uniform":
             # Four times the diagonal at a DOF of the root separator halves
             # that DOF's scale, so the fronts below that hold it differ from
-            # their translated copies by the scale alone.
+            # their mirror images by the scale alone.
             _, before = solve_spd(elements, system.rhs, tol=1e-10, tree=tree)
             dof = tree.perm[(tree.bounds[-2] + tree.bounds[-1]) // 2]
             elements = ElementMatrix(elements.dim, elements.groups + (
@@ -577,14 +593,35 @@ class TestFrontSharing:
             assert report.factor_stored == before.factor_stored
 
 
-def first_pivots_of_a_twin(elements, tree):
-    """The first two pivots of a node t that shares its representative's
-    factor, and those of the representative, where every element that holds
-    t's first pivot enters t's front and holds another pivot of t: left out
-    there, its element parts still enter t, and no front changes its rows."""
+def sharing(elements, tree):
+    """(rep, signs) of ``_representatives`` on the solver's tree, mirror
+    twins included."""
     tree = solver._pivot_order(elements, tree)
     fronts = solver._symbolic_phase(elements, tree)
-    rep = solver._representatives(fronts, tree)
+    return solver._representatives(fronts, tree,
+                                   solver._mirror_maps(elements, tree))
+
+
+def first_node_of(elements, tree, dofs):
+    """The node of the first of ``dofs`` in the solver's tree: an element
+    that holds them enters that node's front with the part that holds that
+    DOF."""
+    tree = solver._pivot_order(elements, tree)
+    position = np.empty(elements.dim, dtype=np.int64)
+    position[tree.perm] = np.arange(elements.dim)
+    first = position[dofs[dofs >= 0]].min()
+    return int(np.searchsorted(tree.bounds, first, side="right") - 1)
+
+
+def first_pivots_of_a_twin(elements, tree):
+    """The first two pivots of a node t that is a translated copy of an
+    earlier one, its representative, and those of the representative, where
+    every element that holds t's first pivot enters t's front and holds
+    another pivot of t: left out there, its element parts still enter t,
+    and no front changes its rows."""
+    tree = solver._pivot_order(elements, tree)
+    fronts = solver._symbolic_phase(elements, tree)
+    rep, _ = solver._representatives(fronts, tree, [])  # translated copies
     bounds = tree.bounds
     for t in np.flatnonzero(rep != np.arange(rep.size)):
         b0, b1 = bounds[t], bounds[t + 1]
@@ -607,7 +644,8 @@ def stored_if_twins_share_a_scale(elements, tree) -> int:
     every front row: a lower bound on those of a key that holds the scale."""
     tree = solver._pivot_order(elements, tree)
     fronts = solver._symbolic_phase(elements, tree)
-    rep = solver._representatives(fronts, tree)
+    rep, _ = solver._representatives(fronts, tree,
+                                     solver._mirror_maps(elements, tree))
     scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
     first = {}
     for s, rows in enumerate(fronts.rows):

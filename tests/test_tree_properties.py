@@ -10,7 +10,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import elements_of, front_solve_per_node, superlu_solve
+from conftest import (assembled_fronts, elements_of, front_solve_per_node,
+                      superlu_solve)
 from wg_shishkin import solver
 from wg_shishkin.analytic import ExactSolution
 from wg_shishkin.assembly import assemble_system, fill_reducing_ordering
@@ -97,15 +98,17 @@ def test_grouped_solve_matches_per_node_solve(n, k, log_eps, mesh_kind,
     tree = solver._pivot_order(elements, fill_reducing_ordering(system))
     scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
     fronts = solver._symbolic_phase(elements, tree)
-    rep = solver._representatives(fronts, tree)
+    rep, signs = solver._representatives(fronts, tree,
+                                         solver._mirror_maps(elements, tree))
     dtype, rtol = (np.float32, 1e-5) if single else (np.float64, 1e-12)
-    factor = solver._factor_fronts(fronts, tree, scale,
-                                   solver._plan_workspace(fronts, tree, rep),
-                                   dtype)
+    factor = solver._factor_fronts(
+        fronts, tree, scale, solver._plan_workspace(fronts, tree, rep, signs),
+        dtype)
     y = np.random.default_rng(seed).standard_normal(elements.dim).astype(dtype)
-    _, groups = solver._solve_groups(fronts, tree, rep)
+    _, groups = solver._solve_groups(fronts, tree, rep, signs)
     grouped = solver._front_solve(factor, groups, y.copy())
-    per_node = front_solve_per_node(factor, fronts.rows, tree.bounds, y.copy())
+    per_node = front_solve_per_node(factor, fronts.rows, tree.bounds, y.copy(),
+                                    signs)
     assert grouped.dtype == dtype
     assert (np.abs(grouped - per_node).max()
             <= rtol * np.abs(per_node).max())
@@ -119,10 +122,13 @@ def test_grouped_solve_matches_per_node_solve(n, k, log_eps, mesh_kind,
 def test_power_of_two_scaling_rescales_the_factor_exactly(n, k, log_eps,
                                                          mesh_kind, condense,
                                                          seed):
-    # The numeric phase with scale D and with 2^j D, j in [-6, 6] per DOF:
-    # every distinct node's L11 and L21 are the first's with row i scaled by
-    # 2^j_i, bit for bit, so the unscaled factor d^-1 (L11, L21) is the
-    # same. Twin children's updates are rescaled on the way too.
+    # The numeric phase with scale D and with +-2^j D, j in [-6, 6] and a
+    # random sign per DOF: every distinct node's L11 and L21 are the first's
+    # with row i times +-2^j_i and column i times the sign, bit for bit,
+    # since chol(E F E) = E L S_p for E a signed power of two per row and
+    # S_p its signs on the pivots. So the unscaled factor d^-1 (L11, L21)
+    # is the same up to the signs of rows and pivot columns, and twin
+    # children's updates are rescaled and signed on the way.
     eps = 10.0 ** log_eps
     mesh = build_mesh(MeshParams(n=n, eps=eps, k=k, mesh_kind=mesh_kind))
     system = assemble_system(mesh, k, eps, ExactSolution(1, eps).forcing,
@@ -130,22 +136,64 @@ def test_power_of_two_scaling_rescales_the_factor_exactly(n, k, log_eps,
     elements = system.elements
     tree = solver._pivot_order(elements, fill_reducing_ordering(system))
     fronts = solver._symbolic_phase(elements, tree)
-    rep = solver._representatives(fronts, tree)
-    plan = solver._plan_workspace(fronts, tree, rep)
+    plan = solver._plan_workspace(fronts, tree, *solver._representatives(
+        fronts, tree, solver._mirror_maps(elements, tree)))
     scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
-    shift = np.random.default_rng(seed).integers(-6, 7, elements.dim)
+    rng = np.random.default_rng(seed)
+    times = np.ldexp(rng.choice([-1.0, 1.0], elements.dim),
+                     rng.integers(-6, 7, elements.dim))
     factor = solver._factor_fronts(fronts, tree, scale, plan)
-    other = solver._factor_fronts(fronts, tree, np.ldexp(scale, shift), plan)
+    other = solver._factor_fronts(fronts, tree, scale * times, plan)
     pivots = np.diff(tree.bounds)
-    for s in np.flatnonzero(rep == np.arange(rep.size)):
+    for s in np.flatnonzero(plan.rep == np.arange(plan.rep.size)):
         (l11, l21, d), (m11, m21, e) = factor[s], other[s]
         if l11 is None:
             continue
         p, rows = pivots[s], fronts.rows[s]
-        times = np.ldexp(1.0, shift[rows])
+        row, sign = times[rows], np.sign(times[rows[:p]])
         # Packed by columns: column j holds rows j to p - 1.
         packed_rows = np.concatenate([np.arange(j, p) for j in range(p)])
-        assert np.array_equal(e, d * times)
-        assert np.array_equal(m11, l11 * times[packed_rows])
+        packed_cols = np.repeat(np.arange(p), np.arange(p, 0, -1))
+        assert np.array_equal(e, d * row)
+        assert np.array_equal(m11, l11 * row[packed_rows] * sign[packed_cols])
         if l21 is not None:
-            assert np.array_equal(m21, l21 * times[p:, None])
+            assert np.array_equal(m21, l21 * row[p:, None] * sign)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([4, 8, 12]), k=st.sampled_from([3, 4]),
+       log_eps=st.floats(min_value=-8.0, max_value=0.0),
+       mesh_kind=st.sampled_from(["shishkin", "uniform"]),
+       condense=st.booleans())
+def test_twins_build_signed_images_of_their_representatives(n, k, log_eps,
+                                                            mesh_kind,
+                                                            condense):
+    # Every node is factored on its own, and every twin's front, as built
+    # before its factorization, is E F E of its representative's F, bit for
+    # bit, with E the ratio of their scales times the twin's signs. So
+    # sharing the representative's factor is exact. Mirror twins, whose
+    # signs are not all +1, are among them.
+    eps = 10.0 ** log_eps
+    mesh = build_mesh(MeshParams(n=n, eps=eps, k=k, mesh_kind=mesh_kind))
+    system = assemble_system(mesh, k, eps, ExactSolution(1, eps).forcing,
+                             condense=condense)
+    elements = system.elements
+    tree = solver._pivot_order(elements, fill_reducing_ordering(system))
+    fronts = solver._symbolic_phase(elements, tree)
+    rep, signs = solver._representatives(fronts, tree,
+                                         solver._mirror_maps(elements, tree))
+    scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
+    built = assembled_fronts(fronts, tree, scale)
+    pivots = np.diff(tree.bounds)
+    twins = [s for s in range(rep.size) if rep[s] != s and pivots[s]]
+    assert any(signs[s] is not None for s in twins)
+    for s in twins:
+        r = rep[s]
+        e = scale[fronts.rows[s]] / scale[fronts.rows[r]]
+        if signs[s] is not None:
+            e *= signs[s]
+        p = pivots[s]
+        for ours, theirs, rows, cols in zip(built[s], built[r],
+                                            (e[:p], e[p:], e[p:]),
+                                            (e[:p], e[:p], e[p:])):
+            assert np.array_equal(ours, rows[:, None] * theirs * cols), s

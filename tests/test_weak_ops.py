@@ -1,11 +1,15 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
 from conftest import (ROUNDOFF_FACTOR, CellBasis, all_cells,
-                      local_projection_dofs, reference_cell_moments,
-                      region_end_cells, roundoff_ratio)
+                      decimal_class_block, local_projection_dofs,
+                      reference_cell_moments, region_end_cells, roundoff_ratio)
+from wg_shishkin.analytic import ExactSolution
+from wg_shishkin.assembly import assemble_system
 from wg_shishkin.basis import project_cell
-from wg_shishkin.mesh import MeshParams, build_mesh
+from wg_shishkin.mesh import SIDES, MeshParams, build_mesh
 from wg_shishkin.weak_ops import (LocalDofLayout, local_stiffness,
                                   stabilizer_matrix, weak_gradient_matrix,
                                   weak_laplacian_matrix)
@@ -225,3 +229,98 @@ class TestCommutation:
                 lambda x, y: a * np.cos(a * x + b * y),
                 lambda x, y: b * np.cos(a * x + b * y),
                 lambda x, y: -(a * a + b * b) * np.sin(a * x + b * y))
+
+
+def local_reflection(k, axis):
+    """(positions, signs) of the cell's x- (axis 0) or y-reflection of the
+    local vector, written out from the layout: slot a of the mirror cell
+    holds signs[a] times slot positions[a]. The x-reflection swaps east and
+    west, negates grad-x and flips the odd Legendre modes along x: those of
+    the interior's x-degree and of the south and north sides. The
+    y-reflection does the same for south and north, grad-y and y."""
+    layout = LocalDofLayout(k)
+    kk = k + 1
+    positions, signs = np.arange(layout.n_loc), np.ones(layout.n_loc)
+    for mx in range(kk):
+        for my in range(kk):
+            signs[mx * kk + my] = (-1.0) ** (my if axis else mx)
+    swap = ({"east": "west", "west": "east"} if axis == 0
+            else {"south": "north", "north": "south"})
+    for side, name in enumerate(SIDES):
+        image = SIDES.index(swap.get(name, name))
+        runs_along_x = name in ("south", "north")
+        modes = ((-1.0) ** np.arange(kk) if runs_along_x == (axis == 0)
+                 else np.ones(kk))
+        for kind, (of, negated) in enumerate(((layout.trace, False),
+                                              (layout.grad_x, axis == 0),
+                                              (layout.grad_y, axis == 1))):
+            slots = of(side)
+            positions[slots] = np.arange(of(image).start, of(image).stop)
+            signs[slots] = -modes if negated else modes
+    return positions, signs
+
+
+class TestClassBlocks:
+    """The blocks the solver factors, one per width class: the stiffness
+    block, or its Schur complement onto the edge DOFs when condensed."""
+
+    @pytest.mark.parametrize("condense", [False, True],
+                             ids=["full", "condensed"])
+    @pytest.mark.parametrize("mesh_kind", ["shishkin", "uniform"])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_blocks_equal_their_mirror_images(self, k, mesh_kind, condense):
+        # Exactly, under both reflections: the mirror twins of the solver
+        # rest on it.
+        for eps in (1e-10, 1e-7, 1e-4, 1e-2, 1.0):
+            mesh = build_mesh(MeshParams(n=8, eps=eps, k=k,
+                                         mesh_kind=mesh_kind))
+            system = assemble_system(mesh, k, eps,
+                                     ExactSolution(1, eps).forcing,
+                                     condense=condense)
+            ni = (k + 1) ** 2 if condense else 0
+            for axis in (0, 1):
+                positions, signs = local_reflection(k, axis)
+                assert np.array_equal(
+                    LocalDofLayout(k).reflection(axis)[0], positions)
+                assert np.array_equal(
+                    LocalDofLayout(k).reflection(axis)[1], signs)
+                positions, signs = positions[ni:] - ni, signs[ni:]
+                for group in system.elements.groups:
+                    image = (signs[:, None]
+                             * group.block[np.ix_(positions, positions)]
+                             * signs)
+                    assert np.array_equal(image, group.block), (eps, axis)
+
+    @pytest.mark.parametrize("k, n, eps", [(3, 128, 1e-4), (4, 64, 1.0)])
+    def test_blocks_within_an_ulp_of_a_decimal_oracle(self, k, n, eps):
+        mesh = build_mesh(MeshParams(n=n, eps=eps, k=k))
+        for condense in (False, True):
+            system = assemble_system(mesh, k, eps,
+                                     ExactSolution(1, eps).forcing,
+                                     condense=condense)
+            block = system.elements.groups[0].block
+            widths = next(iter(mesh.width_classes()))
+            exact = decimal_class_block(widths, k, eps, mesh.h_fine,
+                                        mesh.h_coarse, condense)
+            largest = max(abs(float(x)) for x in exact.ravel())
+            for computed, reference in zip(block.ravel(), exact.ravel()):
+                if abs(float(reference)) <= 1e-12 * largest:
+                    continue
+                ulp = Decimal(float(np.spacing(abs(float(reference)))))
+                assert abs(Decimal(float(computed)) - reference) <= ulp, (
+                    condense, computed, reference)
+
+    def test_without_extended_precision_the_blocks_are_not_built(
+            self, monkeypatch, mesh_n4_eps1e2):
+        # Where np.longdouble is plain double, as on some platforms, the
+        # build raises rather than rounding in double silently.
+        real = np.finfo
+
+        class Double:
+            nmant = 52
+
+        monkeypatch.setattr(np, "finfo", lambda dtype: Double()
+                            if dtype is np.longdouble else real(dtype))
+        with pytest.raises(RuntimeError, match="52 mantissa bits"):
+            local_stiffness(mesh_n4_eps1e2.cell(0), K, 1e-2,
+                            mesh_n4_eps1e2.h_fine, mesh_n4_eps1e2.h_coarse)
