@@ -11,8 +11,8 @@ in postorder (George 1973), in the element form of the multifrontal method
 (Duff & Reid 1983): each element's block enters the front of the first node
 that owns one of its DOFs, and no global matrix is formed. A node's front
 is a dense matrix over its own DOFs and the ancestor DOFs they couple to.
-LAPACK ``potrf`` factors the node's pivot block, and the Schur complement
-of the rest passes to the parent. A front that ``dpotrf`` cannot factor
+LAPACK ``pftrf`` factors the node's pivot block, and the Schur complement
+of the rest passes to the parent. A front that ``dpftrf`` cannot factor
 proves the matrix indefinite, so every double-precision factorization
 certifies SPD at any size. The CSR matrix ``ElementMatrix.to_csr``
 assembles serves tests and the benchmark tracer; no solve builds it.
@@ -38,13 +38,14 @@ factors are equal up to those signs, and the solve uses them so.
 
 The numeric phase runs in one array (Amestoy, Duff, L'Excellent & Koster
 2001): the distinct fronts' factors fill it from the start in postorder,
-and each front's F21 block is assembled, extended and solved in place at
-its final slot. The pivot block F11, the update block F22 and the updates
-kept for twins live in the part the factor has not yet reached, each at an
-offset a dry run of the schedule assigns before any numeric work, and the
-array reaches past the factor only as far as those blocks need. So a freed
-front leaves no heap behind, and the physical-memory check counts this
-array and the element blocks.
+each front's blocks F11 and F21 built and factored in place at their final
+slot. F11 and the update F22 are triangles in rectangular full packed
+format (RFP: Gustavson, Waśniewski, Dongarra & Langou 2010, ACM TOMS
+37(2)), on which LAPACK's ``pftrf``, ``tfsm`` and ``sfrk`` work at BLAS-3
+speed. A dry run places each update, largest first, at the lowest offset
+past the factor written by its last reader and clear of those placed that
+live at the same time. So a freed front leaves no heap behind, and the
+physical-memory check counts this array and the element blocks.
 
 Python steps per node are kept few. Each node lists its DOFs that couple
 beyond their own face first and the face-only ones last (``_pivot_order``),
@@ -61,7 +62,6 @@ factor's memory, and a few iterations recover full accuracy (Langou et al.
 2006; Carson & Higham 2018).
 """
 
-import bisect
 import os
 import time
 from dataclasses import dataclass
@@ -71,7 +71,7 @@ import numpy as np
 import scipy.sparse as sp
 # benchmark/tracing.py wraps spla.splu until ROADMAP item 1 re-points it.
 import scipy.sparse.linalg as spla  # noqa: F401
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 METHODS = ("direct", "pcg")
 
@@ -291,13 +291,12 @@ class SolveReport:
     factor_nnz counts the factor's entries, the packed pivot blocks and the
     front rows below them of every node, as the symbolic phase counts them.
     factor_stored counts the entries the factor holds in memory, those of
-    the distinct fronts only: twins, fronts equal up to a signed
-    power-of-two scaling of their rows and columns, as translated copies
-    and mirror images are, share one copy. workspace counts the
+    the distinct fronts (distinct_fronts) only: twins, fronts equal up to a
+    signed power-of-two scaling of their rows and columns, as translated
+    copies and mirror images are, share one copy. workspace counts the
     entries of the one array the numeric phase works in: factor_stored, and
-    above it whatever the fronts and cached updates need beyond the
-    factor's unfilled part. For pcg all three count its preconditioner, the
-    same factor as the direct solve's, held in single precision.
+    above it the updates, in RFP, that outgrow the factor's unfilled part.
+    For pcg all four count its preconditioner: this factor, in single precision.
     """
 
     method: str
@@ -307,6 +306,7 @@ class SolveReport:
     factor_nnz: int
     factor_stored: int
     workspace: int
+    distinct_fronts: int
 
 
 def _power_of_two_scale(diag: np.ndarray) -> np.ndarray:
@@ -573,7 +573,7 @@ def _mirror_maps(elements: ElementMatrix, tree: SeparatorTree) -> list:
     maps = []
     for r in range(count):
         image = np.full(n + 1, -1, dtype=np.int64)
-        sign = np.zeros(n + 1)
+        sign = np.zeros(n + 1, dtype=np.int8)
         for group in elements.groups:
             if len(group.mirrors) > r:
                 elems, slots, signs = group.mirrors[r]
@@ -672,7 +672,7 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
             ours = (np.ones(rows.size - p) if signs[c] is None
                     else signs[c][p:])
             theirs = sign[fronts.rows[c_t][p:]] * (
-                1.0 if signs[c_t] is None else signs[c_t][p:])
+                1 if signs[c_t] is None else signs[c_t][p:])
             if not np.array_equal(ours, theirs):
                 return False
         return True
@@ -701,31 +701,30 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
         for image, sign, tainted in mirrors:
             t = int(node_of[image[tree.bounds[s]]])
             if 0 <= t < s and mirrored(s, t, image, sign, tainted):
-                flips = sign[fronts.rows[t]] * (1.0 if signs[t] is None
+                flips = sign[fronts.rows[t]] * (1 if signs[t] is None
                                                 else signs[t])
                 rep[s] = rep[t]
-                signs[s] = None if np.all(flips == 1.0) else flips
+                signs[s] = None if np.all(flips == 1) else flips
                 break
     return rep, signs
 
 
-#: Entries a temporary of the numeric phase holds at most: the chunks in
-#: which a factor block is packed or flushed, or a rescaled update added.
+#: Entries a temporary of the numeric phase holds at most, and the mask of
+#: the lower triangle of a diagonal chunk of ``_extend_add``.
 _CHUNK = 1 << 16
+_LOWER = np.tril(np.ones((256, 256), dtype=bool))  # 256 = sqrt(_CHUNK)
 
 
 @dataclass(frozen=True)
 class _Workspace:
     """Where the numeric phase keeps every block in its one array of
-    ``size`` entries. Distinct node s (``rep[s] == s``) keeps its packed L11
-    from ``factor[s]``, with L21 right after it, and builds F11 at
-    ``pivot[s]`` and F22, its update, at ``update[s]``, all column-major.
-    ``rep`` and ``signs`` are the twins of ``_representatives``."""
+    ``size`` entries: distinct node s (``rep[s] == s``) keeps L11 in RFP
+    (``_rfp``) from ``factor[s]``, then L21 column-major, and its update F22
+    in RFP from ``update[s]``. ``rep``, ``signs``: see ``_representatives``."""
 
     rep: np.ndarray
     size: int
     factor: np.ndarray
-    pivot: np.ndarray
     update: np.ndarray
     signs: list
 
@@ -734,52 +733,65 @@ def _plan_workspace(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray,
                     signs: list) -> _Workspace:
     """Lay out the numeric phase in one array (Amestoy et al. 2001): the
     distinct fronts' factors fill it from the start in postorder, and every
-    F11 and F22 goes into the part the factor has not yet reached.
-
-    A dry run of the schedule of ``_factor_fronts``. Node s's F11 lives
-    while s is factored; its F22 is made then and lives until the last
-    distinct node that adds it as a child's update (Liu 1992). Each block,
-    F11 first, goes clear of the blocks live at the time and of the factor
-    entries written by the end of its last node, that node's F21 included:
-    into the smallest gap between live blocks that holds it, else above
-    them all (best fit). At N=128, k=3 first fit needed 10% more."""
+    update F22, q(q+1)/2 entries in RFP, goes where the factor has not yet
+    reached. A dry run of the schedule of ``_factor_fronts``: node s's
+    update is made while s is factored and lives until the last distinct
+    node that adds it as a child's update (Liu 1992). Largest first, each
+    goes to the lowest offset clear of the factor written by the end of that
+    node, its F21 included, and of every update placed whose lifetime
+    overlaps its own. At N=128, k=3 the array so meets the live-set bound,
+    the most factor and live updates at any node; an online best fit in
+    postorder needed 7% more."""
     parent = tree.parent
     distinct = rep == np.arange(rep.size)
-    pivots = np.diff(tree.bounds).tolist()
-    below = [rows.size - p for rows, p in zip(fronts.rows, pivots)]
+    below = fronts.sizes - np.diff(tree.bounds)
     ends = np.cumsum(np.where(distinct, fronts.entries, 0))
     # The last node to add a representative's update: the greatest distinct
     # parent among the nodes it stands for.
     feeds = (parent >= 0) & distinct[np.maximum(parent, 0)]
     last = np.arange(rep.size)
     np.maximum.at(last, rep[feeds], parent[feeds])
-    factor = np.zeros(rep.size, dtype=np.int64)
-    pivot, update = factor.copy(), factor.copy()
-    factor[distinct] = (ends - fronts.entries)[distinct]
-    ends, last = ends.tolist(), last.tolist()
-    live = []  # (start, stop, last node) of every live block, by offset
-    size = ends[-1]
-    for s in np.flatnonzero(distinct).tolist():
-        for offset, entries, until in ((pivot, pivots[s] ** 2, s),
-                                       (update, below[s] ** 2, last[s])):
-            if not entries:
-                continue
-            at, fits = ends[until], []  # (gap, offset) of the gaps that fit
-            for start, stop, _ in live:
-                if start - at >= entries:
-                    fits.append((start - at, at))
-                at = max(at, stop)
-            at = min(fits)[1] if fits else at
-            offset[s] = at
-            bisect.insort(live, (at, at + entries, until))
-            size = max(size, at + entries)
-        live = [block for block in live if block[2] > s]
-    return _Workspace(rep, size, factor, pivot, update, signs)
+    entries = np.where(distinct, below * (below + 1) // 2, 0)
+    factor = np.where(distinct, ends - fronts.entries, 0)
+    update = np.zeros_like(factor)
+    placed = np.argsort(-entries, kind="stable")[:np.count_nonzero(entries)]
+    for i, s in enumerate(placed.tolist()):
+        others = placed[:i][(placed[:i] <= last[s]) & (last[placed[:i]] >= s)]
+        at = int(ends[last[s]])
+        for start, stop in sorted(zip(update[others].tolist(),
+                                      (update + entries)[others].tolist())):
+            if start >= at + entries[s]:
+                break
+            at = max(at, stop)
+        update[s] = at
+    size = int(max(ends[-1], (update + entries).max()))
+    return _Workspace(rep, size, factor, update, signs)
 
 
-def _region(work: np.ndarray, at: int, rows: int, cols: int) -> np.ndarray:
-    """The column-major rows x cols block of ``work`` from entry ``at``."""
-    return work[at:at + rows * cols].reshape((rows, cols), order="F")
+def _rfp(flat: np.ndarray, n: int):
+    """The views block(r, c, a, b), rows r:r+a and columns c:c+b on or below
+    the diagonal, with columns all below n1 = ceil(n/2) or all from it on,
+    of the order-n lower triangle ``flat`` holds in RFP (TRANSR='N',
+    UPLO='L'): a column-major (2 n2 + 1) x n1 array, n2 = n - n1, with
+    columns 0:n1 from its row n2 + 1 - n1 on and rows and columns n1:n,
+    transposed, in its first n2 rows from column n1 - n2 on. So the strict
+    upper triangle of a diagonal view aliases other entries."""
+    n1, n2 = (n + 1) // 2, n // 2
+    rect = flat.reshape((2 * n2 + 1, n1), order="F")
+    lead, trail = rect[n2 + 1 - n1:], rect[:n2, n1 - n2:].T
+
+    def block(r, c, a, b):
+        view, r, c = (lead, r, c) if c < n1 else (trail, r - n1, c - n1)
+        return view[r:r + a, c:c + b]
+
+    return block
+
+
+def _rfp_offset(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Where an order-n RFP triangle (``_rfp``) holds its (i, j), i >= j."""
+    n1, n2 = (n + 1) // 2, n // 2
+    return np.where(j < n1, i + n2 + 1 - n1 + j * (2 * n2 + 1),
+                    j - n1 + (i - n2) * (2 * n2 + 1))
 
 
 def _assemble_front(plans: list[_PartPlan], s: int, p: int, m: int,
@@ -787,9 +799,9 @@ def _assemble_front(plans: list[_PartPlan], s: int, p: int, m: int,
                     at: tuple[int, int, int]) -> None:
     """Add the scaled blocks of the element parts that enter node s into
     its zeroed F11, F21 and F22, which start at the entries ``at`` of
-    ``work``. Each block entry is rounded to the dtype of ``work`` and
-    summed in it, in the order the parts list the entries. Only lower
-    triangles are filled: the factorization reads no other part."""
+    ``work``, F11 and F22 in RFP. Each block entry is rounded to the dtype
+    of ``work`` and summed in it, in the order the parts list the entries.
+    Only lower triangles are filled: the factorization reads no other part."""
     q = m - p
     for plan in plans:
         e0, e1 = plan.starts[s], plan.starts[s + 1]
@@ -802,73 +814,72 @@ def _assemble_front(plans: list[_PartPlan], s: int, p: int, m: int,
         local = plan.local[e0:e1]
         r, c = np.take(local, plan.a, axis=1), np.take(local, plan.b, axis=1)
         hi, lo = np.maximum(r, c), np.minimum(r, c)
-        np.add.at(work, np.where(lo >= p, at[2] + hi - p + q * (lo - p),
-                                 np.where(hi < p, at[0] + hi + p * lo,
+        np.add.at(work, np.where(lo >= p, at[2] + _rfp_offset(hi - p, lo - p, q),
+                                 np.where(hi < p, at[0] + _rfp_offset(hi, lo, p),
                                           at[1] + hi - p + q * lo)),
                   values.astype(work.dtype, copy=False))
 
 
-def _runs(pos: np.ndarray, p: int) -> list[tuple[int, int, int]]:
-    """The runs of ``pos``, ascending rows of a front with ``p`` pivots:
-    (start, stop, first row) of each stretch of consecutive rows on one
-    side of the pivots."""
-    starts = [0, *(np.flatnonzero((np.diff(pos) != 1) | (pos[1:] == p))
-                   + 1).tolist()]
+def _runs(pos: np.ndarray, cuts) -> list[tuple[int, int, int]]:
+    """(start, stop, first row) of each run of ``pos``, ascending front rows:
+    consecutive rows, with a cut before the first row from each of ``cuts``."""
+    starts = sorted({0, *(np.flatnonzero(np.diff(pos) != 1) + 1).tolist(),
+                     *np.searchsorted(pos, cuts).ravel().tolist()} - {pos.size})
     return list(zip(starts, [*starts[1:], pos.size], pos[starts].tolist()))
 
 
 def _extend_add(front: tuple[np.ndarray, ...], update: np.ndarray,
                 pos: np.ndarray, scale: np.ndarray | None = None) -> None:
-    """Add a child's update (lower triangle) at rows and columns ``pos`` of
-    a front held as (F11, F21, F22); where ``scale`` is given, add E U E
-    with E = diag(scale) on the update's rows in place of U. The child's
-    rows fall in runs of consecutive front rows (``_runs``), so each pair of
-    runs is one slice of the update added to one slice of a block, in place
-    and with no temporary, or, rescaled, a chunk of at most ``_CHUNK``
-    entries at a time.
+    """Add a child's update U, in RFP, at rows and columns ``pos`` of a
+    front held as (F11, F21, F22), F11 and F22 in RFP (``_rfp``); where
+    ``scale`` is given, add E U E with E = diag(scale) on U's rows. The
+    child's rows fall in runs of consecutive front rows (``_runs``). Each
+    run of columns, split where the halves of an RFP triangle meet, and each
+    run of rows at or below it make one view of U added in place to one view
+    of a block, by chunks of at most ``_CHUNK`` entries where rescaled or on
+    the diagonal, where it adds its lower triangle alone (see ``_rfp``).
 
-    The pivot order of ``_pivot_order`` keeps the runs few. An update
-    reaches the parent's linked pivots, which come first in the parent's
-    positions, and ancestor rows, which are linked DOFs too; the face-only
-    DOFs it skips sit together at the end of each node's positions. So an
-    update lands in at most four runs, where with one face-only DOF per
-    edge between the linked ones it would break at every edge (32 runs at
-    the root of N=32, k=3)."""
-    f11, f21, f22 = front
-    p = f11.shape[0]
-    runs = _runs(pos, p)
-    for j, (j0, j1, c0) in enumerate(runs):
-        for i0, i1, r0 in runs[j:]:
-            if r0 < p:
-                target = f11[r0:r0 + i1 - i0, c0:c0 + j1 - j0]
-            elif c0 < p:
-                target = f21[r0 - p:r0 - p + i1 - i0, c0:c0 + j1 - j0]
-            else:
-                target = f22[r0 - p:r0 - p + i1 - i0, c0 - p:c0 - p + j1 - j0]
-            part = update[i0:i1, j0:j1]
-            if scale is None:
-                target += part
+    The pivot order of ``_pivot_order`` keeps the runs few: an update
+    reaches the parent's linked pivots, first in its positions, and ancestor
+    rows, linked DOFs too, and skips the face-only DOFs at the end of each
+    node's positions. So its rows fall in at most four runs, where with one
+    face-only DOF per edge between the linked ones they would break at every
+    edge (32 runs at the root of N=32, k=3)."""
+    f21, (q, p) = front[1], front[1].shape
+    f11, f22, u = _rfp(front[0], p), _rfp(front[2], q), _rfp(update, pos.size)
+    cols = _runs(pos, [(p + 1) // 2, p, p + (q + 1) // 2,
+                       *pos[(pos.size + 1) // 2:][:1]])
+    runs = cols[:1]  # the same, cut only where rows jump and at the pivots
+    for i0, i1, r0 in cols[1:]:
+        if r0 != p and r0 == runs[-1][2] + i0 - runs[-1][0]:
+            runs[-1] = (runs[-1][0], i1, runs[-1][2])
+        else:
+            runs.append((i0, i1, r0))
+    for j0, j1, c0 in cols:
+        for i0, i1, r0 in (run for run in runs if run[1] > j0):
+            if diagonal := i0 <= j0:  # from the top of the columns
+                i0, r0 = j0, r0 + j0 - i0
+            a, b = i1 - i0, j1 - j0
+            target = (f22(r0 - p, c0 - p, a, b) if c0 >= p else f11(r0, c0, a, b)
+                      if r0 < p else f21[r0 - p:r0 - p + a, c0:c0 + b])
+            part = u(i0, j0, a, b)
+            if scale is None and (not diagonal or a <= len(_LOWER)):
+                np.add(target, part, out=target,
+                       where=_LOWER[:a, :b] if diagonal else True)
                 continue
-            rows, cols = scale[i0:i1, None], scale[j0:j1]
-            step = max(1, _CHUNK // (i1 - i0))
-            for k in range(0, j1 - j0, step):
-                chunk = part[:, k:k + step] * rows
-                chunk *= cols[k:k + step]
-                target[:, k:k + step] += chunk
-
-
-def _pack_lower(l11: np.ndarray, packed: np.ndarray,
-                upper: np.ndarray) -> None:
-    """The lower triangle of ``l11`` into ``packed``, column by column, a
-    few columns at a time; ``upper`` is an upper-triangular boolean mask of
-    the same shape."""
-    step = max(1, _CHUNK // l11.shape[0])
-    at = 0
-    for j0 in range(0, l11.shape[0], step):
-        # Row j of the transpose is column j of l11.
-        lower = l11.T[j0:j0 + step][upper[j0:j0 + step]]
-        packed[at:at + lower.size] = lower
-        at += lower.size
+            step = max(1, _CHUNK // a)
+            for k in range(0, b, step):
+                top = k if diagonal else 0  # no entry of the block above
+                chunk, dest = part[top:, k:k + step], target[top:, k:k + step]
+                if scale is not None:
+                    chunk = chunk * scale[i0 + top:i1, None]
+                    chunk *= scale[j0:j1][k:k + step]
+                if diagonal:
+                    w = chunk.shape[1]
+                    np.add(dest[:w], chunk[:w], out=dest[:w],
+                           where=_LOWER[:w, :w])
+                    chunk, dest = chunk[w:], dest[w:]
+                dest += chunk
 
 
 def _flush(block: np.ndarray, tiny: float) -> None:
@@ -884,7 +895,7 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
     """Numeric phase: (L11, L21, d) of every node, in postorder, for the
     matrix scaled by ``scale`` (in tree order, powers of two), in the
     precision of ``dtype``. L11 is the Cholesky factor of the node's pivot
-    block, packed by columns, L21 the rows of the front beyond it and d the
+    block in RFP (``_rfp``), L21 the rows of the front beyond it and d the
     scale at the front's rows; None where empty.
 
     Only representatives (``plan.rep[s] == s``, see ``_representatives``)
@@ -900,39 +911,34 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
     of the twin's, so a twin's preconditioner differs from its own factor
     only in entries under sqrt(tiny) * 2^12 for |E| within 2^[-6, 6], far
     below single precision's round-off. A twin's front is congruent to its
-    representative's, so the representative's ``dpotrf`` certifies it SPD
+    representative's, so the representative's ``dpftrf`` certifies it SPD
     as well.
 
     Everything lives in one array of ``dtype`` laid out by
-    ``_plan_workspace``. The factor fills it from the start: each F21 is
-    assembled, extended and solved in place at its final slot as L21, and
-    L11 is packed into the slot before it. F11 and F22 lie in the part the
-    factor has not yet reached, F11 until it is factored and packed, F22 as
-    a cached update until the last front that adds it. So no block is
-    allocated per front, and the pages of a freed block are the next
-    block's. A front is built by zeroing its blocks, adding its element
-    entries, each rounded to ``dtype`` (see ``_assemble_front``), and
-    adding its children's updates."""
+    ``_plan_workspace``, and no block is allocated per front. A front is
+    built by zeroing its p(p+1)/2 + qp + q(q+1)/2 entries, adding its
+    element entries, each rounded to ``dtype`` (see ``_assemble_front``),
+    and its children's updates: F11, in RFP, and F21 after it in the
+    node's factor slot, where ``pftrf`` and ``tfsm`` turn them into L11 and
+    L21 in place, and F22, in RFP, which ``sfrk`` then updates in place."""
     bounds = tree.bounds.tolist()
     n = bounds[-1]
     rep = plan.rep.tolist()
-    factor_at, pivot_at = plan.factor.tolist(), plan.pivot.tolist()
-    update_at = plan.update.tolist()
+    factor_at, update_at = plan.factor.tolist(), plan.update.tolist()
     scale = np.append(scale, 0.0)  # position -1 reads this zero
     children = _children(tree.parent)
-    potrf, = get_lapack_funcs(("potrf",), dtype=dtype)
-    trsm, syrk = get_blas_funcs(("trsm", "syrk"), dtype=dtype)
+    pftrf, tfsm, sfrk = get_lapack_funcs(("pftrf", "tfsm", "sfrk"),
+                                         dtype=dtype)
     work = np.empty(plan.size, dtype=dtype)
     # Below double precision, entries under sqrt(tiny) are zeroed, so that
     # no product of two entries is subnormal: subnormal operands slow the
     # BLAS kernels several times (eps=1e-6, N=64: ssyrk 0.79 s against
     # 0.06 s flushed). Against the unit diagonal such an entry lies 1e11
     # below single precision's unit round-off. F11 and F21 are flushed once
-    # the front is built and L21 once it is solved; F22 is not, as ``syrk``
+    # the front is built and L21 once it is solved; F22 is not, as ``sfrk``
     # only adds to it, and its entries are flushed in the ancestor's F11 or
     # F21 they reach.
     flush = np.sqrt(np.finfo(dtype).tiny) if dtype != np.float64 else 0.0
-    masks: dict[int, np.ndarray] = {}  # few pivot orders recur
     factor = []
     for s, rows in enumerate(fronts.rows):
         if rep[s] != s:
@@ -940,12 +946,14 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
             continue
         b0, b1 = bounds[s], bounds[s + 1]
         p, m = b1 - b0, rows.size
-        packed = work[factor_at[s]:factor_at[s] + p * (p + 1) // 2]
-        at = (pivot_at[s], factor_at[s] + packed.size, update_at[s])
-        front = (_region(work, at[0], p, p), _region(work, at[1], m - p, p),
-                 _region(work, at[2], m - p, m - p))
-        for block in front:
-            block.fill(0.0)
+        q = m - p
+        at = (factor_at[s], factor_at[s] + p * (p + 1) // 2, update_at[s])
+        built = work[at[0]:at[1] + q * p]  # F11 and F21, column-major
+        front = (built[:at[1] - at[0]],
+                 built[at[1] - at[0]:].reshape((q, p), order="F"),
+                 work[at[2]:at[2] + q * (q + 1) // 2])
+        built.fill(0.0)
+        front[2].fill(0.0)
         _assemble_front(fronts.parts, s, p, m, scale, work, at)
         for c in children[s]:
             pc, r = bounds[c + 1] - bounds[c], rep[c]
@@ -958,32 +966,27 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
                 if plan.signs[c] is not None:
                     ratio *= plan.signs[c][pc:]
                 ratio = None if np.all(ratio == 1.0) else ratio.astype(dtype)
-            _extend_add(front, _region(work, update_at[r], child_rows.size,
-                                       child_rows.size),
+            size = child_rows.size * (child_rows.size + 1) // 2
+            _extend_add(front, work[update_at[r]:update_at[r] + size],
                         np.searchsorted(rows, child_rows), ratio)
         if flush:
-            for block in front[:2]:
-                _flush(block, flush)
+            _flush(built, flush)
         if not p:
             factor.append((None, None, None))
             continue
         f11, l21, f22 = front
-        _, info = potrf(f11, lower=1, clean=0, overwrite_a=1)
+        _, info = pftrf(p, f11, uplo="L", overwrite_a=1)
         if info != 0:
             raise SolverError(
                 f"matrix is not positive definite: pivot {info} of front "
                 f"{s} fails (tree positions {b0}:{b1} of dimension {n}, "
                 f"front order {m})")
-        if p not in masks:
-            masks[p] = np.triu(np.ones((p, p), dtype=bool))
-        _pack_lower(f11, packed, masks[p])
-        if m > p:
-            trsm(1.0, f11, l21, side=1, lower=1, trans_a=1, overwrite_b=1)
+        if q:
+            tfsm(1.0, f11, l21, side="R", uplo="L", trans="T", overwrite_b=1)
             if flush:
                 _flush(l21, flush)
-            syrk(-1.0, l21, beta=1.0, c=f22, lower=1, overwrite_c=1)
-        factor.append((packed, l21 if m > p else None,
-                       scale[rows].astype(dtype)))
+            sfrk(q, p, -1.0, l21, 1.0, f22, uplo="L", overwrite_c=1)
+        factor.append((f11, l21 if q else None, scale[rows].astype(dtype)))
     return factor
 
 
@@ -1016,8 +1019,8 @@ def _solve_groups(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray,
             if all(f is None for f in flips):
                 groups.append((r, block[:p], block[p:], None, None))
             else:
-                flips = np.stack([np.ones(m) if f is None else f
-                                  for f in flips], axis=1).astype(np.int8)
+                flips = np.stack([np.ones(m, dtype=np.int8) if f is None
+                                  else f for f in flips], axis=1)
                 groups.append((r, block[:p], block[p:], flips[:p], flips[p:]))
         at += m * t
     return _Fronts(flat, starts, sizes, steps, fronts.parts,
@@ -1039,17 +1042,13 @@ def _front_solve(factor: list, groups: list, y: np.ndarray) -> np.ndarray:
     Anderson & Saad 1989), so each group gathers its columns of y into one
     block and takes one triangular solve and one product with its shared
     factor. Twins may update the same rows, as two equal subtrees of one
-    parent do, so the updates are summed entry by entry. A group of twins
-    unpacks its L11 for the solve and drops it after."""
-    tpsv, trsm = get_blas_funcs(("tpsv", "trsm"), dtype=y.dtype)
-    tpttr, = get_lapack_funcs(("tpttr",), dtype=y.dtype)
+    parent do, so the updates are summed entry by entry. ``tfsm`` solves
+    with L11 in RFP, in place, from the right on the block's transpose."""
+    tfsm, = get_lapack_funcs(("tfsm",), dtype=y.dtype)
 
-    def solve(l11, block, trans):
-        p, t = block.shape
-        if t == 1:
-            return tpsv(p, l11, block[:, 0], lower=1, trans=trans)[:, None]
-        full, _ = tpttr(p, l11, uplo="L")
-        return trsm(1.0, full, block, lower=1, trans_a=trans)
+    def solve(l11, block, trans):  # L^-1 B, or L^-T B, as (B^T L^-T)^T
+        return tfsm(1.0, l11, block.T, side="R", uplo="L",
+                    trans="N" if trans else "T", overwrite_b=1).T
 
     for r, pivots, below, on_pivots, on_below in groups:
         l11, l21, d = factor[r]
@@ -1084,12 +1083,12 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
                  tree: SeparatorTree):
     """Cholesky factorization on ``tree`` of the matrix scaled by ``scale``
     (powers of two) on both sides, as a function of the precision:
-    ``factor(dtype)`` returns (solve, factor_nnz, factor_stored, workspace),
-    where solve(b) returns A^-1 b to the factor's precision. The pivot order,
-    the symbolic phase, the front keys, the workspace plan and the solve's
-    groups run once, here, and every call checks the workspace and the
-    element blocks against physical memory and runs the numeric phase in
-    ``dtype``."""
+    ``factor(dtype)`` returns (solve, factor_nnz, factor_stored, workspace,
+    distinct_fronts), where solve(b) returns A^-1 b to the factor's
+    precision. The pivot order, the symbolic phase, the front keys, the
+    workspace plan and the solve's groups run once, here, and every call
+    checks the workspace and the element blocks against physical memory and
+    runs the numeric phase in ``dtype``."""
     n = elements.dim
     if tree.perm.size != n or tree.bounds[-1] != n:
         raise ValueError(f"tree covers {tree.perm.size} DOFs, matrix has {n}")
@@ -1100,7 +1099,8 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     fronts = _symbolic_phase(elements, tree)
     perm = tree.perm
     rep, signs = _representatives(fronts, tree, _mirror_maps(elements, tree))
-    stored = int(fronts.entries[rep == np.arange(rep.size)].sum())
+    distinct = rep == np.arange(rep.size)
+    stored = int(fronts.entries[distinct].sum())
     plan = _plan_workspace(fronts, tree, rep, signs)
     fronts, groups = _solve_groups(fronts, tree, rep, signs)
     held = sum(group.block.nbytes for group in elements.groups)
@@ -1122,7 +1122,7 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
                                    rhs[perm].astype(dtype, copy=False))
             return x
 
-        return solve, fronts.factor_nnz, stored, plan.size
+        return solve, fronts.factor_nnz, stored, plan.size, int(distinct.sum())
 
     return numeric
 
@@ -1142,7 +1142,7 @@ def residual_floor(elements: ElementMatrix, x: np.ndarray,
 def _solve_pcg(elements, rhs, tol, scale, tree):
     """Double-precision CG preconditioned by the tree factorization in
     single precision: (x, iterations, |b - Ax| / |b|, factor_nnz,
-    factor_stored, workspace). See ``solve_spd`` for the stop and fallback rules."""
+    factor_stored, workspace, distinct_fronts). See ``solve_spd`` for the stop and fallback rules."""
     factor = _tree_factor(elements, scale, tree)
     dtype = np.float32
     try:
@@ -1230,7 +1230,7 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         report = SolveReport(method, 0, 0.0, time.perf_counter() - start,
-                             0, 0, 0)
+                             0, 0, 0, 0)
         return np.zeros_like(rhs), report
     diag = elements.diagonal()
     if np.any(diag <= 0.0):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import get_blas_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from wg_shishkin import solver
 from wg_shishkin.basis import legendre_table, project_cell, project_edge
@@ -323,24 +323,47 @@ def superlu_solve(matrix, rhs):
     return scale * lu.solve(scale * rhs)
 
 
+def unpack_rfp(flat, n):
+    """The lower triangle of order n that ``flat`` holds in rectangular full
+    packed format (TRANSR='N', UPLO='L'), as a full matrix with zeros above
+    the diagonal, unpacked by LAPACK's ``tfttr``."""
+    tfttr, = get_lapack_funcs(("tfttr",), dtype=flat.dtype)
+    full, info = tfttr(n, flat, uplo="L")
+    assert info == 0
+    return np.tril(full[:n])  # tfttr returns one row of order 0
+
+
+def rfp_indices(n):
+    """(rows, columns) of the triangle entry that each entry of an order-n
+    RFP array holds (TRANSR='N', UPLO='L'), as LAPACK's ``trttf`` puts
+    them."""
+    trttf, = get_lapack_funcs(("trttf",), dtype=np.float64)
+    return tuple(trttf(np.asfortranarray(index, dtype=float),
+                       uplo="L")[0].astype(np.int64)
+                 for index in np.indices((n, n)))
+
+
 def front_solve_per_node(factor, fronts, bounds, y, signs=None):
     """Solve A x = y in place, one node at a time in postorder and back,
-    twins included, with one packed triangular solve per node and pass: the
-    tree solve before level scheduling, kept as a reference. ``factor``
-    holds (L11 packed, L21, d) of every node, ``fronts`` its front rows and
-    ``signs`` its rows' signs relative to its representative's, or None;
-    the node's unscaled factor is S d^-1 (L11, L21) S_p, with S = diag of
-    its signs and S_p their pivot block."""
-    tpsv, = get_blas_funcs(("tpsv",), dtype=y.dtype)
+    twins included, with one triangular solve per node and pass on L11
+    unpacked: the tree solve before level scheduling, kept as a reference.
+    ``factor`` holds (L11 in RFP, L21, d) of every node, ``fronts`` its
+    front rows and ``signs`` its rows' signs relative to its
+    representative's, or None; the node's unscaled factor is
+    S d^-1 (L11, L21) S_p, with S = diag of its signs and S_p their pivot
+    block."""
+    trsv, = get_blas_funcs(("trsv",), dtype=y.dtype)
     signs = [None] * len(factor) if signs is None else signs
+    full = {}  # every node's L11, unpacked
     for s, (l11, l21, d) in enumerate(factor):
         if l11 is None:
             continue
         b0, b1 = bounds[s], bounds[s + 1]
         p = b1 - b0
+        full[s] = unpack_rfp(l11, p)
         flip = np.ones(len(fronts[s])) if signs[s] is None else signs[s]
         # G11 = S_p d^-1 L11 S_p: solve with it in the node's own terms.
-        y[b0:b1] = flip[:p] * tpsv(p, l11, d[:p] * flip[:p] * y[b0:b1],
+        y[b0:b1] = flip[:p] * trsv(full[s], d[:p] * flip[:p] * y[b0:b1],
                                    lower=1)
         if l21 is not None:
             y[fronts[s][p:]] -= (flip[p:] * (l21 @ (flip[:p] * y[b0:b1]))
@@ -356,16 +379,17 @@ def front_solve_per_node(factor, fronts, bounds, y, signs=None):
         if l21 is not None:
             below = flip[p:] * y[fronts[s][p:]] / d[p:]
             piv = piv - flip[:p] * (l21.T @ below)
-        y[b0:b1] = flip[:p] * d[:p] * tpsv(p, l11, flip[:p] * piv, lower=1,
+        y[b0:b1] = flip[:p] * d[:p] * trsv(full[s], flip[:p] * piv, lower=1,
                                            trans=1)
     return y
 
 
 def assembled_fronts(fronts, tree, scale):
     """Every node's front with pivots as the numeric phase builds it, just
-    before it is factored: copies of (F11, F21, F22), lower triangles only,
-    from a run of ``solver._factor_fronts`` in which every node is factored
-    on its own, no twins shared."""
+    before it is factored: copies of (F11, F21, F22), F11 and F22 unpacked
+    from RFP to their lower triangles, from a run of
+    ``solver._factor_fronts`` in which every node is factored on its own,
+    no twins shared."""
     n_nodes = tree.parent.size
     plan = solver._plan_workspace(fronts, tree, np.arange(n_nodes),
                                   [None] * n_nodes)
@@ -374,21 +398,21 @@ def assembled_fronts(fronts, tree, scale):
 
     def spy_assemble(plans, s, p, m, scale, work, at):
         assemble(plans, s, p, m, scale, work, at)
-        pending.append((s, p, m, work, at))
+        pending.append((s, m, work, at))
 
     def spy_lapack(names, dtype):
-        potrf, = lapack(names, dtype=dtype)
+        pftrf, *others = lapack(names, dtype=dtype)
 
-        def recorded(f11, **kwargs):  # every front's children are added
-            s, p, m, work, at = pending.pop()
-            built[s] = tuple(
-                np.tril(solver._region(work, a, rows, cols)) if rows == cols
-                else solver._region(work, a, rows, cols).copy()
-                for a, rows, cols in zip(at, (p, m - p, m - p),
-                                         (p, p, m - p)))
-            return potrf(f11, **kwargs)
+        def recorded(p, f11, **kwargs):  # every front's children are added
+            s, m, work, at = pending.pop()
+            q = m - p
+            built[s] = (unpack_rfp(work[at[0]:at[0] + p * (p + 1) // 2], p),
+                        work[at[1]:at[1] + q * p].reshape(
+                            (q, p), order="F").copy(),
+                        unpack_rfp(work[at[2]:at[2] + q * (q + 1) // 2], q))
+            return pftrf(p, f11, **kwargs)
 
-        return (recorded,)
+        return (recorded, *others)
 
     with mock.patch.object(solver, "_assemble_front", spy_assemble), \
             mock.patch.object(solver, "get_lapack_funcs", spy_lapack):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import get_lapack_funcs
 
 import wg_shishkin.solver as solver
-from conftest import elements_of, one_front, superlu_solve
+from conftest import (elements_of, one_front, rfp_indices, superlu_solve,
+                      unpack_rfp)
 from wg_shishkin.analytic import ExactSolution
 from wg_shishkin.assembly import assemble_system, fill_reducing_ordering
 from wg_shishkin.mesh import MeshParams, build_mesh
@@ -319,8 +321,8 @@ class TestFactorSize:
         assert fronts.factor_nnz == entries
 
     @pytest.mark.parametrize("n, k, quad, entries, stored, workspace", [
-        (32, 3, None, 4_086_528, 1_011_132, 1_408_668),
-        (16, 4, 5, 1_235_200, 347_560, 499_476),
+        (32, 3, None, 4_086_528, 1_011_132, 1_073_260),
+        (16, 4, 5, 1_235_200, 347_560, 374_240),
     ])
     def test_small_case_factor_sizes(self, n, k, quad, entries, stored,
                                      workspace):
@@ -382,10 +384,10 @@ class TestPivotOrder:
 
 class TestWorkspacePlan:
     """The one array of the numeric phase, checked against its schedule
-    rederived here: distinct nodes in postorder, each building F11 and F22
-    while it is factored and reading its children's updates, the update
-    of a representative being read by the front of every distinct parent
-    of a node it stands for."""
+    rederived here: distinct nodes in postorder, each building F11 and F21
+    in its factor slot and F22, a triangle in RFP, while it is factored and
+    reading its children's updates, the update of a representative being
+    read by the front of every distinct parent of a node it stands for."""
 
     @pytest.mark.parametrize("condense", [False, True],
                              ids=["full", "condensed"])
@@ -409,10 +411,9 @@ class TestWorkspacePlan:
                 last_read[rep[c]] = s
         blocks = []  # (start, stop, first step, last step, name)
         for s in distinct:
-            p, below = pivots[s], fronts.rows[s].size - pivots[s]
-            blocks.append((plan.pivot[s], plan.pivot[s] + p * p, s, s,
-                           f"F11 of {s}"))
-            blocks.append((plan.update[s], plan.update[s] + below * below, s,
+            below = fronts.rows[s].size - pivots[s]
+            blocks.append((plan.update[s],
+                           plan.update[s] + below * (below + 1) // 2, s,
                            last_read.get(s, s), f"F22 of {s}"))
         blocks = [block for block in blocks if block[1] > block[0]]
         written = 0
@@ -435,6 +436,150 @@ class TestWorkspacePlan:
         _, pcg = solve_spd(system.elements, system.rhs, "pcg", tol=1e-8,
                            tree=tree)
         assert pcg.workspace == direct.workspace >= direct.factor_stored
+
+    @pytest.mark.parametrize("n, k, quad", [(32, 3, None), (16, 4, 5)])
+    def test_plan_meets_the_live_set_bound(self, n, k, quad):
+        # No layout fits in fewer entries than the most, over the distinct
+        # nodes, of the factor written through a node and the updates live
+        # while it is factored; the offline plan comes within 1% of that.
+        mesh = build_mesh(MeshParams(n=n, eps=1e-3, k=k))
+        system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
+                                 q=quad, condense=True)
+        tree = solver._pivot_order(system.elements,
+                                   fill_reducing_ordering(system))
+        fronts = solver._symbolic_phase(system.elements, tree)
+        rep, signs = solver._representatives(
+            fronts, tree, solver._mirror_maps(system.elements, tree))
+        distinct = np.flatnonzero(rep == np.arange(rep.size))
+        last_read = {}
+        for s in distinct:
+            for c in np.flatnonzero(tree.parent == s):
+                last_read[rep[c]] = s
+        below = fronts.sizes - np.diff(tree.bounds)
+        bound = max(
+            fronts.entries[distinct[distinct <= s]].sum()
+            + sum(below[r] * (below[r] + 1) // 2 for r in distinct
+                  if r <= s <= last_read.get(r, r))
+            for s in distinct)
+        size = solver._plan_workspace(fronts, tree, rep, signs).size
+        assert bound <= size <= 1.01 * bound
+
+
+class TestRectangularFullPacked:
+    """Pivot blocks and updates are triangles in LAPACK's rectangular full
+    packed format (TRANSR='N', UPLO='L'), placed by closed-form offsets and
+    read and written through two strided views."""
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 20, 31])
+    def test_offsets_and_views_match_trttf(self, n):
+        full = RNG.standard_normal((n, n))
+        flat, info = get_lapack_funcs(("trttf",), dtype=np.float64)[0](
+            np.asfortranarray(full), uplo="L")
+        assert info == 0 and flat.size == n * (n + 1) // 2
+        rows, cols = rfp_indices(n)
+        i, j = np.tril_indices(n)
+        at = solver._rfp_offset(i, j, n)
+        assert np.array_equal(np.sort(at), np.arange(flat.size))
+        assert np.array_equal(rows[at], i) and np.array_equal(cols[at], j)
+        assert np.array_equal(flat[at], full[i, j])
+        n1 = (n + 1) // 2
+        block = solver._rfp(flat, n)
+        # Columns 0:n1 from the diagonal down, and the trailing triangle.
+        leading, trailing = block(0, 0, n, n1), block(n1, n1, n - n1, n - n1)
+        assert np.array_equal(np.tril(leading), np.tril(full[:, :n1]))
+        assert np.array_equal(np.tril(trailing), np.tril(full[n1:, n1:]))
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    @pytest.mark.parametrize("rows", ["trailing", "through", "gaps"])
+    @pytest.mark.parametrize("p, q", [(6, 7), (7, 6), (9, 9), (300, 301)])
+    def test_extend_add_adds_lower_triangles_only(self, p, q, rows, scaled):
+        # The front after the extend-add is its dense sum with the update,
+        # for rows on the trailing triangles of F11 and F22 alone, for rows
+        # through every cut between blocks and RFP halves, and for rows with
+        # gaps. The strict upper triangle of a view of a trailing triangle,
+        # transposed in the RFP array, aliases the leading columns, so an
+        # update on the trailing triangles leaves those columns, negative
+        # zeros included, bit for bit.
+        p1, q1 = (p + 1) // 2, (q + 1) // 2
+        pos = {"trailing": np.r_[p1:p, p + q1:p + q],
+               "through": np.arange(1, p + q),
+               "gaps": np.r_[0, 2:p + 1, p + 3:p + q]}[rows]
+        front = (RNG.standard_normal(p * (p + 1) // 2),
+                 np.asfortranarray(RNG.standard_normal((q, p))),
+                 RNG.standard_normal(q * (q + 1) // 2))
+        for flat, order in ((front[0], p), (front[2], q)):
+            i, j = np.tril_indices(order)
+            lead = solver._rfp_offset(i, j, order)[j < (order + 1) // 2]
+            flat[lead[::2]] = -0.0
+        before = [block.copy() for block in front]
+        m = pos.size
+        update = RNG.standard_normal(m * (m + 1) // 2)
+        scale = (np.ldexp(1.0, RNG.integers(-3, 4, m))
+                 * RNG.choice([-1.0, 1.0], m) if scaled else None)
+        solver._extend_add(front, update, pos, scale)
+
+        def dense(f11, f21, f22):  # the front's lower triangle
+            out = np.zeros((p + q, p + q))
+            out[:p, :p], out[p:, :p] = unpack_rfp(f11, p), f21
+            out[p:, p:] = unpack_rfp(f22, q)
+            return out
+
+        u = unpack_rfp(update, m)
+        if scaled:
+            u = u * scale[:, None] * scale
+        expected = dense(*before)
+        a, b = np.tril_indices(m)
+        expected[pos[a], pos[b]] += u[a, b]
+        assert np.array_equal(dense(*front), expected)
+        if rows != "trailing":
+            return
+        for new, old, order in ((front[0], before[0], p),
+                                (front[2], before[2], q)):
+            i, j = np.tril_indices(order)
+            lead = solver._rfp_offset(i, j, order)[j < (order + 1) // 2]
+            assert np.array_equal(new[lead].view(np.int64),
+                                  old[lead].view(np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_factor_routines_write_into_the_workspace(self, dtype,
+                                                      monkeypatch):
+        # f2py copies an argument that is not contiguous in the order it
+        # wants and writes the result to the copy: pftrf, tfsm and sfrk must
+        # each return the very workspace view they were given.
+        mesh = build_mesh(MeshParams(n=16, eps=1e-3, k=3))
+        system = assemble_system(mesh, 3, 1e-3, ExactSolution(1, 1e-3).forcing,
+                                 condense=True)
+        elements = system.elements
+        tree = solver._pivot_order(elements, fill_reducing_ordering(system))
+        fronts = solver._symbolic_phase(elements, tree)
+        rep, signs = solver._representatives(
+            fronts, tree, solver._mirror_maps(elements, tree))
+        plan = solver._plan_workspace(fronts, tree, rep, signs)
+        scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
+        calls = []  # (routine, the argument it writes, what it returned)
+        overwrites = {"pftrf": 1, "tfsm": 2, "sfrk": 5}
+        lapack = solver.get_lapack_funcs
+
+        def spy(name, routine):
+            def recorded(*args, **kwargs):
+                out = routine(*args, **kwargs)
+                calls.append((name, args[overwrites[name]],
+                              out[0] if name == "pftrf" else out))
+                return out
+            return recorded
+
+        def spy_lapack(names, dtype):
+            return tuple(spy(name, routine) for name, routine
+                         in zip(names, lapack(names, dtype=dtype)))
+
+        monkeypatch.setattr(solver, "get_lapack_funcs", spy_lapack)
+        factor = solver._factor_fronts(fronts, tree, scale, plan, dtype)
+        work = next(l11 for l11, *_ in factor if l11 is not None).base
+        assert work.size == plan.size and work.dtype == dtype
+        assert {name for name, *_ in calls} == {"pftrf", "tfsm", "sfrk"}
+        for name, given, written in calls:
+            assert given.base is work, name
+            assert np.shares_memory(written, given), name
 
 
 class TestElementMatrix:

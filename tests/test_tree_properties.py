@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (assembled_fronts, elements_of, front_solve_per_node,
-                      superlu_solve)
+                      rfp_indices, superlu_solve)
 from wg_shishkin import solver
 from wg_shishkin.analytic import ExactSolution
 from wg_shishkin.assembly import assemble_system, fill_reducing_ordering
@@ -151,9 +151,8 @@ def test_power_of_two_scaling_rescales_the_factor_exactly(n, k, log_eps,
             continue
         p, rows = pivots[s], fronts.rows[s]
         row, sign = times[rows], np.sign(times[rows[:p]])
-        # Packed by columns: column j holds rows j to p - 1.
-        packed_rows = np.concatenate([np.arange(j, p) for j in range(p)])
-        packed_cols = np.repeat(np.arange(p), np.arange(p, 0, -1))
+        # In RFP: entry i of L11 is (packed_rows[i], packed_cols[i]).
+        packed_rows, packed_cols = rfp_indices(p)
         assert np.array_equal(e, d * row)
         assert np.array_equal(m11, l11 * row[packed_rows] * sign[packed_cols])
         if l21 is not None:
