@@ -50,11 +50,13 @@ physical-memory check counts this array and the element blocks.
 Python steps per node are kept few. Each node lists its DOFs that couple
 beyond their own face first and the face-only ones last (``_pivot_order``),
 so a child's update lands in at most four runs of consecutive rows of its
-parent's front and is added by a few slice-adds. The symbolic phase takes
-one sort per tree height, not one per node, and a triangular solve steps
-by height too (level scheduling, Anderson & Saad 1989): the twins of one
-height share one factor, so each group of twins takes one triangular solve
-and one product over all their columns of the right-hand side.
+parent's front and is added by a few slice-adds. The analysis takes a few
+array passes per tree height and no step per node: the symbolic phase one
+sort, the twins one array of keys (Liu 1992 keeps it cheap next to the
+factorization). A triangular solve steps by height too (level scheduling,
+Anderson & Saad 1989): the twins of one height share one factor, so each
+group of twins takes one triangular solve and one product over all their
+columns of the right-hand side.
 
 The iterative method is double-precision CG on the given matrix,
 preconditioned by the tree factorization run in single precision: half the
@@ -297,6 +299,8 @@ class SolveReport:
     entries of the one array the numeric phase works in: factor_stored, and
     above it the updates, in RFP, that outgrow the factor's unfilled part.
     For pcg all four count its preconditioner: this factor, in single precision.
+    analysis_time is the part of wall_time, in seconds, spent before the
+    numeric phase, from the pivot order to the solve's groups (``_tree_factor``).
     """
 
     method: str
@@ -307,6 +311,7 @@ class SolveReport:
     factor_stored: int
     workspace: int
     distinct_fronts: int
+    analysis_time: float
 
 
 def _power_of_two_scale(diag: np.ndarray) -> np.ndarray:
@@ -402,7 +407,8 @@ class _Fronts:
     """Result of the symbolic phase: the ascending tree positions of every
     node's front, node s's the ``sizes[s]`` entries of ``flat`` from
     ``starts[s]`` on in steps of ``steps[s]``, the element parts sorted by
-    node, and the number of factor entries of every node."""
+    node, and the number of factor entries of every node. ``lands``, laid
+    out as ``flat``, holds every update row's row in the parent's front."""
 
     flat: np.ndarray
     starts: np.ndarray
@@ -410,6 +416,7 @@ class _Fronts:
     steps: np.ndarray
     parts: list[_PartPlan]
     entries: np.ndarray
+    lands: np.ndarray | None = None
 
     @cached_property
     def rows(self) -> list[np.ndarray]:
@@ -422,15 +429,27 @@ class _Fronts:
         return int(self.entries.sum())
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """arange(a, a + c) for every (a, c) of ``starts`` and ``counts``, one
+    after the other in one array."""
+    ends = np.cumsum(counts)
+    return (np.arange(ends[-1] if ends.size else 0)
+            + np.repeat(starts - ends + counts, counts))
+
+
 def _symbolic_phase(elements: ElementMatrix, tree: SeparatorTree) -> _Fronts:
     """Each part of an element (see ``_element_parts``) enters the first node
     in postorder that owns one of its DOFs. A node's front rows are its own
     positions, the DOFs of the parts that enter it, and its children's rows
-    beyond their pivots."""
+    beyond their pivots. Nodes of one height (see ``_heights``) are
+    independent, so each height takes one sort of the keys node << shift |
+    position of its fronts' rows, which it lays out together in ``flat``;
+    a node's own positions lead its rows, and the sort's inverse places
+    every other row an element or a child's update brings."""
     n = elements.dim
     bounds, parent = tree.bounds, tree.parent
     n_nodes = parent.size
-    position = np.empty(n, dtype=np.int64)
+    position = np.full(n + 1, -1, dtype=np.int64)  # index -1 reads -1
     position[tree.perm] = np.arange(n)
     parts = [part for group in elements.groups for part in _element_parts(group)]
     # Parts of one DOF, diagonal entries coupled to nothing else, are many
@@ -442,95 +461,97 @@ def _symbolic_phase(elements: ElementMatrix, tree: SeparatorTree) -> _Fronts:
                       np.concatenate([np.broadcast_to(values, index.shape)
                                       for index, values, *_ in single]),
                       np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)))
-    sorted_parts = []
+    shift = n.bit_length()
+    plans, beyond = [], []
     for index, pairs, a, b in parts:
-        held = index >= 0
-        positions = np.where(held, position[index], -1)
-        # A part holding no DOF gets node n_nodes and enters no front.
-        node = np.searchsorted(bounds, np.where(held, positions, n).min(axis=1),
+        positions = position[index]
+        # As unsigned, a left-out -1 is the largest; a part holding no DOF
+        # gets node n_nodes and enters no front.
+        low = positions.view(np.uint64).min(axis=1).view(np.int64)
+        node = np.searchsorted(bounds, np.where(low < 0, n, low),
                                side="right") - 1
         order = np.argsort(node, kind="stable")
         starts = np.searchsorted(node[order], np.arange(n_nodes + 1))
         order = order[:starts[-1]]
-        if pairs.ndim == 2:
-            pairs = pairs[order]
-        sorted_parts.append((starts, node[order], positions[order], pairs, a, b))
+        node, positions = node[order, None], positions[order]
+        # A node's own positions lead its rows, and a left-out DOF reads row
+        # 0; the DOFs beyond them, node by node, are found by height below.
+        plans.append(_PartPlan(starts, positions,
+                               np.maximum(positions - bounds[node], 0),
+                               pairs[order] if pairs.ndim == 2 else pairs, a, b))
+        e, j = np.nonzero(positions >= bounds[node + 1])
+        beyond.append((e, j, (node[e, 0] << shift) + positions[e, j],
+                       np.searchsorted(e, starts)))
 
-    keys, sizes = _front_keys(tree, [(entering, positions) for
-                                     _, entering, positions, *_ in sorted_parts])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    plans = []
-    for starts, node, positions, pairs, a, b in sorted_parts:
-        # A left-out DOF's key, node * (n + 1) - 1, finds the node's first row.
-        local = (np.searchsorted(keys, node[:, None] * (n + 1) + positions)
-                 - offsets[node][:, None])
-        plans.append(_PartPlan(starts, positions, local, pairs, a, b))
-    keys -= np.repeat(np.arange(n_nodes) * (n + 1), sizes)  # now positions
-    pivots = np.diff(bounds)
-    return _Fronts(keys, offsets[:-1], sizes, np.ones_like(sizes), plans,
-                   pivots * (pivots + 1) // 2 + pivots * (sizes - pivots))
-
-
-def _front_keys(tree: SeparatorTree, parts: list[tuple[np.ndarray, np.ndarray]]
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Every node's front rows as one ascending array of keys node * (n + 1)
-    + position, and the number of rows of every node. A front holds its
-    node's positions, the positions of the element parts that enter it,
-    given as (entering node, positions) of each element of each part, and
-    the rows of its children's fronts beyond their pivots. Nodes of one
-    height (see ``_heights``) are independent, so each height takes one
-    sort of the keys of all its nodes, and no step is taken per node."""
-    bounds, parent = tree.bounds, tree.parent
-    n = bounds[-1]
     pivots = np.diff(bounds)
     height = _heights(parent)
-    levels = np.arange(height.max() + 2)
-    by_height = []  # each part's elements by the height of their node
-    for entering, positions in parts:
-        order = np.argsort(height[entering], kind="stable")
-        by_height.append((entering, positions, order, np.searchsorted(
-            height[entering[order]], levels).tolist()))
-    reached: list[list[np.ndarray]] = [[] for _ in levels[:-1]]
-    batches = []
-    sizes = np.zeros(parent.size, dtype=np.int64)
-    for h in range(len(reached)):
+    starts, sizes = np.zeros_like(parent), np.zeros_like(parent)
+    flat, landed, base = [], [], 0
+    # Update rows bound for each height: (keys, their index in flat).
+    reached: list[list] = [[] for _ in range(height.max() + 1)]
+    for h, arrived in enumerate(reached):
         nodes = np.flatnonzero(height == h)
-        p = pivots[nodes]
-        own = np.arange(p.sum()) + np.repeat(bounds[nodes] - np.cumsum(p) + p, p)
-        keys = [np.repeat(nodes * (n + 1), p) + own, *reached[h]]
-        for entering, positions, order, starts in by_height:
-            at = order[starts[h]:starts[h + 1]]
-            keys.append((entering[at, None] * (n + 1)
-                         + positions[at])[positions[at] >= 0])
-        keys = np.sort(np.concatenate(keys))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        node = keys // (n + 1)
-        rows = keys - node * (n + 1)
-        first = np.flatnonzero(np.diff(node, prepend=-1))
-        wrong = first[rows[first] < bounds[node[first]]]
+        entering = [_ranges(first[nodes], first[nodes + 1] - first[nodes])
+                    for *_, first in beyond]
+        # The keys come in sorted runs, which a stable sort merges fast, and
+        # the sort's inverse gives every key's index in its node's rows.
+        keys = np.concatenate([(np.repeat(nodes, pivots[nodes]) << shift)
+                               + _ranges(bounds[nodes], pivots[nodes])]
+                              + [keys for keys, _ in arrived]
+                              + [k[at] for (_, _, k, _), at in zip(beyond,
+                                                                   entering)])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        index = np.empty_like(order)
+        index[order] = np.cumsum(new) - 1
+        keys = keys[new]
+        rows = keys & ((1 << shift) - 1)
+        first = np.searchsorted(keys, nodes << shift)
+        starts[nodes], sizes[nodes] = base + first, np.diff(first,
+                                                            append=keys.size)
+        at = pivots[nodes].sum()
+        for up, to in arrived:
+            landed.append((to, index[at:at + up.size]
+                           - (starts[up >> shift] - base)))
+            at += up.size
+        for plan, (e, j, k, _), now in zip(plans, beyond, entering):
+            plan.local[e[now], j[now]] = (index[at:at + now.size]
+                                          - (starts[k[now] >> shift] - base))
+            at += now.size
+        # Every node's rows beyond its pivots go to its parent's front. Those
+        # that are the parent's own positions come first and land at once;
+        # the others are sorted there.
+        up, below = parent[nodes], sizes[nodes] - pivots[nodes]
+        if np.any(below[up < 0]):
+            raise ValueError(f"root node {nodes[(up < 0) & (below > 0)][0]} "
+                             "couples beyond its positions")
+        node, up = nodes[below > 0], up[below > 0]
+        lo = starts[node] - base + pivots[node]
+        mid = np.searchsorted(keys, (node << shift) + bounds[up + 1])
+        wrong = np.flatnonzero((mid > lo) & (rows[lo] < bounds[up]))
         if wrong.size:
-            raise ValueError(f"the front of node {node[wrong[0]]} reaches "
-                             f"position {rows[wrong[0]]}, which none of its "
-                             "ancestors owns: the tree does not separate the "
-                             "matrix")
-        beyond = rows >= bounds[node + 1]
-        up = parent[node[beyond]]
-        if np.any(up < 0):
-            raise ValueError(f"root node {node[beyond][up < 0][0]} couples "
-                             "beyond its positions")
-        up_keys = up * (n + 1) + rows[beyond]
+            raise ValueError(f"the front of node {up[wrong[0]]} reaches "
+                             f"position {rows[lo[wrong[0]]]}, which none of "
+                             "its ancestors owns: the tree does not separate "
+                             "the matrix")
+        at = _ranges(lo, mid - lo)
+        landed.append((base + at, rows[at] - np.repeat(bounds[up], mid - lo)))
         for g in np.unique(height[up]).tolist():
-            reached[g].append(up_keys[height[up] == g])
-        reached[h] = []
-        sizes += np.bincount(node, minlength=parent.size)
-        batches.append(keys)
-    offsets = np.cumsum(sizes) - sizes
-    every = np.empty(sizes.sum(), dtype=np.int64)
-    for keys in batches:
-        node = keys // (n + 1)
-        every[offsets[node] + np.arange(node.size)
-              - np.searchsorted(node, node)] = keys
-    return every, sizes
+            go = height[up] == g
+            count = starts[node[go]] - base + sizes[node[go]] - mid[go]
+            at = _ranges(mid[go], count)
+            reached[g].append(((np.repeat(up[go], count) << shift) + rows[at],
+                               base + at))
+        flat.append(rows)
+        base += keys.size
+    flat = np.concatenate(flat)
+    lands = np.full_like(flat, -1)
+    for at, rows in landed:
+        lands[at] = rows
+    return _Fronts(flat, starts, sizes, np.ones_like(sizes), plans,
+                   pivots * (pivots + 1) // 2 + pivots * (sizes - pivots), lands)
 
 
 def _heights(parent: np.ndarray) -> np.ndarray:
@@ -545,14 +566,6 @@ def _heights(parent: np.ndarray) -> np.ndarray:
         if np.array_equal(taller, height):
             return height
         height = taller
-
-
-def _children(parent: np.ndarray) -> list[list[int]]:
-    """Every node's children, ascending: the order their updates are added."""
-    children: list[list[int]] = [[] for _ in range(parent.size)]
-    for c in np.flatnonzero(parent >= 0).tolist():
-        children[parent[c]].append(c)
-    return children
 
 
 def _mirror_maps(elements: ElementMatrix, tree: SeparatorTree) -> list:
@@ -570,23 +583,26 @@ def _mirror_maps(elements: ElementMatrix, tree: SeparatorTree) -> list:
     count = max((len(group.mirrors) for group in elements.groups), default=0)
     position = np.full(n + 1, -1, dtype=np.int64)  # index -1 reads -1
     position[tree.perm] = np.arange(n)
+    index = [position[group.index] for group in elements.groups]
     maps = []
     for r in range(count):
-        image = np.full(n + 1, -1, dtype=np.int64)
-        sign = np.zeros(n + 1, dtype=np.int8)
-        for group in elements.groups:
-            if len(group.mirrors) > r:
-                elems, slots, signs = group.mirrors[r]
-                image[group.index[:, slots]] = group.index[elems]
-                sign[group.index[:, slots]] = signs
+        # Each position's image << 8 | its sign as a byte: -256 says none.
+        # Index -1, a left-out DOF, writes and reads the last entry.
+        image = np.full(n + 1, -256, dtype=np.int64)
+        pairs = [(at[:, group.mirrors[r][1]], (at[group.mirrors[r][0]] << 8)
+                  | group.mirrors[r][2].astype(np.int8).view(np.uint8))
+                 if len(group.mirrors) > r else None
+                 for group, at in zip(elements.groups, index)]
+        for pair in pairs:
+            if pair is not None:
+                image[pair[0]] = pair[1]
         tainted = np.zeros(n + 1, dtype=bool)
-        for group in elements.groups:
-            if len(group.mirrors) <= r:
-                tainted[group.index] = True
+        for group, at, pair in zip(elements.groups, index, pairs):
+            if pair is None:
+                tainted[at] = True
                 continue
-            elems, slots, signs = group.mirrors[r]
-            src, dst = group.index[:, slots], group.index[elems]
-            ok = (((image[src] == dst) & (sign[src] == signs))
+            (elems, slots, signs), (src, dst) = group.mirrors[r], pair
+            ok = (((image[src] == dst) & (signs.astype(np.int8) == signs))
                   | ((src < 0) & (dst < 0))).all(axis=1)
             pictured = (signs[:, None]
                         * group.block[..., slots[:, None], slots] * signs)
@@ -602,10 +618,25 @@ def _mirror_maps(elements: ElementMatrix, tree: SeparatorTree) -> list:
                                       same_face)
                    and (group.block.ndim == 3
                         or np.array_equal(pictured, group.block)))
-            tainted[group.index[~ok]] = True
-        at = image[tree.perm]
-        maps.append((position[at], sign[tree.perm], tainted[tree.perm]))
+            tainted[at[~ok]] = True
+        maps.append((image[:n] >> 8, image[:n].astype(np.uint8).view(np.int8),
+                     tainted[:n]))
     return maps
+
+
+def _padded(values: np.ndarray, first: np.ndarray, count: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """values[first[i]:first[i] + count[i]] as row i of one array, padded
+    with zeros, and where each row holds those entries."""
+    inside = np.arange(count.max(initial=0)) < count[:, None]
+    if first.size and first.max() + inside.shape[1] <= values.size:
+        rows = np.lib.stride_tricks.sliding_window_view(
+            values, inside.shape[1])[first]
+    else:
+        rows = np.take(values, first[:, None] + np.arange(inside.shape[1]),
+                       mode="clip")
+    np.copyto(rows, 0, casting="unsafe", where=~inside)
+    return rows, inside
 
 
 def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
@@ -617,15 +648,17 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
     front is then S rep[s]'s unscaled front S, with S = diag(signs[s]).
 
     A node's key holds everything its unscaled front is built from: the
-    front's shape; for each element part that enters it, the part's index,
-    the elements' rows in the front, which of their DOFs the matrix holds (a
-    left-out DOF reads row 0, as a held one may) and, where the part's
-    blocks are stacked, their values; for each child, its representative
-    and signs (whose update equals the child's up to scaling and signs, by
-    induction) and the rows that update lands on. Keys are compared as
-    bytes, so nodes of equal key assemble the same numbers in the same
-    order, each scaled by a power of two, and their factors and updates
-    are exact rescalings of each other (see ``_factor_fronts``).
+    front's shape; for each element part, how many elements enter it and,
+    for each, its rows in the front (-1 where the matrix leaves a DOF out)
+    and, where the part's blocks are stacked, their values; for each child,
+    its representative and signs (whose update equals the child's up to
+    scaling and signs, by induction) and the rows that update lands on
+    (``_Fronts.lands``). Nodes of equal key assemble the same numbers in
+    the same order, each scaled by a power of two, and their factors and
+    updates are exact rescalings of each other (see ``_factor_fronts``).
+    Twins have equal heights, so each height takes one pass: its nodes'
+    keys are the rows of one array, counts first, hashed and then compared
+    entry by entry with the first row of equal hash.
 
     A node whose key no earlier node has may still be the mirror image of
     an earlier node t, under one of ``mirrors`` (``_mirror_maps``), whose
@@ -638,75 +671,107 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
     representative of the child of t at its place, with the signs that
     make its update the image of that child's. A front entry sums at most
     two element terms, whose order does not matter, and the updates in the
-    order of the children, so s's front is t's so signed, bit for bit."""
-    pivots = np.diff(tree.bounds).tolist()
-    node_of = np.append(np.repeat(np.arange(len(pivots)), pivots), -1)
-    parts = [(plan.starts.tolist(), plan.local, plan.positions >= 0,
-              plan.pairs if plan.pairs.ndim == 2 else None)
+    order of the children, so s's front is t's so signed, bit for bit. The
+    check reads no node's twins, so it runs on a height's new keys at once."""
+    bounds, parent = tree.bounds, tree.parent
+    pivots, sizes, starts, flat = (np.diff(bounds), fronts.sizes,
+                                   fronts.starts, fronts.flat)
+    height = _heights(parent)
+    node_of = np.append(np.repeat(np.arange(parent.size), pivots), -1)
+    kids = np.argsort(parent, kind="stable")[np.count_nonzero(parent < 0):]
+    first_kid = np.searchsorted(parent[kids], np.arange(parent.size + 1))
+    n_kids = np.diff(first_kid)
+    # Every node's elements, part after part: each element's rows in its
+    # front, -1 where left out, and its stacked values.
+    codes = [np.concatenate([np.where(plan.positions >= 0, plan.local, -1)]
+                            + [plan.pairs.view(np.int64)]
+                            * (plan.pairs.ndim == 2), axis=1)
              for plan in fronts.parts]
-    entering: list[list[int]] = [[] for _ in fronts.rows]
-    for i, plan in enumerate(fronts.parts):
-        for s in np.flatnonzero(np.diff(plan.starts)).tolist():
-            entering[s].append(i)
-    children = _children(tree.parent)
-    rep = np.empty(len(fronts.rows), dtype=np.int64)
-    signs: list = [None] * len(fronts.rows)
-    first: dict[bytes, int] = {}
+    entering = np.array([np.diff(plan.starts) for plan in fronts.parts])
+    node = np.concatenate([np.repeat(np.arange(parent.size), e * code.shape[1])
+                           for e, code in zip(entering, codes)])
+    order = np.argsort(node, kind="stable")
+    codes = np.concatenate([code.ravel() for code in codes])[order]
+    code_at = np.searchsorted(node[order], np.arange(parent.size + 1))
+    rep, lead = np.full(parent.size, -1), np.arange(parent.size)
+    signed = np.zeros(parent.size, dtype=bool)
+    flips = np.ones(flat.size, dtype=np.int8)  # key's first node's signs
 
-    def below(c):  # the signs of the rows of child c's update
-        return b"" if signs[c] is None else signs[c][pivots[c]:].tobytes()
+    def kid(s, j):  # child j of every node s, any node where s has none
+        return kids[np.minimum(first_kid[s] + j, kids.size - 1)]
+
+    def update(values, c, u):  # values at the first u update rows of c
+        return _padded(values, starts[c] + pivots[c], u)
 
     def mirrored(s, t, image, sign, tainted):
-        rows, rows_t = fronts.rows[s], fronts.rows[t]
-        if (pivots[t] != pivots[s] or rows_t.size != rows.size
-                or len(children[t]) != len(children[s])
-                or not np.array_equal(image[rows_t], rows)
-                or tainted[rows[:pivots[s]]].any()
-                or tainted[rows_t[:pivots[s]]].any()):
-            return False
-        for c, c_t in zip(children[s], children[t]):
-            p = pivots[c]
-            if rep[c] != rep[c_t] or not np.array_equal(
-                    image[fronts.rows[c_t][p:]], fronts.rows[c][p:]):
-                return False
-            ours = (np.ones(rows.size - p) if signs[c] is None
-                    else signs[c][p:])
-            theirs = sign[fronts.rows[c_t][p:]] * (
-                1 if signs[c_t] is None else signs[c_t][p:])
-            if not np.array_equal(ours, theirs):
-                return False
-        return True
+        ok = ((pivots[t] == pivots[s]) & (sizes[t] == sizes[s])
+              & (n_kids[t] == n_kids[s]))
+        m, p = sizes[s] * ok, pivots[s] * ok
+        (rows, inside), (mine, own) = (_padded(flat, starts[s], m),
+                                       _padded(tainted, bounds[s], p))
+        ok &= (((image[_padded(flat, starts[t], m)[0]] == rows)
+                | ~inside).all(axis=1)
+               & ~((mine | _padded(tainted, bounds[t], p)[0]) & own).any(1))
+        for j in range(n_kids[s].max(initial=0)):
+            c, c_t = kid(s, j), kid(t, j)
+            # An unsigned child's signs read as s's front size in ones.
+            ok &= (j >= n_kids[s]) | ((rep[c] == rep[c_t])
+                                      & (signed[c] | (sizes[c] == sizes[s])))
+            u = np.where(ok & (j < n_kids[s]), sizes[c] - pivots[c], 0)
+            (rows, inside), rows_t = update(flat, c, u), update(flat, c_t, u)[0]
+            ok &= (((image[rows_t] == rows)
+                    & (update(flips, lead[c], u)[0]
+                       == sign[rows_t] * update(flips, lead[c_t], u)[0]))
+                   | ~inside).all(axis=1)
+        return ok
 
-    for s, rows in enumerate(fronts.rows):
-        # The counts first, then the arrays they size.
-        head = [rows.size, pivots[s], len(entering[s]), len(children[s])]
-        arrays = []
-        for i in entering[s]:
-            starts, local, held, pairs = parts[i]
-            e0, e1 = starts[s], starts[s + 1]
-            head += [i, e1 - e0]
-            arrays += [local[e0:e1], held[e0:e1]]
-            if pairs is not None:
-                arrays.append(pairs[e0:e1])
-        for c in children[s]:
-            pos = np.searchsorted(rows, fronts.rows[c][pivots[c]:])
-            head += [int(rep[c]), pos.size]
-            arrays += [pos, below(c)]
-        key = np.array(head).tobytes() + b"".join(
-            a if isinstance(a, bytes) else a.tobytes() for a in arrays)
-        seen = first.setdefault(key, s)
-        rep[s], signs[s] = (s, None) if seen == s else (rep[seen], signs[seen])
-        if seen != s or not pivots[s]:
-            continue
-        for image, sign, tainted in mirrors:
-            t = int(node_of[image[tree.bounds[s]]])
-            if 0 <= t < s and mirrored(s, t, image, sign, tainted):
-                flips = sign[fronts.rows[t]] * (1 if signs[t] is None
-                                                else signs[t])
-                rep[s] = rep[t]
-                signs[s] = None if np.all(flips == 1) else flips
+    for h in range(height.max() + 1):
+        nodes = np.flatnonzero(height == h)
+        children = [(kid(nodes, j), j < n_kids[nodes])
+                    for j in range(n_kids[nodes].max())]
+        # Rows of equal counts pad alike, so the counts come first.
+        keys = [np.stack([sizes[nodes], pivots[nodes], n_kids[nodes],
+                          *entering[:, nodes]]
+                         + [np.where(has, rep[c], -1) for c, has in children]
+                         + [has & signed[c] for c, has in children], axis=1),
+                _padded(codes, code_at[nodes], np.diff(code_at)[nodes])[0]]
+        for c, has in children:  # where each update lands, and its signs
+            u = np.where(has, sizes[c] - pivots[c], 0)
+            keys.append((update(fronts.lands, c, u)[0] << 8)
+                        | update(flips, lead[c], u)[0].view(np.uint8))
+        keys = np.concatenate(keys, axis=1)
+        # Rows of equal hash are compared entry by entry with the first, and
+        # those that differ from it are split off and compared again.
+        group = keys.view(np.uint64) @ np.random.default_rng(0).integers(
+            1 << 63, size=keys.shape[1], dtype=np.uint64)
+        while True:
+            _, first, group = np.unique(group, return_index=True,
+                                        return_inverse=True)
+            same = (keys == keys[first[group]]).all(axis=1)
+            if same.all():
                 break
-    return rep, signs
+            group = np.where(same, group, group + first.size)
+        lead[nodes] = nodes[first[group]]
+
+        new = nodes[lead[nodes] == nodes]
+        rep[new] = new
+        s = new[pivots[new] > 0]
+        twin, by = np.full(s.size, -1), np.zeros(s.size, dtype=np.int64)
+        for r, (image, sign, tainted) in enumerate(mirrors):
+            t = node_of[image[bounds[s]]]
+            look = (twin < 0) & (t >= 0) & (t < s)
+            look[look] = mirrored(s[look], t[look], image, sign, tainted)
+            twin[look], by[look] = t[look], r
+        # In postorder, as the first node of t's key may be found here too.
+        for s, t, r in zip(s[twin >= 0].tolist(), twin[twin >= 0].tolist(),
+                           by[twin >= 0].tolist()):
+            f = (mirrors[r][1][flat[starts[t]:starts[t] + sizes[t]]]
+                 * flips[starts[lead[t]]:starts[lead[t]] + sizes[t]])
+            rep[s], signed[s] = rep[lead[t]], np.any(f != 1)
+            flips[starts[s]:starts[s] + sizes[s]] = f
+        rep[nodes], signed[nodes] = rep[lead[nodes]], signed[lead[nodes]]
+    return rep, [flips[a:a + m] if g else None for a, m, g in zip(
+        starts[lead].tolist(), sizes.tolist(), signed.tolist())]
 
 
 #: Entries a temporary of the numeric phase holds at most, and the mask of
@@ -720,13 +785,16 @@ class _Workspace:
     """Where the numeric phase keeps every block in its one array of
     ``size`` entries: distinct node s (``rep[s] == s``) keeps L11 in RFP
     (``_rfp``) from ``factor[s]``, then L21 column-major, and its update F22
-    in RFP from ``update[s]``. ``rep``, ``signs``: see ``_representatives``."""
+    in RFP from ``update[s]``. ``rep``, ``signs``: see ``_representatives``.
+    ``lands[s]`` lists distinct node s's children, ascending, each with the
+    rows of s's front its update lands on (``_Fronts.lands``)."""
 
     rep: np.ndarray
     size: int
     factor: np.ndarray
     update: np.ndarray
     signs: list
+    lands: dict
 
 
 def _plan_workspace(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray,
@@ -765,7 +833,12 @@ def _plan_workspace(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray,
             at = max(at, stop)
         update[s] = at
     size = int(max(ends[-1], (update + entries).max()))
-    return _Workspace(rep, size, factor, update, signs)
+    lands: dict = {s: [] for s in np.flatnonzero(distinct).tolist()}
+    end = fronts.starts + fronts.sizes
+    for c in np.flatnonzero(feeds).tolist():
+        lands[int(parent[c])].append((c, fronts.lands[end[c] - below[c]:
+                                                      end[c]].copy()))
+    return _Workspace(rep, size, factor, update, signs, lands)
 
 
 def _rfp(flat: np.ndarray, n: int):
@@ -926,7 +999,6 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
     rep = plan.rep.tolist()
     factor_at, update_at = plan.factor.tolist(), plan.update.tolist()
     scale = np.append(scale, 0.0)  # position -1 reads this zero
-    children = _children(tree.parent)
     pftrf, tfsm, sfrk = get_lapack_funcs(("pftrf", "tfsm", "sfrk"),
                                          dtype=dtype)
     work = np.empty(plan.size, dtype=dtype)
@@ -955,20 +1027,19 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
         built.fill(0.0)
         front[2].fill(0.0)
         _assemble_front(fronts.parts, s, p, m, scale, work, at)
-        for c in children[s]:
+        for c, pos in plan.lands[s]:
             pc, r = bounds[c + 1] - bounds[c], rep[c]
-            child_rows = fronts.rows[c][pc:]
-            if not child_rows.size:  # a child without an update
+            if not pos.size:  # a child without an update
                 continue
             ratio = None
             if r != c:
-                ratio = scale[child_rows] / scale[fronts.rows[r][pc:]]
+                ratio = scale[fronts.rows[c][pc:]] / scale[fronts.rows[r][pc:]]
                 if plan.signs[c] is not None:
                     ratio *= plan.signs[c][pc:]
                 ratio = None if np.all(ratio == 1.0) else ratio.astype(dtype)
-            size = child_rows.size * (child_rows.size + 1) // 2
-            _extend_add(front, work[update_at[r]:update_at[r] + size],
-                        np.searchsorted(rows, child_rows), ratio)
+            size = pos.size * (pos.size + 1) // 2
+            _extend_add(front, work[update_at[r]:update_at[r] + size], pos,
+                        ratio)
         if flush:
             _flush(built, flush)
         if not p:
@@ -1007,7 +1078,7 @@ def _solve_groups(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray,
     nodes = np.lexsort((rep, _heights(tree.parent)))
     flat = np.empty_like(fronts.flat)
     starts, steps = np.empty_like(fronts.starts), np.empty_like(sizes)
-    groups, at = [], 0
+    groups, at, one = [], 0, np.ones(sizes.max(), dtype=np.int8)
     for twins in np.split(nodes, np.flatnonzero(np.diff(rep[nodes])) + 1):
         r, t = int(rep[twins[0]]), twins.size
         p, m = pivots[r], sizes[r]
@@ -1019,8 +1090,8 @@ def _solve_groups(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray,
             if all(f is None for f in flips):
                 groups.append((r, block[:p], block[p:], None, None))
             else:
-                flips = np.stack([np.ones(m, dtype=np.int8) if f is None
-                                  else f for f in flips], axis=1)
+                flips = np.array([one[:m] if f is None else f
+                                  for f in flips]).T
                 groups.append((r, block[:p], block[p:], flips[:p], flips[p:]))
         at += m * t
     return _Fronts(flat, starts, sizes, steps, fronts.parts,
@@ -1084,17 +1155,18 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     """Cholesky factorization on ``tree`` of the matrix scaled by ``scale``
     (powers of two) on both sides, as a function of the precision:
     ``factor(dtype)`` returns (solve, factor_nnz, factor_stored, workspace,
-    distinct_fronts), where solve(b) returns A^-1 b to the factor's
-    precision. The pivot order, the symbolic phase, the front keys, the
-    workspace plan and the solve's groups run once, here, and every call
-    checks the workspace and the element blocks against physical memory and
-    runs the numeric phase in ``dtype``."""
+    distinct_fronts, analysis_time), where solve(b) returns A^-1 b to the
+    factor's precision. The analysis, by tree height, runs once, here: the
+    pivot order, the symbolic phase, the twins, the workspace plan and the
+    solve's groups. Every call checks the workspace and the element blocks
+    against physical memory and runs the numeric phase in ``dtype``."""
     n = elements.dim
     if tree.perm.size != n or tree.bounds[-1] != n:
         raise ValueError(f"tree covers {tree.perm.size} DOFs, matrix has {n}")
     if not np.all((tree.parent > np.arange(tree.parent.size))
                   | (tree.parent == -1)):
         raise ValueError("tree nodes are not in postorder")
+    start = time.perf_counter()
     tree = _pivot_order(elements, tree)
     fronts = _symbolic_phase(elements, tree)
     perm = tree.perm
@@ -1103,6 +1175,7 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     stored = int(fronts.entries[distinct].sum())
     plan = _plan_workspace(fronts, tree, rep, signs)
     fronts, groups = _solve_groups(fronts, tree, rep, signs)
+    analysis_time = time.perf_counter() - start
     held = sum(group.block.nbytes for group in elements.groups)
 
     def numeric(dtype):
@@ -1122,7 +1195,8 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
                                    rhs[perm].astype(dtype, copy=False))
             return x
 
-        return solve, fronts.factor_nnz, stored, plan.size, int(distinct.sum())
+        return (solve, fronts.factor_nnz, stored, plan.size,
+                int(distinct.sum()), analysis_time)
 
     return numeric
 
@@ -1142,7 +1216,8 @@ def residual_floor(elements: ElementMatrix, x: np.ndarray,
 def _solve_pcg(elements, rhs, tol, scale, tree):
     """Double-precision CG preconditioned by the tree factorization in
     single precision: (x, iterations, |b - Ax| / |b|, factor_nnz,
-    factor_stored, workspace, distinct_fronts). See ``solve_spd`` for the stop and fallback rules."""
+    factor_stored, workspace, distinct_fronts, analysis_time). See
+    ``solve_spd`` for the stop and fallback rules."""
     factor = _tree_factor(elements, scale, tree)
     dtype = np.float32
     try:
@@ -1230,7 +1305,7 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         report = SolveReport(method, 0, 0.0, time.perf_counter() - start,
-                             0, 0, 0, 0)
+                             0, 0, 0, 0, 0.0)
         return np.zeros_like(rhs), report
     diag = elements.diagonal()
     if np.any(diag <= 0.0):

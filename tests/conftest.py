@@ -420,6 +420,128 @@ def assembled_fronts(fronts, tree, scale):
     return built
 
 
+def representatives_per_node(fronts, tree, mirrors):
+    """(rep, signs) of ``solver._representatives``, found node by node in
+    postorder with one ``bytes`` key per node: the reference of its pass by
+    height. For every node s, its representative: a node no later in
+    postorder whose front equals s's before scaling up to the signs of its
+    rows, bit for bit, and those signs: (rep, signs), with signs[s] None
+    where all are +1, as for every representative (rep[s] == s). Node s's
+    unscaled front is then S rep[s]'s unscaled front S, with S =
+    diag(signs[s]).
+
+    A node's key holds everything its unscaled front is built from: the
+    front's shape; for each element part that enters it, the part's index,
+    the elements' rows in the front, which of their DOFs the matrix holds (a
+    left-out DOF reads row 0, as a held one may) and, where the part's
+    blocks are stacked, their values; for each child, its representative
+    and signs (whose update equals the child's up to scaling and signs, by
+    induction) and the rows that update lands on. Keys are compared as
+    bytes, so nodes of equal key assemble the same numbers in the same
+    order, each scaled by a power of two, and their factors and updates
+    are exact rescalings of each other (see ``_factor_fronts``).
+
+    A node whose key no earlier node has may still be the mirror image of
+    an earlier node t, under one of ``mirrors`` (``_mirror_maps``), whose
+    image map takes t's first pivot into s's. It is taken as t's twin, with
+    the signs of the map on t's rows times t's signs, only where that map
+    takes t's front rows, in order, onto s's; no pivot of either node is
+    tainted, so every element that enters s or t keeps the claim (an
+    element enters the node of its first DOF) and those that enter s are
+    the images of those that enter t; and each child of s has the
+    representative of the child of t at its place, with the signs that
+    make its update the image of that child's. A front entry sums at most
+    two element terms, whose order does not matter, and the updates in the
+    order of the children, so s's front is t's so signed, bit for bit."""
+    pivots = np.diff(tree.bounds).tolist()
+    node_of = np.append(np.repeat(np.arange(len(pivots)), pivots), -1)
+    parts = [(plan.starts.tolist(), plan.local, plan.positions >= 0,
+              plan.pairs if plan.pairs.ndim == 2 else None)
+             for plan in fronts.parts]
+    entering: list[list[int]] = [[] for _ in fronts.rows]
+    for i, plan in enumerate(fronts.parts):
+        for s in np.flatnonzero(np.diff(plan.starts)).tolist():
+            entering[s].append(i)
+    children: list[list[int]] = [[] for _ in range(tree.parent.size)]
+    for c in np.flatnonzero(tree.parent >= 0).tolist():
+        children[tree.parent[c]].append(c)
+    rep = np.empty(len(fronts.rows), dtype=np.int64)
+    signs: list = [None] * len(fronts.rows)
+    first: dict[bytes, int] = {}
+
+    def below(c):  # the signs of the rows of child c's update
+        return b"" if signs[c] is None else signs[c][pivots[c]:].tobytes()
+
+    def mirrored(s, t, image, sign, tainted):
+        rows, rows_t = fronts.rows[s], fronts.rows[t]
+        if (pivots[t] != pivots[s] or rows_t.size != rows.size
+                or len(children[t]) != len(children[s])
+                or not np.array_equal(image[rows_t], rows)
+                or tainted[rows[:pivots[s]]].any()
+                or tainted[rows_t[:pivots[s]]].any()):
+            return False
+        for c, c_t in zip(children[s], children[t]):
+            p = pivots[c]
+            if rep[c] != rep[c_t] or not np.array_equal(
+                    image[fronts.rows[c_t][p:]], fronts.rows[c][p:]):
+                return False
+            ours = (np.ones(rows.size - p) if signs[c] is None
+                    else signs[c][p:])
+            theirs = sign[fronts.rows[c_t][p:]] * (
+                1 if signs[c_t] is None else signs[c_t][p:])
+            if not np.array_equal(ours, theirs):
+                return False
+        return True
+
+    for s, rows in enumerate(fronts.rows):
+        # The counts first, then the arrays they size.
+        head = [rows.size, pivots[s], len(entering[s]), len(children[s])]
+        arrays = []
+        for i in entering[s]:
+            starts, local, held, pairs = parts[i]
+            e0, e1 = starts[s], starts[s + 1]
+            head += [i, e1 - e0]
+            arrays += [local[e0:e1], held[e0:e1]]
+            if pairs is not None:
+                arrays.append(pairs[e0:e1])
+        for c in children[s]:
+            pos = np.searchsorted(rows, fronts.rows[c][pivots[c]:])
+            head += [int(rep[c]), pos.size]
+            arrays += [pos, below(c)]
+        key = np.array(head).tobytes() + b"".join(
+            a if isinstance(a, bytes) else a.tobytes() for a in arrays)
+        seen = first.setdefault(key, s)
+        rep[s], signs[s] = (s, None) if seen == s else (rep[seen], signs[seen])
+        if seen != s or not pivots[s]:
+            continue
+        for image, sign, tainted in mirrors:
+            t = int(node_of[image[tree.bounds[s]]])
+            if 0 <= t < s and mirrored(s, t, image, sign, tainted):
+                flips = sign[fronts.rows[t]] * (1 if signs[t] is None
+                                                else signs[t])
+                rep[s] = rep[t]
+                signs[s] = None if np.all(flips == 1) else flips
+                break
+    return rep, signs
+
+
+
+def assert_same_sharing(elements, tree):
+    """``solver._representatives`` finds the (rep, signs) of the per-node
+    reference on ``tree`` (in the solver's pivot order), with and without
+    the mirror maps: signs int8, None where all are +1."""
+    fronts = solver._symbolic_phase(elements, tree)
+    for mirrors in ([], solver._mirror_maps(elements, tree)):
+        rep, signs = solver._representatives(fronts, tree, mirrors)
+        want_rep, want_signs = representatives_per_node(fronts, tree, mirrors)
+        assert np.array_equal(rep, want_rep)
+        assert len(signs) == len(want_signs)
+        for s, (ours, theirs) in enumerate(zip(signs, want_signs)):
+            assert (ours is None) == (theirs is None), s
+            if ours is not None:
+                assert ours.dtype == np.int8, s
+                assert np.array_equal(ours, theirs), s
+
 # Extended-precision oracle of the class blocks: the Legendre polynomials in
 # exact rational arithmetic, everything after in 40-digit decimal arithmetic.
 

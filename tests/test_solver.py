@@ -4,8 +4,8 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
 import wg_shishkin.solver as solver
-from conftest import (elements_of, one_front, rfp_indices, superlu_solve,
-                      unpack_rfp)
+from conftest import (assert_same_sharing, elements_of, one_front,
+                      rfp_indices, superlu_solve, unpack_rfp)
 from wg_shishkin.analytic import ExactSolution
 from wg_shishkin.assembly import assemble_system, fill_reducing_ordering
 from wg_shishkin.mesh import MeshParams, build_mesh
@@ -136,19 +136,33 @@ class TestTreeSolve:
         matrix[2, 6] = matrix[6, 2] = matrix[5, 6] = matrix[6, 5] = -1.0
         matrix = matrix.tocsr()
         rhs = RNG.standard_normal(7)
+        tree = make_tree(np.arange(7), [0, 3, 6, 7], [2, 2, -1])
         for method in ("direct", "pcg"):
-            x, report = solve_sparse(matrix, rhs, method,
-                                     tree=make_tree(np.arange(7), [0, 3, 6, 7],
-                                                    [2, 2, -1]))
+            x, report = solve_sparse(matrix, rhs, method, tree=tree)
             assert report.factor_stored < report.factor_nnz
             assert x == pytest.approx(np.linalg.solve(matrix.toarray(), rhs),
                                       rel=1e-13)
+        elements = elements_of(matrix)
+        assert_same_sharing(elements, solver._pivot_order(elements, tree))
 
     def test_rejects_tree_that_does_not_separate(self):
         # Positions 2 and 3 are coupled but lie in sibling leaves.
         with pytest.raises(ValueError, match="does not separate"):
             solve_sparse(tridiagonal(7), np.ones(7),
                          tree=make_tree(np.arange(7), [0, 3, 6, 7], [2, 2, -1]))
+
+    def test_rejects_tree_not_in_postorder(self):
+        # Node 1's parent, node 0, comes before it.
+        with pytest.raises(ValueError, match="not in postorder"):
+            solve_sparse(tridiagonal(7), np.ones(7),
+                         tree=make_tree(np.arange(7), [0, 3, 6, 7], [2, 0, -1]))
+
+    def test_rejects_root_that_couples_beyond_its_positions(self):
+        # Two roots: position 2 of the first is coupled to position 3 of the
+        # second, which no ancestor of the first owns.
+        with pytest.raises(ValueError, match="root node 0 couples beyond"):
+            solve_sparse(tridiagonal(7), np.ones(7),
+                         tree=make_tree(np.arange(7), [0, 3, 7], [-1, -1]))
 
     def test_rejects_tree_of_other_dimension(self):
         with pytest.raises(ValueError, match="covers"):
@@ -286,6 +300,13 @@ class TestFactorSize:
                            tree=tree)
         assert (pcg.factor_nnz, pcg.factor_stored) == (
             direct.factor_nnz, direct.factor_stored)
+
+    @pytest.mark.parametrize("method", ["direct", "pcg"])
+    def test_reports_analysis_time(self, mesh_system, method):
+        system, tree = mesh_system
+        _, report = solve_spd(system.elements, system.rhs, method, tol=1e-8,
+                              tree=tree)
+        assert 0.0 < report.analysis_time <= report.wall_time
 
     def test_factor_beyond_physical_memory_raises_before_numeric_work(
             self, mesh_system, monkeypatch):
@@ -655,6 +676,8 @@ class TestFrontSharing:
                            tree=tree)
         assert (pcg.factor_nnz, pcg.factor_stored) == (
             report.factor_nnz, report.factor_stored)
+        for elements in (system.elements, stacked(system.elements)):
+            assert_same_sharing(elements, solver._pivot_order(elements, tree))
 
     @pytest.mark.parametrize("change", ["cell diagonal", "cell off-diagonal",
                                         "held to left out",
@@ -692,6 +715,7 @@ class TestFrontSharing:
                              g.faces, g.mirrors) for g in elements.groups) + (
                 ElementGroup(np.array([[d, e], pair]), coupling,
                              np.empty((0, 0), dtype=np.int64)),))
+        assert_same_sharing(elements, solver._pivot_order(elements, tree))
         if change == "cell of one quadrant":
             # One cell block of the lower left quadrant, all of it, so that
             # the block stays SPD: the fronts it enters stop sharing a
@@ -732,6 +756,7 @@ class TestFrontSharing:
         x_tree, report = solve_spd(elements, system.rhs, tol=1e-10, tree=tree)
         x_lu = superlu_solve(elements.to_csr(), system.rhs)
         assert np.linalg.norm(x_tree - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
+        assert_same_sharing(elements, solver._pivot_order(elements, tree))
         assert report.factor_stored < stored_if_twins_share_a_scale(elements,
                                                                     tree)
         if mesh_kind == "uniform":

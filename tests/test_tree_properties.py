@@ -10,8 +10,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assembled_fronts, elements_of, front_solve_per_node,
-                      rfp_indices, superlu_solve)
+from conftest import (assembled_fronts, assert_same_sharing, elements_of,
+                      front_solve_per_node, rfp_indices, superlu_solve)
 from wg_shishkin import solver
 from wg_shishkin.analytic import ExactSolution
 from wg_shishkin.assembly import assemble_system, fill_reducing_ordering
@@ -196,3 +196,22 @@ def test_twins_build_signed_images_of_their_representatives(n, k, log_eps,
                                             (e[:p], e[p:], e[p:]),
                                             (e[:p], e[:p], e[p:])):
             assert np.array_equal(ours, rows[:, None] * theirs * cols), s
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([8, 12, 16]), k=st.sampled_from([3, 4]),
+       log_eps=st.floats(min_value=-10.0, max_value=0.0),
+       mesh_kind=st.sampled_from(["shishkin", "uniform"]),
+       condense=st.booleans())
+def test_twins_by_height_match_the_per_node_pass(n, k, log_eps, mesh_kind,
+                                                 condense):
+    # The twins and signs found height by height are those of the per-node
+    # pass with bytes keys (conftest.representatives_per_node), translated
+    # copies and mirror images alike.
+    eps = 10.0 ** log_eps
+    mesh = build_mesh(MeshParams(n=n, eps=eps, k=k, mesh_kind=mesh_kind))
+    system = assemble_system(mesh, k, eps, ExactSolution(1, eps).forcing,
+                             condense=condense)
+    elements = system.elements
+    assert_same_sharing(elements, solver._pivot_order(
+        elements, fill_reducing_ordering(system)))
