@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--solver", choices=("direct", "pcg"), default="direct",
                      help="direct: Cholesky on the separator tree; pcg: CG "
                           "preconditioned by that factorization in single "
-                          "precision (default direct)")
+                          "precision, or the direct solve where CG stalls "
+                          "(default direct)")
     run.add_argument("--condense", choices=("auto", "on", "off"),
                      default="auto")
     _add_common(run)

@@ -22,6 +22,12 @@ from .weak_ops import local_stiffness
 
 CSV_HEADER = ("example", "mesh", "k", "eps", "N", "error", "order", "error_full")
 
+#: Tolerance of every case solve, orders below every tabulated case's
+#: discretization error: pcg stops at |b - Ax| / |b| <= CASE_TOL, which at
+#: 1e-12 would lie below that residual's round-off floor once the
+#: eps^2-weighted fourth-order terms dominate, so more cases would fall back.
+CASE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -36,14 +42,6 @@ class RunConfig:
     quad: int | None = None
     method: str = "direct"
     condense: str = "auto"  # auto | on | off
-    # Case solves run at 1e-10: the 2-norm residual of a double-precision
-    # factorization bottoms out above 1e-12 once the eps^2-weighted fourth
-    # order terms dominate, and 1e-10 is still orders below discretization
-    # error for every tabulated case. It bounds the normwise backward error
-    # of a direct solve; pcg stops at |b - Ax| / |b| <= tol or, where the
-    # round-off floor of that residual lies above tol (eps=1, N=32: 2.8e-10),
-    # accepts up to 8 times the floor.
-    tol: float = 1e-10
 
     def __post_init__(self):
         for n in self.n_list:
@@ -99,7 +97,7 @@ def run_case(config: RunConfig, eps: float, n: int) -> ConvergenceRecord:
                              q=config.quad, condense=condense)
     # Both methods factor the element form on its tree: no CSR is built.
     x, _ = solve_spd(system.elements, system.rhs, method=config.method,
-                     tol=config.tol, tree=fill_reducing_ordering(system))
+                     tol=CASE_TOL, tree=fill_reducing_ordering(system))
     numeric = system.expand(x)
     projected = project_exact(mesh, config.k, config.example, eps,
                               q=config.quad, dofmap=system.dofmap)

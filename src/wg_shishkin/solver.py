@@ -58,10 +58,11 @@ Anderson & Saad 1989): the twins of one height share one factor, so each
 group of twins takes one triangular solve and one product over all their
 columns of the right-hand side.
 
-The iterative method is double-precision CG on the given matrix,
-preconditioned by the tree factorization run in single precision: half the
-factor's memory, and a few iterations recover full accuracy (Langou et al.
-2006; Carson & Higham 2018).
+The iterative method is CG on the given matrix, preconditioned by the tree
+factorization run in single precision: half the factor's memory, and a few
+iterations recover full accuracy (Langou et al. 2006; Carson & Higham
+2018). Where that factorization breaks down, or a CG step fails to halve
+the true residual, the result is the direct solve.
 """
 
 import os
@@ -284,11 +285,11 @@ class SolveReport:
     of a direct solve, with ||A||_inf; the plain b-relative residual of a
     factorization bottoms out at |A||x|/|b| * eps_machine, which exceeds any
     fixed tolerance once the fourth-order terms dominate. For pcg it is that
-    b-relative residual |b - Ax| / |b| of the iterate returned, the best
-    one seen, which is at most max(tol, 8 * ``residual_floor``). A x and
-    |A| |x| come from the elements, and equal those of the assembled matrix
-    up to the order of summation. iterations counts the CG steps of pcg,
-    over both precisions; 0 for direct.
+    b-relative residual |b - Ax| / |b|, at most tol, of the CG iterate
+    returned, or the normwise backward error of the direct solve it fell
+    back to. A x and |A| |x| come from the elements, and equal those of the
+    assembled matrix up to the order of summation. iterations counts the CG
+    steps of pcg, those before a fallback included; 0 for direct.
 
     factor_nnz counts the factor's entries, the packed pivot blocks and the
     front rows below them of every node, as the symbolic phase counts them.
@@ -714,9 +715,7 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
                & ~((mine | _padded(tainted, bounds[t], p)[0]) & own).any(1))
         for j in range(n_kids[s].max(initial=0)):
             c, c_t = kid(s, j), kid(t, j)
-            # An unsigned child's signs read as s's front size in ones.
-            ok &= (j >= n_kids[s]) | ((rep[c] == rep[c_t])
-                                      & (signed[c] | (sizes[c] == sizes[s])))
+            ok &= (j >= n_kids[s]) | (rep[c] == rep[c_t])
             u = np.where(ok & (j < n_kids[s]), sizes[c] - pivots[c], 0)
             (rows, inside), rows_t = update(flat, c, u), update(flat, c_t, u)[0]
             ok &= (((image[rows_t] == rows)
@@ -1201,32 +1200,36 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     return numeric
 
 
-def residual_floor(elements: ElementMatrix, x: np.ndarray,
-                   rhs: np.ndarray) -> float:
-    """Round-off floor eps_mach * || |A| |x| || / ||b|| of |b - Ax| / |b|.
+def _solve_direct(elements, rhs, tol, factor):
+    """A^-1 b by ``factor`` in double precision and one step of iterative
+    refinement: (x, normwise backward error, *the counts of ``_tree_factor``);
+    raises SolverError where that error is above tol."""
+    solve, *counts = factor(np.float64)
+    x = solve(rhs)
+    # One step of iterative refinement in double precision (Skeel 1980;
+    # Higham 2002, ch. 12): where the discretization error nears the
+    # round-off floor, as at k=4, eps=1, N=64, the forward error of an
+    # unrefined solution shows in the reported error.
+    x += solve(rhs - elements @ x)
+    del solve  # free the factor before the residual check
+    residual = float(np.linalg.norm(rhs - elements @ x))
+    rel = residual / (elements.norm_inf() * float(np.linalg.norm(x))
+                      + float(np.linalg.norm(rhs)))
+    if not np.isfinite(rel) or rel > tol:
+        raise SolverError(f"direct solve left relative residual {rel:.3e} "
+                          f"above tolerance {tol:.1e}")
+    return x, rel, *counts
 
-    Forming Ax in double precision already errs by about this much, so no
-    solver can certify a b-relative residual below it for this x. |A| |x|
-    comes from the elements (``abs_matmul``).
-    """
-    return float(np.finfo(float).eps * np.linalg.norm(elements.abs_matmul(x))
-                 / np.linalg.norm(rhs))
 
-
-def _solve_pcg(elements, rhs, tol, scale, tree):
-    """Double-precision CG preconditioned by the tree factorization in
-    single precision: (x, iterations, |b - Ax| / |b|, factor_nnz,
-    factor_stored, workspace, distinct_fronts, analysis_time). See
-    ``solve_spd`` for the stop and fallback rules."""
-    factor = _tree_factor(elements, scale, tree)
-    dtype = np.float32
+def _solve_pcg(elements, rhs, tol, factor):
+    """CG preconditioned by ``factor`` in single precision: (iterations, x,
+    |b - Ax| / |b|, *counts), or the iterations and ``_solve_direct``'s
+    result where CG falls back to it (see ``solve_spd``)."""
     try:
-        precondition, *counts = factor(dtype)
+        precondition, *counts = factor(np.float32)
     except SolverError:
-        dtype = np.float64
-        precondition, *counts = factor(dtype)
+        return 0, *_solve_direct(elements, rhs, tol, factor)
     rhs_norm = float(np.linalg.norm(rhs))
-    # x is the best iterate so far and r = b - A x its true residual.
     x, r, norm = np.zeros_like(rhs), rhs.copy(), rhs_norm
     p = rz = None
     iterations = 0
@@ -1237,31 +1240,14 @@ def _solve_pcg(elements, rhs, tol, scale, tree):
         rz_next = float(r @ z)
         p = z if p is None else z + (rz_next / rz) * p
         rz = rz_next
-        x_next = x + (rz / float(p @ (elements @ p))) * p
-        r_next = rhs - elements @ x_next  # the true residual, every step
+        x = x + (rz / float(p @ (elements @ p))) * p
+        r = rhs - elements @ x  # the true residual, every step
         iterations += 1
-        norm_next = float(np.linalg.norm(r_next))
-        halved = norm_next <= norm / 2
-        if norm_next < norm:
-            x, r, norm = x_next, r_next, norm_next
-        if halved:
-            continue
-        floor = residual_floor(elements, x, rhs)
-        if norm <= max(tol, 8 * floor) * rhs_norm:
-            break
-        if dtype == np.float64:
-            raise SolverError(
-                f"PCG stagnated after {iterations} iterations at relative "
-                f"residual {norm / rhs_norm:.3e}, above tolerance {tol:.1e} "
-                f"and 8 times its round-off floor eps*|A||x|/|b|, "
-                f"{floor:.1e}")
-        # The single-precision factor is too coarse for this matrix: go on
-        # from the best iterate with the double-precision one.
-        dtype = np.float64
-        del precondition  # its factor goes before the new one is built
-        precondition, *_ = factor(dtype)
-        p = None
-    return x, iterations, norm / rhs_norm, *counts
+        norm, last = float(np.linalg.norm(r)), norm
+        if not norm <= last / 2:  # NaN included
+            del precondition  # its factor goes before the direct one is built
+            return iterations, *_solve_direct(elements, rhs, tol, factor)
+    return iterations, x, norm / rhs_norm, *counts
 
 
 def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
@@ -1278,19 +1264,14 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
             raises, naming the front. A front equal to an earlier one up
             to a signed power-of-two scaling shares its factor. One step of
             iterative refinement follows the solve.
-    pcg: conjugate gradients in double precision on the given matrix,
-         preconditioned by the same factorization run in single precision:
-         its factor takes half the memory. It computes the true residual
-         |b - Ax| / |b| every step and stops at tol, or once that residual
-         no longer halves. Then it returns the best iterate if its residual
-         is at most max(tol, 8 * floor), where floor is
-         ``residual_floor(elements, x, rhs)``, below which no solver can
-         go, and otherwise raises SolverError naming the floor. A
-         single-precision factorization that breaks down, or CG that
-         stagnates above that bound, is replaced once by the
-         double-precision factorization, and CG goes on from its best
-         iterate; so a matrix the double-precision factorization finds
-         indefinite raises as the direct solve does, naming the front.
+    pcg: conjugate gradients on the given matrix, preconditioned by the
+         same factorization run in single precision: its factor takes half
+         the memory. It computes the true residual |b - Ax| / |b| every
+         step and stops once that is at most tol. Where the
+         single-precision factorization breaks down, or a step fails to
+         halve the true residual, the result is the direct solve, on the
+         same analysis; so a matrix that is not SPD raises as the direct
+         solve does, naming the front.
 
     A direct solve is checked by its normwise backward error (see
     ``SolveReport``); A x, |A| |x| and ||A||_inf are computed exactly from
@@ -1302,8 +1283,7 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
         raise ValueError("matrix/rhs dimension mismatch")
     start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
+    if float(np.linalg.norm(rhs)) == 0.0:
         report = SolveReport(method, 0, 0.0, time.perf_counter() - start,
                              0, 0, 0, 0, 0.0)
         return np.zeros_like(rhs), report
@@ -1318,24 +1298,9 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
     # ``_representatives``).
     scale = _power_of_two_scale(diag)
 
-    if method == "pcg":
-        x, iterations, rel, *counts = _solve_pcg(elements, rhs, tol, scale,
-                                                 tree)
-    else:
-        solve, *counts = _tree_factor(elements, scale, tree)(np.float64)
-        x = solve(rhs)
-        # One step of iterative refinement in double precision (Skeel 1980;
-        # Higham 2002, ch. 12): where the discretization error nears the
-        # round-off floor, as at k=4, eps=1, N=64, the forward error of an
-        # unrefined solution shows in the reported error.
-        x += solve(rhs - elements @ x)
-        del solve  # free the factor before the residual check
-        iterations = 0
-        residual = float(np.linalg.norm(rhs - elements @ x))
-        rel = residual / (elements.norm_inf() * float(np.linalg.norm(x))
-                          + rhs_norm)
-        if not np.isfinite(rel) or rel > tol:
-            raise SolverError(f"direct solve left relative residual {rel:.3e} "
-                              f"above tolerance {tol:.1e}")
+    factor = _tree_factor(elements, scale, tree)
+    iterations, x, rel, *counts = (
+        _solve_pcg(elements, rhs, tol, factor) if method == "pcg"
+        else (0, *_solve_direct(elements, rhs, tol, factor)))
     return x, SolveReport(method, iterations, rel, time.perf_counter() - start,
                           *counts)

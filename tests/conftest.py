@@ -303,6 +303,17 @@ def elements_of(matrix):
                      pairs, no_faces)))
 
 
+def residual_floor(elements, x, rhs):
+    """Round-off floor eps_mach * || |A| |x| || / ||b|| of |b - Ax| / |b|.
+
+    Forming Ax in double precision already errs by about this much, so no
+    solver can certify a b-relative residual below it for this x. |A| |x|
+    comes from the elements (``abs_matmul``).
+    """
+    return float(np.finfo(float).eps * np.linalg.norm(elements.abs_matmul(x))
+                 / np.linalg.norm(rhs))
+
+
 def superlu_solve(matrix, rhs):
     """A^-1 b by SuperLU on the Jacobi-scaled sparse matrix, with its own
     ordering. Symmetric-mode SuperLU with diagonal pivoting acts as an
@@ -485,7 +496,7 @@ def representatives_per_node(fronts, tree, mirrors):
             if rep[c] != rep[c_t] or not np.array_equal(
                     image[fronts.rows[c_t][p:]], fronts.rows[c][p:]):
                 return False
-            ours = (np.ones(rows.size - p) if signs[c] is None
+            ours = (np.ones(fronts.rows[c].size - p) if signs[c] is None
                     else signs[c][p:])
             theirs = sign[fronts.rows[c_t][p:]] * (
                 1 if signs[c_t] is None else signs[c_t][p:])

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import (ROUNDOFF_FACTOR, all_cells, local_projection_dofs,
-                      roundoff_ratio)
+                      residual_floor, roundoff_ratio)
 from wg_shishkin.analytic import ExactSolution, project_exact
 from wg_shishkin.assembly import assemble_system, fill_reducing_ordering
 from wg_shishkin.basis import project_cell
 from wg_shishkin.driver import RunConfig, run_case, triple_bar_norm
 from wg_shishkin.mesh import MeshParams, build_mesh
-from wg_shishkin.solver import residual_floor, solve_spd
+from wg_shishkin.solver import solve_spd
 from wg_shishkin.weak_ops import (local_stiffness, weak_gradient_matrix,
                                   weak_laplacian_matrix)
 

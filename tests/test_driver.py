@@ -115,7 +115,7 @@ class TestRunCase:
     def test_memory_failure_raises_before_numeric_work(self, monkeypatch,
                                                        method):
         # An N=8 case plans a workspace of about 266k entries: neither
-        # precision fits in 256 KiB, so pcg's double-precision fallback
+        # precision fits in 256 KiB, so the direct solve pcg falls back to
         # raises too.
         def numeric(*args):
             raise AssertionError("numeric factorization started")
@@ -153,9 +153,9 @@ class TestRunCase:
 
     @pytest.mark.parametrize("eps, n", [(1.0, 32), (0.1, 64)])
     def test_pcg_case_matches_direct(self, eps, n):
-        # eps=1, N=32: the round-off floor of |b - Ax| / |b| (2.8e-10) lies
-        # above RunConfig.tol. eps=0.1, N=64: a diagonal preconditioner
-        # stagnates above the floor after thousands of iterations.
+        # eps=1, N=32: CG reaches the case tolerance in 5 single-precision
+        # steps. eps=0.1, N=64: its first step fails to halve the residual,
+        # so the case falls back to the direct solve.
         errors = {}
         for method in ("direct", "pcg"):
             config = RunConfig(example=1, k=3, eps_list=(eps,), n_list=(n,),

@@ -191,17 +191,66 @@ class TestPcg:
 
         monkeypatch.setattr(solver, "_factor_fronts", spy)
         monkeypatch.setattr(solver, "_symbolic_phase", symbolic_spy)
-        x, report = solve_sparse(matrix, rhs, "pcg", tol=1e-12,
-                                 tree=make_tree([0, 1], [0, 2], [-1]))
+        tree = make_tree([0, 1], [0, 2], [-1])
+        x, report = solve_sparse(matrix, rhs, "pcg", tol=1e-12, tree=tree)
         assert factored == [np.float32, np.float64]
         assert symbolic_runs == [2]  # the fallback reuses the symbolic phase
         assert x == pytest.approx(np.linalg.solve(matrix.toarray(), rhs),
                                   rel=1e-12)
-        assert report.iterations >= 1
+        # No CG step ran: the result is the direct solve's.
+        assert report.iterations == 0
+        assert np.array_equal(x, solve_sparse(matrix, rhs, tol=1e-12,
+                                              tree=tree)[0])
+
+    def test_stalled_cg_returns_the_direct_solve(self, monkeypatch):
+        # kappa of the scaled k=4, eps=1 system is near single precision's
+        # limit: |b - Ax| / |b| stops halving above 1e-10 after a few steps.
+        mesh = build_mesh(MeshParams(n=16, eps=1.0, k=4))
+        system = assemble_system(mesh, 4, 1.0, ExactSolution(1, 1.0).forcing,
+                                 condense=False)
+        tree = fill_reducing_ordering(system)
+        x_direct, direct = solve_spd(system.elements, system.rhs, tol=1e-10,
+                                     tree=tree)
+        solved = []
+        front_solve = solver._front_solve
+
+        def spy(factor, groups, y):
+            solved.append(y.dtype)
+            return front_solve(factor, groups, y)
+
+        monkeypatch.setattr(solver, "_front_solve", spy)
+        x_pcg, pcg = solve_spd(system.elements, system.rhs, "pcg", tol=1e-10,
+                               tree=tree)
+        assert np.array_equal(x_pcg, x_direct)
+        assert pcg.rel_residual == direct.rel_residual
+        # Each CG step takes one single-precision solve; the direct solve
+        # and its refinement step take two in double precision.
+        assert pcg.iterations >= 1
+        assert solved == [np.float32] * pcg.iterations + [np.float64] * 2
+
+    def test_benchmark_case_needs_no_double_precision(self, monkeypatch):
+        # A pcg-condensed case of the benchmark: CG reaches tol on the
+        # single-precision factor alone.
+        mesh = build_mesh(MeshParams(n=32, eps=1e-3, k=3))
+        system = assemble_system(mesh, 3, 1e-3, ExactSolution(1, 1e-3).forcing,
+                                 condense=True)
+        factored = []
+        numeric = solver._factor_fronts
+
+        def spy(fronts, tree, scale, plan, dtype):
+            factored.append(np.dtype(dtype))
+            return numeric(fronts, tree, scale, plan, dtype)
+
+        monkeypatch.setattr(solver, "_factor_fronts", spy)
+        _, report = solve_spd(system.elements, system.rhs, "pcg", tol=1e-10,
+                              tree=fill_reducing_ordering(system))
+        assert factored == [np.float32]
+        assert report.iterations == 3
+        assert report.rel_residual <= 1e-10
 
     def test_double_precision_fallback_checks_memory_first(self, monkeypatch):
         # Room for the single-precision factor only: after its breakdown the
-        # double-precision one must be refused before any numeric work.
+        # direct solve's factor must be refused before any numeric work.
         off = 1.0 - 1e-9
         matrix = sp.csr_matrix(np.array([[1.0, off], [off, 1.0]]))
         tree = make_tree([0, 1], [0, 2], [-1])
@@ -225,9 +274,9 @@ class TestPcg:
 
     def test_k4_eps1_n64_matches_direct(self):
         # kappa of the scaled system is near single precision's limit here,
-        # so CG stalls on the single-precision factor and goes on with the
-        # double-precision one. The reported error sits at its round-off
-        # floor, so the solutions are compared instead.
+        # so CG may stall on the single-precision factor and fall back to
+        # the direct solve. The reported error sits at its round-off floor,
+        # so the solutions are compared instead.
         mesh = build_mesh(MeshParams(n=64, eps=1.0, k=4))
         system = assemble_system(mesh, 4, 1.0, ExactSolution(1, 1.0).forcing,
                                  q=5, condense=True)
@@ -269,7 +318,7 @@ class TestSpdCertificate:
     def test_indefinite_mesh_system_with_positive_diagonal(self, mesh_system,
                                                            method):
         # Under pcg the single-precision factor breaks down first; the
-        # double-precision one that replaces it raises as the direct solve.
+        # direct solve it falls back to raises as it does under direct.
         system, tree = mesh_system
         matrix = system.matrix.copy()
         # The 2x2 minor at (i, j) gets determinant -3 A_ii A_jj < 0, while
