@@ -109,9 +109,10 @@ class SparseSystem:
     """Assembled SPD system over the free DOFs (optionally condensed to the
     free edge DOFs, with exact interior back-substitution data retained).
 
-    ``elements`` holds the matrix in element form, and ``matrix`` assembles
-    it as CSR on first use, for tests and the benchmark tracer. ``interior_factors`` maps each width class to
-    the Cholesky factor of its interior block (condensed systems only).
+    ``elements`` holds the matrix in element form, one group per width
+    class, and ``matrix`` assembles it as CSR on first use, for tests and
+    the benchmark tracer. ``interior_factors`` maps each width class to the
+    Cholesky factor of its interior block (condensed systems only).
     """
 
     elements: ElementMatrix

@@ -72,35 +72,23 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-# benchmark/tracing.py wraps spla.splu until ROADMAP item 1 re-points it.
+# benchmark/tracing.py wraps spla.splu until ROADMAP item 3 re-points it.
 import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import get_lapack_funcs
 
 METHODS = ("direct", "pcg")
-
-#: Entries of element blocks scattered at a time when the CSR matrix is
-#: built, so that its temporaries stay small next to the matrix itself.
-_SCATTER_ENTRIES = 1 << 20
 
 
 class SolverError(RuntimeError):
     """Factorization breakdown or non-convergence; never silently returned."""
 
 
-def _times_block(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``rows[e] @ block`` for a shared (m, m) block, or ``rows[e] @
-    block[e]`` for an (n_e, m, m) stack."""
-    if block.ndim == 2:
-        return rows @ block
-    return np.einsum("ea,eab->eb", rows, block)
-
-
 @dataclass(frozen=True)
 class ElementGroup:
-    """Elements of one size m. Element e adds its symmetric block at the
-    rows and columns ``index[e]``; -1 marks a local position the matrix
-    leaves out. ``block`` is one (m, m) block shared by every element, or an
-    (n_e, m, m) stack with one block per element.
+    """Elements of one size m that share one symmetric (m, m) ``block``, as
+    the cells of one width class do: element e adds it at the rows and
+    columns ``index[e]``; -1 marks a local position the matrix leaves out.
+    Elements with other blocks form groups of their own.
 
     ``faces`` (n_faces, f) lists sets of local positions that other elements
     may hold too, as a mesh cell shares each side with its neighbour. An
@@ -112,11 +100,11 @@ class ElementGroup:
     factors between mirror-image fronts (see ``_mirror_maps``): for each,
     (elements, positions, signs), saying that element elements[e] holds at
     local position a the image of element e's DOF at position positions[a],
-    times signs[a], and that its block is e's so permuted and signed. Both
-    maps are involutions, and every face is held by at most two elements.
-    Every group of a matrix lists its symmetries in the same order; a group
-    without them makes its DOFs no mirror image of any other. The solver
-    checks each claim before it relies on it.
+    times signs[a], and that the block equals itself so permuted and
+    signed. Both maps are involutions, and every face is held by at most two
+    elements. Every group of a matrix lists its symmetries in the same
+    order; a group without them makes its DOFs no mirror image of any other.
+    The solver checks each claim before it relies on it.
     """
 
     index: np.ndarray
@@ -124,13 +112,19 @@ class ElementGroup:
     faces: np.ndarray
     mirrors: tuple = ()
 
+    def __post_init__(self):
+        m = self.index.shape[1]
+        if self.block.shape != (m, m):
+            raise ValueError(f"elements of {m} DOFs need one ({m}, {m}) "
+                             f"block, got shape {self.block.shape}")
+
 
 @dataclass(frozen=True)
 class ElementMatrix:
     """A symmetric ``dim`` x ``dim`` matrix held as the sum of its element
-    blocks: the input of the tree factorization, which puts the blocks
-    straight into its fronts. ``to_csr`` assembles it, for tests and the
-    benchmark tracer."""
+    blocks, one per group: the input of the tree factorization, which puts
+    the blocks straight into its fronts. ``to_csr`` assembles it, for tests
+    and the benchmark tracer."""
 
     dim: int
     groups: tuple[ElementGroup, ...]
@@ -139,8 +133,7 @@ class ElementMatrix:
         diag = np.zeros(self.dim)
         for group in self.groups:
             held = group.index >= 0
-            values = np.broadcast_to(
-                np.diagonal(group.block, axis1=-2, axis2=-1), held.shape)
+            values = np.broadcast_to(np.diagonal(group.block), held.shape)
             diag += np.bincount(group.index[held], values[held],
                                 minlength=self.dim)
         return diag
@@ -151,7 +144,7 @@ class ElementMatrix:
         y = np.zeros(self.dim)
         for group in self.groups:
             held = group.index >= 0
-            local = _times_block(padded[group.index], group.block)
+            local = padded[group.index] @ group.block
             y += np.bincount(group.index[held], local[held], minlength=self.dim)
         return y
 
@@ -162,7 +155,7 @@ class ElementMatrix:
         bound it from above."""
         padded = np.append(np.abs(x), 0.0)  # index -1 reads this zero
         y = np.zeros(self.dim)
-        faces = []  # (DOFs, block entries) of each face of each element
+        faces = []  # (DOFs, block entries) of each face of each group
         for group in self.groups:
             m = group.index.shape[1]
             held = group.index >= 0
@@ -170,24 +163,21 @@ class ElementMatrix:
             for face in group.faces:
                 same_face[np.ix_(face, face)] = True
                 faces.append((group.index[:, face],
-                              group.block[..., face[:, None], face]))
+                              group.block[np.ix_(face, face)]))
             outside = np.where(same_face, 0.0, np.abs(group.block))
-            sums = _times_block(padded[group.index], outside)
+            sums = padded[group.index] @ outside
             y += np.bincount(group.index[held], sums[held], minlength=self.dim)
         if faces:
             # A face is known by its largest DOF: distinct faces hold
             # disjoint DOFs. A face with every position left out adds nothing.
             every = np.concatenate([dofs for dofs, _ in faces])
             f = every.shape[1]
-            # Every element's face block is one row of ``blocks``: a shared
-            # block's row serves all its elements. The last row is zero.
-            blocks = np.concatenate([block.reshape(-1, f * f) for _, block
-                                     in faces] + [np.zeros((1, f * f))])
-            first = np.cumsum([0] + [block.size // f**2 for _, block in faces])
-            row = np.concatenate([
-                start + (np.arange(dofs.shape[0]) if block.ndim == 3 else
-                         np.zeros(dofs.shape[0], dtype=np.int64))
-                for (dofs, block), start in zip(faces, first)])
+            # Row i of ``blocks`` is the block of the elements of faces[i];
+            # the last row is zero.
+            blocks = np.stack([block.ravel() for _, block in faces]
+                              + [np.zeros(f * f)])
+            row = np.repeat(np.arange(len(faces)),
+                            [dofs.shape[0] for dofs, _ in faces])
             keys = every.max(axis=1)
             order = np.lexsort((row, keys))
             new = np.diff(keys[order], prepend=-2) != 0
@@ -199,7 +189,7 @@ class ElementMatrix:
             # The rows of each face's holders; faces whose holders have the
             # same rows have the same summed block, taken once.
             slot = np.arange(order.size) - np.flatnonzero(new)[face]
-            holders = np.full((dofs_of.shape[0], slot.max() + 1), first[-1])
+            holders = np.full((dofs_of.shape[0], slot.max() + 1), len(faces))
             holders[face, slot] = row[order]
             by = np.lexsort(holders.T)
             alike = np.diff(holders[by], axis=0).any(axis=1)
@@ -216,47 +206,19 @@ class ElementMatrix:
         return float(self.abs_matmul(np.ones(self.dim)).max())
 
     def to_csr(self) -> sp.csr_matrix:
-        """The assembled matrix, in one pass: every element entry is written
-        once into rows sized by counting, then each row's duplicates are
-        summed in place and explicit zeros dropped. Indices are int32."""
-        n = self.dim
-        # Element e writes, into each row it holds, one entry per DOF it holds.
-        rows, lengths = [], []
+        """The assembled matrix, without explicit zeros: each group's entries
+        as one COO matrix, converted to CSR, which sums duplicates, and the
+        groups' matrices summed. An entry sums at most two element terms, so
+        no order of summation changes it."""
+        matrix = sp.csr_matrix((self.dim, self.dim))
         for group in self.groups:
             held = group.index >= 0
-            rows.append(group.index[held])
-            lengths.append(np.broadcast_to(held.sum(axis=1)[:, None],
-                                           held.shape)[held])
-        rows, lengths = np.concatenate(rows), np.concatenate(lengths)
-        order = np.argsort(rows, kind="stable")
-        # Sorted by row, each (element, row) run starts where the previous
-        # ones end, and each row where the rows before it end.
-        first = np.empty(rows.size, dtype=np.int64)
-        first[order] = np.cumsum(lengths[order]) - lengths[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.bincount(rows, lengths, minlength=n))
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        data = np.empty(indptr[-1])
-        done = 0
-        for group in self.groups:
-            n_e, m = group.index.shape
-            chunk = max(1, _SCATTER_ENTRIES // (m * m))
-            for e0 in range(0, n_e, chunk):
-                index = group.index[e0:e0 + chunk]
-                held = index >= 0
-                count = int(held.sum())
-                starts = np.zeros(held.shape, dtype=np.int64)
-                starts[held] = first[done:done + count]
-                done += count
-                slot = starts[:, :, None] + (np.cumsum(held, axis=1) - 1)[:, None, :]
-                both = held[:, :, None] & held[:, None, :]
-                at = slot[both]
-                block = (group.block if group.block.ndim == 2
-                         else group.block[e0:e0 + chunk])
-                indices[at] = np.broadcast_to(index[:, None, :], both.shape)[both]
-                data[at] = np.broadcast_to(block, both.shape)[both]
-        matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        matrix.sum_duplicates()
+            both = held[:, :, None] & held[:, None, :]
+            index = group.index.astype(np.int32)
+            entries = (np.broadcast_to(group.block, both.shape)[both],
+                       (np.broadcast_to(index[:, :, None], both.shape)[both],
+                        np.broadcast_to(index[:, None, :], both.shape)[both]))
+            matrix = matrix + sp.coo_matrix(entries, matrix.shape).tocsr()
         matrix.eliminate_zeros()
         return matrix
 
@@ -328,13 +290,11 @@ def _physical_memory() -> int:
 
 def _links(group: ElementGroup) -> tuple[np.ndarray, ...]:
     """(nonzero, face, linked) of a group's local positions: which block
-    entries are nonzero in some element, the face of every position, and
-    whether its block row has a nonzero entry outside its own face. A
-    position in no face is a face by itself."""
+    entries are nonzero, the face of every position, and whether its block
+    row has a nonzero entry outside its own face. A position in no face is a
+    face by itself."""
     m = group.index.shape[1]
     nonzero = group.block != 0
-    if nonzero.ndim == 3:
-        nonzero = nonzero.any(axis=0)
     face = np.arange(m, 2 * m)
     for f, positions in enumerate(group.faces):
         face[positions] = f
@@ -344,8 +304,8 @@ def _links(group: ElementGroup) -> tuple[np.ndarray, ...]:
 def _element_parts(group: ElementGroup) -> list[tuple[np.ndarray, ...]]:
     """Split every element of a group into parts, each a clique whose DOFs
     meet in one front. A part is (its DOFs, one row per element; its
-    nonzero block entries on and below the diagonal, shared or one row per
-    element; the rows and the columns of those entries among its DOFs).
+    nonzero block entries on and below the diagonal, which its elements
+    share; the rows and the columns of those entries among its DOFs).
 
     The entries among linked positions (see ``_links``) form one part.
     Every other nonzero entry lies within one face, since an entry across
@@ -365,7 +325,7 @@ def _element_parts(group: ElementGroup) -> list[tuple[np.ndarray, ...]]:
     for sel in selections:
         if sel.any():
             cols = np.union1d(a[sel], b[sel])
-            parts.append((group.index[:, cols], group.block[..., a[sel], b[sel]],
+            parts.append((group.index[:, cols], group.block[a[sel], b[sel]],
                           np.searchsorted(cols, a[sel]),
                           np.searchsorted(cols, b[sel])))
     return parts
@@ -392,8 +352,9 @@ class _PartPlan:
     it enters: elements ``starts[s]:starts[s + 1]`` enter node s.
     ``positions`` are the part's DOFs' tree positions (-1 where left out)
     and ``local`` their rows in the node's front (0 where left out).
-    ``pairs`` holds the block entries (a[i], b[i]), shared or one row per
-    element, with a and b indices into the part's positions."""
+    ``pairs`` holds the block entries (a[i], b[i]), shared, or a row per
+    element in the merged parts of one entry (``_symbolic_phase``),
+    with a and b indices into the part's positions."""
 
     starts: np.ndarray
     positions: np.ndarray
@@ -453,15 +414,16 @@ def _symbolic_phase(elements: ElementMatrix, tree: SeparatorTree) -> _Fronts:
     position = np.full(n + 1, -1, dtype=np.int64)  # index -1 reads -1
     position[tree.perm] = np.arange(n)
     parts = [part for group in elements.groups for part in _element_parts(group)]
-    # Parts of one DOF, diagonal entries coupled to nothing else, are many
-    # and small: one part takes them all, to be visited once per node.
-    single = [part for part in parts if part[0].shape[1] == 1]
-    if len(single) > 1:
-        parts = [part for part in parts if part[0].shape[1] > 1]
-        parts.append((np.concatenate([index for index, *_ in single]),
-                      np.concatenate([np.broadcast_to(values, index.shape)
-                                      for index, values, *_ in single]),
-                      np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)))
+    # Parts of one block entry are many and small: those of one size merge
+    # into one part, each element with its own value, visited once per node.
+    for size in (1, 2):
+        single = [p for p in parts if p[1].size == 1 and p[0].shape[1] == size]
+        if len(single) > 1:
+            parts = [p for p in parts if p[1].size > 1 or p[0].shape[1] != size]
+            parts.append((np.concatenate([index for index, *_ in single]),
+                          np.concatenate([np.full((len(index), 1), values)
+                                          for index, values, *_ in single]),
+                          single[0][2], single[0][3]))
     shift = n.bit_length()
     plans, beyond = [], []
     for index, pairs, a, b in parts:
@@ -576,10 +538,9 @@ def _mirror_maps(elements: ElementMatrix, tree: SeparatorTree) -> list:
     DOF at position q (-1 where no element says), and tainted[q] marks a
     DOF that some element holds which breaks the claim. An element breaks
     it if its mirror element does not hold the images of its DOFs with
-    their signs, or does not hold the signed image of its block; a whole
-    group does if its maps are no involutions, if its pattern of nonzero
-    block entries or its faces, which shape its parts (``_element_parts``),
-    do not map onto themselves, or if it claims no such symmetry."""
+    their signs; a whole group does if its maps are no involutions, if its
+    block, or its faces, which shape its parts (``_element_parts``), do not
+    map onto themselves, or if it claims no such symmetry."""
     n = elements.dim
     count = max((len(group.mirrors) for group in elements.groups), default=0)
     position = np.full(n + 1, -1, dtype=np.int64)  # index -1 reads -1
@@ -605,20 +566,16 @@ def _mirror_maps(elements: ElementMatrix, tree: SeparatorTree) -> list:
             (elems, slots, signs), (src, dst) = group.mirrors[r], pair
             ok = (((image[src] == dst) & (signs.astype(np.int8) == signs))
                   | ((src < 0) & (dst < 0))).all(axis=1)
-            pictured = (signs[:, None]
-                        * group.block[..., slots[:, None], slots] * signs)
-            if group.block.ndim == 3:
-                ok &= (group.block[elems] == pictured).all(axis=(1, 2))
-            nonzero, face, _ = _links(group)
+            pictured = (signs[:, None] * group.block[slots[:, None], slots]
+                        * signs)
+            face = _links(group)[1]
             same_face = face[:, None] == face
             ok &= (np.array_equal(elems[elems], np.arange(elems.size))
                    and np.array_equal(slots[slots], np.arange(slots.size))
                    and np.array_equal(signs[slots], signs)
-                   and np.array_equal(nonzero[slots[:, None], slots], nonzero)
+                   and np.array_equal(pictured, group.block)
                    and np.array_equal(same_face[slots[:, None], slots],
-                                      same_face)
-                   and (group.block.ndim == 3
-                        or np.array_equal(pictured, group.block)))
+                                      same_face))
             tainted[at[~ok]] = True
         maps.append((image[:n] >> 8, image[:n].astype(np.uint8).view(np.int8),
                      tainted[:n]))
@@ -651,9 +608,10 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
     A node's key holds everything its unscaled front is built from: the
     front's shape; for each element part, how many elements enter it and,
     for each, its rows in the front (-1 where the matrix leaves a DOF out)
-    and, where the part's blocks are stacked, their values; for each child,
-    its representative and signs (whose update equals the child's up to
-    scaling and signs, by induction) and the rows that update lands on
+    and, in the merged parts of one entry, the only parts whose elements
+    hold values of their own, its value; for each child, its
+    representative and signs (whose update equals the child's up to scaling
+    and signs, by induction) and the rows that update lands on
     (``_Fronts.lands``). Nodes of equal key assemble the same numbers in
     the same order, each scaled by a power of two, and their factors and
     updates are exact rescalings of each other (see ``_factor_fronts``).
@@ -683,7 +641,7 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
     first_kid = np.searchsorted(parent[kids], np.arange(parent.size + 1))
     n_kids = np.diff(first_kid)
     # Every node's elements, part after part: each element's rows in its
-    # front, -1 where left out, and its stacked values.
+    # front, -1 where left out, and its value where it has one of its own.
     codes = [np.concatenate([np.where(plan.positions >= 0, plan.local, -1)]
                             + [plan.pairs.view(np.int64)]
                             * (plan.pairs.ndim == 2), axis=1)
@@ -1290,12 +1248,14 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
     diag = elements.diagonal()
     if np.any(diag <= 0.0):
         raise SolverError("matrix has a nonpositive diagonal entry")
-    # Symmetric equilibration by powers of two: the trace-penalty and
-    # fourth-order blocks differ in scale by several orders of magnitude,
-    # which otherwise dominates the forward error of the factorization. A
-    # power of two adds no rounding error, so fronts that differ only in
-    # their DOFs' scales and signs share one factor (see
-    # ``_representatives``).
+    # Symmetric equilibration by powers of two. It changes no solve in
+    # double precision, where Cholesky commutes with it exactly, but keeps
+    # pcg's single-precision factor in range: on the uniform mesh at
+    # eps=1e-10 the diagonal falls to 8e-20, below the flush threshold
+    # sqrt(tiny) = 1.1e-19 of ``_factor_fronts``, and unscaled the factor
+    # breaks down (N=8) or CG takes more steps or falls back (N=16, 32).
+    # It adds no rounding error, so twins whose scales differ still share
+    # one factor (see ``_representatives``).
     scale = _power_of_two_scale(diag)
 
     factor = _tree_factor(elements, scale, tree)

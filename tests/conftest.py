@@ -287,20 +287,34 @@ def one_front(n):
     return SeparatorTree(np.arange(n), np.array([0, n]), np.array([-1]))
 
 
-def elements_of(matrix):
-    """A symmetric sparse matrix as 1x1 elements on its diagonal and one
-    2x2 element per stored entry above it."""
+def elements_of(matrix, dense=False):
+    """A symmetric sparse matrix in element form: 1x1 elements on its
+    diagonal and one 2x2 element per stored entry above it, one group per
+    distinct value, as the elements of a group share one block. ``dense``
+    gives one element that holds the whole matrix, which is all the one
+    front of ``one_front`` needs."""
     n = matrix.shape[0]
-    upper = sp.triu(matrix, k=1, format="coo")
-    pairs = np.zeros((upper.nnz, 2, 2))
-    pairs[:, 0, 1] = pairs[:, 1, 0] = upper.data
     no_faces = np.empty((0, 0), dtype=np.int64)
-    return ElementMatrix(n, (
-        ElementGroup(np.arange(n)[:, None],
-                     np.asarray(matrix.diagonal(), dtype=float)[:, None, None],
-                     no_faces),
-        ElementGroup(np.stack([upper.row, upper.col], axis=1).astype(np.int64),
-                     pairs, no_faces)))
+    if dense:
+        return ElementMatrix(n, (ElementGroup(np.arange(n)[None],
+                                              matrix.toarray().astype(float),
+                                              no_faces),))
+    upper = sp.triu(matrix, k=1, format="coo")
+    pairs = np.stack([upper.row, upper.col], axis=1).astype(np.int64)
+    return ElementMatrix(n, tuple(
+        [ElementGroup(at[:, None], np.array([[value]]), no_faces)
+         for value, at in _by_value(matrix.diagonal())]
+        + [ElementGroup(pairs[at], np.array([[0.0, value], [value, 0.0]]),
+                        no_faces) for value, at in _by_value(upper.data)]))
+
+
+def _by_value(values):
+    """Each distinct value with the indices of the entries that hold it."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    cuts = np.flatnonzero(np.diff(values[order])) + 1
+    return [] if not values.size else zip(values[order[np.r_[0, cuts]]],
+                                            np.split(order, cuts))
 
 
 def residual_floor(elements, x, rhs):
@@ -444,8 +458,9 @@ def representatives_per_node(fronts, tree, mirrors):
     A node's key holds everything its unscaled front is built from: the
     front's shape; for each element part that enters it, the part's index,
     the elements' rows in the front, which of their DOFs the matrix holds (a
-    left-out DOF reads row 0, as a held one may) and, where the part's
-    blocks are stacked, their values; for each child, its representative
+    left-out DOF reads row 0, as a held one may) and, in the solver's
+    merged parts of one entry, the only parts whose elements hold values
+    of their own, their values; for each child, its representative
     and signs (whose update equals the child's up to scaling and signs, by
     induction) and the rows that update lands on. Keys are compared as
     bytes, so nodes of equal key assemble the same numbers in the same

@@ -27,10 +27,12 @@ def element_bytes(elements) -> int:
 
 
 def solve_sparse(matrix, rhs, method="direct", tol=1e-12, tree=None):
-    """``solve_spd`` of a sparse matrix, on one front without a tree."""
+    """``solve_spd`` of a sparse matrix, on one front, as one element,
+    without a tree."""
+    elements = elements_of(matrix, dense=tree is None)
     if tree is None:
         tree = one_front(matrix.shape[0])
-    return solve_spd(elements_of(matrix), rhs, method, tol, tree=tree)
+    return solve_spd(elements, rhs, method, tol, tree=tree)
 
 
 class TestBasics:
@@ -246,6 +248,27 @@ class TestPcg:
                               tree=fill_reducing_ordering(system))
         assert factored == [np.float32]
         assert report.iterations == 3
+        assert report.rel_residual <= 1e-10
+
+    def test_scale_keeps_single_precision_in_range(self, monkeypatch):
+        # The diagonal falls to 8e-20 here, below the flush threshold
+        # sqrt(tiny) = 1.1e-19 of the single-precision factor: unscaled, it
+        # breaks down. The iterations are not pinned, as the BLAS thread
+        # count changes them.
+        mesh = build_mesh(MeshParams(n=8, eps=1e-10, k=3, mesh_kind="uniform"))
+        system = assemble_system(mesh, 3, 1e-10,
+                                 ExactSolution(1, 1e-10).forcing, condense=True)
+        factored = []
+        numeric = solver._factor_fronts
+
+        def spy(fronts, tree, scale, plan, dtype):
+            factored.append(np.dtype(dtype))
+            return numeric(fronts, tree, scale, plan, dtype)
+
+        monkeypatch.setattr(solver, "_factor_fronts", spy)
+        _, report = solve_spd(system.elements, system.rhs, "pcg", tol=1e-10,
+                              tree=fill_reducing_ordering(system))
+        assert factored == [np.float32]
         assert report.rel_residual <= 1e-10
 
     def test_double_precision_fallback_checks_memory_first(self, monkeypatch):
@@ -687,16 +710,50 @@ class TestElementMatrix:
         with pytest.raises(ValueError, match="different orders"):
             elements.norm_inf()
 
+    def test_rejects_block_not_shared_by_the_group(self):
+        # A stack of one block per element, or a block of another size,
+        # would be misread as the group's one block.
+        index = np.array([[0, 1], [1, 2]])
+        no_faces = np.empty((0, 0), dtype=np.int64)
+        for block in (np.repeat(np.eye(2)[None], 2, axis=0), np.eye(3),
+                      np.ones(2)):
+            with pytest.raises(ValueError, match=r"one \(2, 2\) block"):
+                ElementGroup(index, block, no_faces)
 
-def stacked(elements):
-    """The same matrix with a block of its own for every element, and the
-    same mirror symmetries."""
-    return ElementMatrix(elements.dim, tuple(
-        ElementGroup(group.index,
-                     np.repeat(group.block[None], group.index.shape[0], axis=0)
-                     if group.block.ndim == 2 else group.block.copy(),
-                     group.faces, group.mirrors)
-        for group in elements.groups))
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("mesh_kind", ["shishkin", "uniform"])
+    @pytest.mark.parametrize("condense", [False, True])
+    def test_csr_is_the_sum_of_the_element_blocks(self, n, k, mesh_kind,
+                                                  condense):
+        # Bit for bit: an entry sums at most two element terms.
+        mesh = build_mesh(MeshParams(n=n, eps=1e-3, k=k, mesh_kind=mesh_kind))
+        elements = assemble_system(mesh, k, 1e-3,
+                                   ExactSolution(1, 1e-3).forcing,
+                                   condense=condense).elements
+        dense = np.zeros((elements.dim + 1,) * 2)  # index -1 adds to the last
+        for group in elements.groups:
+            np.add.at(dense, (group.index[:, :, None], group.index[:, None, :]),
+                      group.block)
+        matrix = elements.to_csr()
+        assert np.array_equal(matrix.toarray(), dense[:-1, :-1])
+        assert np.all(matrix.data != 0.0)
+
+
+def own_block(elements, cell):
+    """The same matrix with element ``cell`` of the first group moved into a
+    group of its own, the last, with a copy of the shared block that a test
+    may change. The first group leaves out the cell's row (-1), so that its
+    ``mirrors`` keep their element numbers; the new group claims no
+    symmetry."""
+    group = elements.groups[0]
+    index = group.index.copy()
+    index[cell] = -1
+    return ElementMatrix(elements.dim, (
+        ElementGroup(index, group.block, group.faces, group.mirrors),
+        *elements.groups[1:],
+        ElementGroup(group.index[cell:cell + 1], group.block.copy(),
+                     group.faces)))
 
 
 class TestFrontSharing:
@@ -718,14 +775,21 @@ class TestFrontSharing:
         system, tree = uniform_system
         _, report = solve_spd(system.elements, system.rhs, tol=1e-10, tree=tree)
         assert report.factor_stored < report.factor_nnz
-        _, again = solve_spd(stacked(system.elements), system.rhs, tol=1e-10,
-                             tree=tree)
-        assert again.factor_stored == report.factor_stored
         _, pcg = solve_spd(system.elements, system.rhs, "pcg", tol=1e-8,
                            tree=tree)
         assert (pcg.factor_nnz, pcg.factor_stored) == (
             report.factor_nnz, report.factor_stored)
-        for elements in (system.elements, stacked(system.elements)):
+        # Without their mirror claims the class groups share the factors of
+        # translated copies alone, and so does the matrix as one group per
+        # value, whose elements, each of one entry, form the solver's merged
+        # parts, the only parts whose keys hold values.
+        plain = ElementMatrix(system.elements.dim, tuple(
+            ElementGroup(g.index, g.block, g.faces)
+            for g in system.elements.groups))
+        assert (report.factor_stored < stored(plain, tree)
+                == stored(elements_of(system.matrix), tree)
+                < report.factor_nnz)
+        for elements in (system.elements, own_block(system.elements, 17)):
             assert_same_sharing(elements, solver._pivot_order(elements, tree))
 
     @pytest.mark.parametrize("change", ["cell diagonal", "cell off-diagonal",
@@ -734,22 +798,25 @@ class TestFrontSharing:
     def test_key_misses_nothing(self, uniform_system, change):
         system, tree = uniform_system
         _, report = solve_spd(system.elements, system.rhs, tol=1e-10, tree=tree)
-        elements = stacked(system.elements)
-        # A DOF of the root separator: the fronts below it that hold it are
-        # translated copies of fronts that do not.
-        dof = tree.perm[(tree.bounds[-2] + tree.bounds[-1]) // 2]
-        group = elements.groups[0]
-        cell, at = np.argwhere(group.index == dof)[0]
+        elements = system.elements
+        if change in ("cell diagonal", "cell off-diagonal"):
+            # A DOF of the root separator: the fronts below it that hold it
+            # are translated copies of fronts that do not. The cell that
+            # holds it gets a block of its own.
+            dof = tree.perm[(tree.bounds[-2] + tree.bounds[-1]) // 2]
+            cell, at = np.argwhere(elements.groups[0].index == dof)[0]
+            elements = own_block(elements, cell)
+            block, index = elements.groups[-1].block, elements.groups[-1].index
         if change == "cell diagonal":
             # The block entry and the scale of the DOF change.
-            group.block[cell, at, at] *= 1 + 1e-3
+            block[at, at] *= 1 + 1e-3
         elif change == "cell off-diagonal":
             # Only the block entries change: the diagonal, so the scale, stays.
-            other = next(j for j in np.flatnonzero(group.block[cell, at])
-                         if j != at and group.index[cell, j] >= 0)
-            group.block[cell, at, other] *= 1 + 1e-3
-            group.block[cell, other, at] *= 1 + 1e-3
-        else:
+            other = next(j for j in np.flatnonzero(block[at])
+                         if j != at and index[0, j] >= 0)
+            block[at, other] *= 1 + 1e-3
+            block[other, at] *= 1 + 1e-3
+        elif change == "held to left out":
             # Every element that holds the first pivot of a twin, row 0 of
             # its front, leaves it out. A left-out DOF reads row 0 too, so
             # only the key's mask of held DOFs tells this front from its
@@ -764,20 +831,21 @@ class TestFrontSharing:
                              g.faces, g.mirrors) for g in elements.groups) + (
                 ElementGroup(np.array([[d, e], pair]), coupling,
                              np.empty((0, 0), dtype=np.int64)),))
-        assert_same_sharing(elements, solver._pivot_order(elements, tree))
-        if change == "cell of one quadrant":
+        else:
             # One cell block of the lower left quadrant, all of it, so that
             # the block stays SPD: the fronts it enters stop sharing a
             # factor with their mirror images in the other three quadrants,
             # whose blocks stay, and with their translated copies.
             before = sharing(elements, tree)
-            group.block[17] *= 1 + 1e-3  # cell (1, 1)
+            node = first_node_of(elements, tree, elements.groups[0].index[17])
+            elements = own_block(elements, 17)  # cell (1, 1)
+            elements.groups[-1].block[:] *= 1 + 1e-3
             after = sharing(elements, tree)
-            node = first_node_of(elements, tree, group.index[17])
             twins = np.flatnonzero(before[0] == before[0][node])
             assert any(before[1][s] is not None for s in twins)
             assert [s for s in twins
                     if after[0][s] == after[0][node]] == [node]
+        assert_same_sharing(elements, solver._pivot_order(elements, tree))
         x_tree, changed = solve_spd(elements, system.rhs, tol=1e-10, tree=tree)
         x_lu = superlu_solve(elements.to_csr(), system.rhs)
         assert np.linalg.norm(x_tree - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
@@ -819,6 +887,16 @@ def sharing(elements, tree):
     fronts = solver._symbolic_phase(elements, tree)
     return solver._representatives(fronts, tree,
                                    solver._mirror_maps(elements, tree))
+
+
+def stored(elements, tree) -> int:
+    """The factor entries ``_tree_factor`` stores: those of the distinct
+    fronts."""
+    tree = solver._pivot_order(elements, tree)
+    fronts = solver._symbolic_phase(elements, tree)
+    rep, _ = solver._representatives(fronts, tree,
+                                     solver._mirror_maps(elements, tree))
+    return int(fronts.entries[rep == np.arange(rep.size)].sum())
 
 
 def first_node_of(elements, tree, dofs):
