@@ -30,7 +30,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .basis import project_all_cells
 from .mesh import ShishkinMesh
-from .solver import ElementGroup, ElementMatrix, SeparatorTree
+from .solver import ElementGroup, ElementMatrix, SeparatorTree, index_dtype
 from .weak_ops import (LocalDofLayout, LocalOperators, local_stiffness,
                        mirror_average)
 
@@ -54,12 +54,13 @@ class DofMap:
 
         # Per edge its trace, grad-x and grad-y DOFs; a cell's local vector
         # is its interior DOFs, then those of its four sides in side order.
+        index = index_dtype(self.n_raw)  # as the solver's index arrays
         self.edge_dofs = (np.arange(n_edges)[:, None] * kk
                           + np.concatenate([base + np.arange(kk) for base in (
                               self.trace_base, self.grad_x_base,
-                              self.grad_y_base)]))
+                              self.grad_y_base)])).astype(index)
         self.cell_dofs = np.concatenate(
-            [np.arange(self.n_interior_total).reshape(n_cells, ni),
+            [np.arange(self.n_interior_total, dtype=index).reshape(n_cells, ni),
              self.edge_dofs[mesh.cell_edges].reshape(n_cells, -1)], axis=1)
 
         # On a boundary edge the trace and the normal gradient component
@@ -69,11 +70,11 @@ class DofMap:
         constrained[self.trace_base:] = np.repeat(np.concatenate(
             [boundary, boundary & vertical, boundary & ~vertical]), kk)
         self.constrained = constrained
-        self.free_raw = np.flatnonzero(~constrained)
+        self.free_raw = np.flatnonzero(~constrained).astype(index)
         self.n_free = self.free_raw.size
         self.n_constrained = self.n_raw - self.n_free
-        self.free_index = np.full(self.n_raw, -1, dtype=np.int64)
-        self.free_index[self.free_raw] = np.arange(self.n_free, dtype=np.int64)
+        self.free_index = np.full(self.n_raw, -1, dtype=index)
+        self.free_index[self.free_raw] = np.arange(self.n_free, dtype=index)
         # Interior DOFs come first and are never constrained, so their free
         # index equals their raw index; edge free DOFs follow contiguously.
         self.n_free_edge = self.n_free - self.n_interior_total

@@ -8,7 +8,6 @@ moments and makes the weak-operator solves coefficient reads.
 
 import numpy as np
 
-from .mesh import Cell, Edge
 from .quadrature import gauss_legendre
 
 
@@ -61,38 +60,6 @@ def _checked_quadrature(k: int, q: int | None) -> int:
     if q < k + 1:
         raise ValueError(f"need at least {k + 1} points per direction, got {q}")
     return q
-
-
-def project_cell(fun, cell: Cell, k: int, q: int | None = None) -> np.ndarray:
-    """Coefficients of the L2 projection of ``fun(x, y)`` onto Q_k(cell).
-
-    ``fun`` must accept equal-shaped coordinate arrays. Exact for fun in Q_k
-    whenever q >= k+1; agrees with the cell's row of ``project_all_cells``.
-    """
-    q = _checked_quadrature(k, q)
-    rule, U = _weighted_legendre(k, q)
-    xq, _ = rule.mapped(*cell.x_range)
-    yq, _ = rule.mapped(*cell.y_range)
-    X, Y = np.meshgrid(xq, yq, indexing="ij")
-    values = np.broadcast_to(fun(X.ravel(), Y.ravel()), X.size).reshape(q, q)
-    h1, h2 = cell.widths
-    return (U @ values @ U.T).ravel() * (0.5 * np.sqrt(h1 * h2))
-
-
-def project_edge(fun, edge: Edge, k: int, q: int | None = None) -> np.ndarray:
-    """Coefficients of the L2 projection of ``fun(x, y)`` onto P_k(edge);
-    agrees with the edge's row of ``project_all_edges``."""
-    q = _checked_quadrature(k, q)
-    rule, U = _weighted_legendre(k, q)
-    (xa, ya), (xb, yb) = edge.endpoints
-    if edge.orientation == "horizontal":
-        x, _ = rule.mapped(xa, xb)
-        y = np.full_like(x, ya)
-    else:
-        y, _ = rule.mapped(ya, yb)
-        x = np.full_like(y, xa)
-    values = np.broadcast_to(fun(x, y), x.shape)
-    return (U @ values) * np.sqrt(0.5 * edge.length)
 
 
 def project_all_cells(mesh, k: int, fun, q: int | None = None) -> np.ndarray:

@@ -17,7 +17,7 @@ column by column. On the (2n+1)^2 entity lattice that nested dissection
 bisects, cell (i, j) sits at (2i+1, 2j+1), horizontal edge (i, j) at
 (2i+1, 2j) and vertical edge (i, j) at (2i, 2j+1). Every index table of the
 package follows from these formulas: ``ShishkinMesh`` holds them as arrays,
-and ``ShishkinMesh.cell``/``ShishkinMesh.edge`` build one entity's record.
+and ``ShishkinMesh.cell`` builds one cell's record.
 """
 
 import math
@@ -96,18 +96,6 @@ class Cell:
     @property
     def area(self) -> float:
         return self.widths[0] * self.widths[1]
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Mesh edge; the canonical normal is +x (vertical) or +y (horizontal)."""
-
-    id: int
-    orientation: str  # "horizontal" or "vertical"
-    endpoints: tuple[tuple[float, float], tuple[float, float]]
-    length: float
-    cells: tuple[int, ...]
-    on_boundary: bool
 
 
 @dataclass(frozen=True)
@@ -205,23 +193,6 @@ class ShishkinMesh:
                     y_range=(points[j], points[j + 1]),
                     widths=(float(w[i]), float(w[j])),
                     edge_ids=tuple(self.cell_edges[c].tolist()))
-
-    def edge(self, e: int) -> Edge:
-        """Record of edge ``e``."""
-        if not 0 <= e < self.n_edges:
-            raise IndexError(f"edge {e} outside 0..{self.n_edges - 1}")
-        n = self.n
-        vertical, i, j = (int(v) for v in self._edge_ij(int(e)))
-        points, w = self.breakpoints, self.axis_widths()
-        if vertical:
-            end, length = (points[i], points[j + 1]), w[j]
-            cells = tuple(a * n + j for a in (i - 1, i) if 0 <= a < n)
-        else:
-            end, length = (points[i + 1], points[j]), w[i]
-            cells = tuple(i * n + b for b in (j - 1, j) if 0 <= b < n)
-        return Edge(id=int(e), orientation="vertical" if vertical else "horizontal",
-                    endpoints=((points[i], points[j]), end), length=float(length),
-                    cells=cells, on_boundary=bool(self.boundary_edges[e]))
 
 
 def transition_point(n: int, eps: float, alpha: float) -> float:

@@ -44,8 +44,18 @@ format (RFP: Gustavson, Waśniewski, Dongarra & Langou 2010, ACM TOMS
 37(2)), on which LAPACK's ``pftrf``, ``tfsm`` and ``sfrk`` work at BLAS-3
 speed. A dry run places each update, largest first, at the lowest offset
 past the factor written by its last reader and clear of those placed that
-live at the same time. So a freed front leaves no heap behind, and the
+live at the same time. So no front is allocated on its own, and the
 physical-memory check counts this array and the element blocks.
+
+Beside it the solve holds the analysis's index data, kept compact
+(``SolveReport.analysis_bytes``): an index array with an entry per DOF,
+element entry or front row is int32 where the dimension allows
+(``index_dtype``), and the numeric phase widens a node's slice where it
+uses it. Arrays with an entry per node stay intp, and so do the symbolic
+phase's keys node << shift | position, which pass 32 bits at N=256. The
+analysis's temporaries live for one tree height, and a node's key lists
+one id per element (``_first_alike``), not the element's rows: glibc
+returns freed heap only from its top, so what they free stays resident.
 
 Python steps per node are kept few. Each node lists its DOFs that couple
 beyond their own face first and the face-only ones last (``_pivot_order``),
@@ -67,7 +77,7 @@ the true residual, the result is the direct solve.
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -81,6 +91,11 @@ METHODS = ("direct", "pcg")
 
 class SolverError(RuntimeError):
     """Factorization breakdown or non-convergence; never silently returned."""
+
+
+def index_dtype(n: int) -> type:
+    """The dtype of indices into n entries: int32 where it holds them."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
 @dataclass(frozen=True)
@@ -124,10 +139,21 @@ class ElementMatrix:
     """A symmetric ``dim`` x ``dim`` matrix held as the sum of its element
     blocks, one per group: the input of the tree factorization, which puts
     the blocks straight into its fronts. ``to_csr`` assembles it, for tests
-    and the benchmark tracer."""
+    and the benchmark tracer. Element indices must be integers in [-1, dim):
+    any other index would read another DOF's entry of x, or none."""
 
     dim: int
     groups: tuple[ElementGroup, ...]
+
+    def __post_init__(self):
+        for group in self.groups:
+            index = group.index
+            if not np.issubdtype(index.dtype, np.integer):
+                raise ValueError("element indices must be integers, got "
+                                 f"dtype {index.dtype}")
+            if index.size and not -1 <= index.min() <= index.max() < self.dim:
+                raise ValueError(f"element indices must lie in [-1, {self.dim})"
+                                 f", got {index.min()}..{index.max()}")
 
     def diagonal(self) -> np.ndarray:
         diag = np.zeros(self.dim)
@@ -264,6 +290,10 @@ class SolveReport:
     For pcg all four count its preconditioner: this factor, in single precision.
     analysis_time is the part of wall_time, in seconds, spent before the
     numeric phase, from the pivot order to the solve's groups (``_tree_factor``).
+    analysis_bytes counts the bytes of the index data the analysis holds
+    through the numeric phase: the pivot order, the front rows laid out for
+    the solve, the element parts' rows, the workspace plan, the twins'
+    signs and the solve's groups, each array once (``_nbytes``).
     """
 
     method: str
@@ -275,6 +305,26 @@ class SolveReport:
     workspace: int
     distinct_fronts: int
     analysis_time: float
+    analysis_bytes: int
+
+
+def _nbytes(*held) -> int:
+    """Bytes of the arrays ``held`` reaches through tuples, lists, dicts and
+    dataclasses, each buffer counted once however many views share it."""
+    buffers, stack = {}, list(held)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            buffers[id(item)] = item.nbytes
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif is_dataclass(item):
+            stack.extend(getattr(item, field.name) for field in fields(item))
+    return sum(buffers.values())
 
 
 def _power_of_two_scale(diag: np.ndarray) -> np.ndarray:
@@ -341,7 +391,8 @@ def _pivot_order(elements: ElementMatrix, tree: SeparatorTree) -> SeparatorTree:
     face_only = np.ones(elements.dim + 1, dtype=bool)  # index -1 writes the last
     for group in elements.groups:
         face_only[group.index[:, _links(group)[2]]] = False
-    node = np.repeat(np.arange(tree.parent.size), np.diff(tree.bounds))
+    node = np.repeat(np.arange(tree.parent.size, dtype=tree.perm.dtype),
+                     np.diff(tree.bounds))
     order = np.argsort(2 * node + face_only[tree.perm], kind="stable")
     return SeparatorTree(tree.perm[order], tree.bounds, tree.parent)
 
@@ -349,15 +400,13 @@ def _pivot_order(elements: ElementMatrix, tree: SeparatorTree) -> SeparatorTree:
 @dataclass(frozen=True)
 class _PartPlan:
     """One part of the elements of a group, sorted by the node whose front
-    it enters: elements ``starts[s]:starts[s + 1]`` enter node s.
-    ``positions`` are the part's DOFs' tree positions (-1 where left out)
-    and ``local`` their rows in the node's front (0 where left out).
-    ``pairs`` holds the block entries (a[i], b[i]), shared, or a row per
-    element in the merged parts of one entry (``_symbolic_phase``),
-    with a and b indices into the part's positions."""
+    it enters: elements ``starts[s]:starts[s + 1]`` enter node s. ``local``
+    holds the rows of the part's DOFs in the node's front, -1 where left
+    out. ``pairs`` holds the block entries (a[i], b[i]), shared, or a row
+    per element in the merged parts of one entry (``_symbolic_phase``),
+    with a and b indices into the part's DOFs."""
 
     starts: np.ndarray
-    positions: np.ndarray
     local: np.ndarray
     pairs: np.ndarray
     a: np.ndarray
@@ -411,8 +460,9 @@ def _symbolic_phase(elements: ElementMatrix, tree: SeparatorTree) -> _Fronts:
     n = elements.dim
     bounds, parent = tree.bounds, tree.parent
     n_nodes = parent.size
-    position = np.full(n + 1, -1, dtype=np.int64)  # index -1 reads -1
-    position[tree.perm] = np.arange(n)
+    itype = index_dtype(n + 1)
+    position = np.full(n + 1, -1, dtype=itype)  # index -1 reads -1
+    position[tree.perm] = np.arange(n, dtype=itype)
     parts = [part for group in elements.groups for part in _element_parts(group)]
     # Parts of one block entry are many and small: those of one size merge
     # into one part, each element with its own value, visited once per node.
@@ -425,63 +475,71 @@ def _symbolic_phase(elements: ElementMatrix, tree: SeparatorTree) -> _Fronts:
                                           for index, values, *_ in single]),
                           single[0][2], single[0][3]))
     shift = n.bit_length()
-    plans, beyond = [], []
+    first_row = bounds.astype(itype)
+    plans, beyond, held = [], [], []
     for index, pairs, a, b in parts:
         positions = position[index]
-        # As unsigned, a left-out -1 is the largest; a part holding no DOF
-        # gets node n_nodes and enters no front.
-        low = positions.view(np.uint64).min(axis=1).view(np.int64)
-        node = np.searchsorted(bounds, np.where(low < 0, n, low),
+        # A part holding no DOF gets node n_nodes and enters no front.
+        node = np.searchsorted(bounds, positions.min(axis=1, initial=n,
+                                                     where=positions >= 0),
                                side="right") - 1
         order = np.argsort(node, kind="stable")
         starts = np.searchsorted(node[order], np.arange(n_nodes + 1))
         order = order[:starts[-1]]
         node, positions = node[order, None], positions[order]
-        # A node's own positions lead its rows, and a left-out DOF reads row
-        # 0; the DOFs beyond them, node by node, are found by height below.
-        plans.append(_PartPlan(starts, positions,
-                               np.maximum(positions - bounds[node], 0),
+        # A node's own positions lead its rows; the DOFs beyond them, node
+        # by node, are found by height below, as flat indices into ``local``.
+        local = np.where(positions >= 0, positions - first_row[node], -1)
+        plans.append(_PartPlan(starts, local,
                                pairs[order] if pairs.ndim == 2 else pairs, a, b))
-        e, j = np.nonzero(positions >= bounds[node + 1])
-        beyond.append((e, j, (node[e, 0] << shift) + positions[e, j],
-                       np.searchsorted(e, starts)))
+        at = np.flatnonzero(positions >= first_row[node + 1]).astype(itype)
+        beyond.append((at, np.searchsorted(at, starts * positions.shape[1])))
+        held.append(positions.reshape(-1))
 
     pivots = np.diff(bounds)
     height = _heights(parent)
     starts, sizes = np.zeros_like(parent), np.zeros_like(parent)
-    flat, landed, base = [], [], 0
-    # Update rows bound for each height: (keys, their index in flat).
-    reached: list[list] = [[] for _ in range(height.max() + 1)]
-    for h, arrived in enumerate(reached):
+    flat, lands, base = [], [], 0  # per height: rows, and where each lands
+    # Update rows bound for each height: (their nodes, how many of each, the
+    # height they come from and their index among its rows).
+    reached: list = [[] for _ in range(height.max() + 1)]
+    for h in range(len(reached)):
+        arrived, reached[h] = reached[h], None
         nodes = np.flatnonzero(height == h)
-        entering = [_ranges(first[nodes], first[nodes + 1] - first[nodes])
-                    for *_, first in beyond]
+        keys = [(np.repeat(nodes, pivots[nodes]) << shift)
+                + _ranges(bounds[nodes], pivots[nodes])]
+        keys += [(np.repeat(up, count) << shift) + flat[g][at]
+                 for up, count, g, at in arrived]
+        entering = []
+        for (at, by_node), positions in zip(beyond, held):
+            count = by_node[nodes + 1] - by_node[nodes]
+            entering.append((at[_ranges(by_node[nodes], count)], count))
+            keys.append((np.repeat(nodes, count) << shift)
+                        + positions[entering[-1][0]])
         # The keys come in sorted runs, which a stable sort merges fast, and
         # the sort's inverse gives every key's index in its node's rows.
-        keys = np.concatenate([(np.repeat(nodes, pivots[nodes]) << shift)
-                               + _ranges(bounds[nodes], pivots[nodes])]
-                              + [keys for keys, _ in arrived]
-                              + [k[at] for (_, _, k, _), at in zip(beyond,
-                                                                   entering)])
+        keys = np.concatenate(keys)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         new = np.ones(keys.size, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        index = np.empty_like(order)
-        index[order] = np.cumsum(new) - 1
+        index = np.empty(order.size, dtype=itype)
+        index[order] = np.cumsum(new, dtype=itype) - 1
+        del order  # each height's arrays go before the next height's come
         keys = keys[new]
-        rows = keys & ((1 << shift) - 1)
+        rows = (keys & ((1 << shift) - 1)).astype(itype)
         first = np.searchsorted(keys, nodes << shift)
         starts[nodes], sizes[nodes] = base + first, np.diff(first,
                                                             append=keys.size)
+        landing = np.full(keys.size, -1, dtype=itype)
         at = pivots[nodes].sum()
-        for up, to in arrived:
-            landed.append((to, index[at:at + up.size]
-                           - (starts[up >> shift] - base)))
-            at += up.size
-        for plan, (e, j, k, _), now in zip(plans, beyond, entering):
-            plan.local[e[now], j[now]] = (index[at:at + now.size]
-                                          - (starts[k[now] >> shift] - base))
+        for up, count, g, where in arrived:
+            lands[g][where] = (index[at:at + where.size]
+                               - np.repeat(starts[up] - base, count))
+            at += where.size
+        for plan, (now, count) in zip(plans, entering):
+            plan.local.reshape(-1)[now] = (index[at:at + now.size]
+                                           - np.repeat(first, count))
             at += now.size
         # Every node's rows beyond its pivots go to its parent's front. Those
         # that are the parent's own positions come first and land at once;
@@ -500,19 +558,19 @@ def _symbolic_phase(elements: ElementMatrix, tree: SeparatorTree) -> _Fronts:
                              "its ancestors owns: the tree does not separate "
                              "the matrix")
         at = _ranges(lo, mid - lo)
-        landed.append((base + at, rows[at] - np.repeat(bounds[up], mid - lo)))
+        landing[at] = rows[at] - np.repeat(bounds[up], mid - lo)
         for g in np.unique(height[up]).tolist():
             go = height[up] == g
             count = starts[node[go]] - base + sizes[node[go]] - mid[go]
-            at = _ranges(mid[go], count)
-            reached[g].append(((np.repeat(up[go], count) << shift) + rows[at],
-                               base + at))
+            reached[g].append((up[go], count, h,
+                               _ranges(mid[go], count).astype(itype)))
         flat.append(rows)
+        lands.append(landing)
         base += keys.size
+        del keys, new, index, entering, arrived
+    del beyond, held
     flat = np.concatenate(flat)
-    lands = np.full_like(flat, -1)
-    for at, rows in landed:
-        lands[at] = rows
+    lands = np.concatenate(lands)
     return _Fronts(flat, starts, sizes, np.ones_like(sizes), plans,
                    pivots * (pivots + 1) // 2 + pivots * (sizes - pivots), lands)
 
@@ -543,28 +601,30 @@ def _mirror_maps(elements: ElementMatrix, tree: SeparatorTree) -> list:
     map onto themselves, or if it claims no such symmetry."""
     n = elements.dim
     count = max((len(group.mirrors) for group in elements.groups), default=0)
-    position = np.full(n + 1, -1, dtype=np.int64)  # index -1 reads -1
-    position[tree.perm] = np.arange(n)
+    itype = index_dtype(n + 1)
+    position = np.full(n + 1, -1, dtype=itype)  # index -1 reads -1
+    position[tree.perm] = np.arange(n, dtype=itype)
     index = [position[group.index] for group in elements.groups]
     maps = []
     for r in range(count):
-        # Each position's image << 8 | its sign as a byte: -256 says none.
-        # Index -1, a left-out DOF, writes and reads the last entry.
-        image = np.full(n + 1, -256, dtype=np.int64)
-        pairs = [(at[:, group.mirrors[r][1]], (at[group.mirrors[r][0]] << 8)
-                  | group.mirrors[r][2].astype(np.int8).view(np.uint8))
-                 if len(group.mirrors) > r else None
-                 for group, at in zip(elements.groups, index)]
-        for pair in pairs:
-            if pair is not None:
-                image[pair[0]] = pair[1]
+        # Each position's image, -1 where none, and its sign. Index -1, a
+        # left-out DOF, writes and reads the last entry.
+        image = np.full(n + 1, -1, dtype=itype)
+        sign = np.zeros(n + 1, dtype=np.int8)
+        for group, at in zip(elements.groups, index):
+            if len(group.mirrors) > r:
+                elems, slots, signs = group.mirrors[r]
+                image[at[:, slots]] = at[elems]
+                sign[at[:, slots]] = signs.astype(np.int8)
         tainted = np.zeros(n + 1, dtype=bool)
-        for group, at, pair in zip(elements.groups, index, pairs):
-            if pair is None:
+        for group, at in zip(elements.groups, index):
+            if len(group.mirrors) <= r:
                 tainted[at] = True
                 continue
-            (elems, slots, signs), (src, dst) = group.mirrors[r], pair
-            ok = (((image[src] == dst) & (signs.astype(np.int8) == signs))
+            elems, slots, signs = group.mirrors[r]
+            src, dst = at[:, slots], at[elems]
+            ok = (((image[src] == dst) & (sign[src] == signs.astype(np.int8))
+                   & (signs.astype(np.int8) == signs))
                   | ((src < 0) & (dst < 0))).all(axis=1)
             pictured = (signs[:, None] * group.block[slots[:, None], slots]
                         * signs)
@@ -577,8 +637,7 @@ def _mirror_maps(elements: ElementMatrix, tree: SeparatorTree) -> list:
                    and np.array_equal(same_face[slots[:, None], slots],
                                       same_face))
             tainted[at[~ok]] = True
-        maps.append((image[:n] >> 8, image[:n].astype(np.uint8).view(np.int8),
-                     tainted[:n]))
+        maps.append((image[:n], sign[:n], tainted[:n]))
     return maps
 
 
@@ -597,6 +656,21 @@ def _padded(values: np.ndarray, first: np.ndarray, count: np.ndarray
     return rows, inside
 
 
+def _first_alike(rows: np.ndarray) -> np.ndarray:
+    """For every row of a 2-D integer array, the first row equal to it. Rows
+    of equal hash are compared entry by entry with the first, and those
+    that differ from it are split off and compared again."""
+    group = rows.astype(np.uint64) @ np.random.default_rng(0).integers(
+        1 << 63, size=rows.shape[1], dtype=np.uint64)
+    while True:
+        _, first, group = np.unique(group, return_index=True,
+                                    return_inverse=True)
+        same = (rows == rows[first[group]]).all(axis=1)
+        if same.all():
+            return first[group]
+        group = np.where(same, group, group + first.size)
+
+
 def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
                      ) -> tuple[np.ndarray, list]:
     """For every node s, its representative: a node no later in postorder
@@ -607,17 +681,17 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
 
     A node's key holds everything its unscaled front is built from: the
     front's shape; for each element part, how many elements enter it and,
-    for each, its rows in the front (-1 where the matrix leaves a DOF out)
-    and, in the merged parts of one entry, the only parts whose elements
-    hold values of their own, its value; for each child, its
-    representative and signs (whose update equals the child's up to scaling
-    and signs, by induction) and the rows that update lands on
+    for each, its id, which elements share where their rows in the front
+    (-1 where the matrix leaves a DOF out) are equal and, in the merged
+    parts of one entry, the only parts whose elements hold values of their
+    own, their values too; for each child, its representative and signs
+    (whose update equals the child's up to scaling and signs, by
+    induction) and the rows that update lands on
     (``_Fronts.lands``). Nodes of equal key assemble the same numbers in
     the same order, each scaled by a power of two, and their factors and
     updates are exact rescalings of each other (see ``_factor_fronts``).
     Twins have equal heights, so each height takes one pass: its nodes'
-    keys are the rows of one array, counts first, hashed and then compared
-    entry by entry with the first row of equal hash.
+    keys are the rows of one array, counts first (``_first_alike``).
 
     A node whose key no earlier node has may still be the mirror image of
     an earlier node t, under one of ``mirrors`` (``_mirror_maps``), whose
@@ -636,22 +710,17 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
     pivots, sizes, starts, flat = (np.diff(bounds), fronts.sizes,
                                    fronts.starts, fronts.flat)
     height = _heights(parent)
-    node_of = np.append(np.repeat(np.arange(parent.size), pivots), -1)
+    node_of = np.append(np.repeat(np.arange(parent.size, dtype=flat.dtype),
+                                  pivots), -1)
     kids = np.argsort(parent, kind="stable")[np.count_nonzero(parent < 0):]
     first_kid = np.searchsorted(parent[kids], np.arange(parent.size + 1))
     n_kids = np.diff(first_kid)
-    # Every node's elements, part after part: each element's rows in its
-    # front, -1 where left out, and its value where it has one of its own.
-    codes = [np.concatenate([np.where(plan.positions >= 0, plan.local, -1)]
-                            + [plan.pairs.view(np.int64)]
-                            * (plan.pairs.ndim == 2), axis=1)
-             for plan in fronts.parts]
     entering = np.array([np.diff(plan.starts) for plan in fronts.parts])
-    node = np.concatenate([np.repeat(np.arange(parent.size), e * code.shape[1])
-                           for e, code in zip(entering, codes)])
-    order = np.argsort(node, kind="stable")
-    codes = np.concatenate([code.ravel() for code in codes])[order]
-    code_at = np.searchsorted(node[order], np.arange(parent.size + 1))
+    # Elements of a part share an id where their rows in their fronts (-1
+    # where left out) and, in merged parts, their values are equal.
+    ids = [_first_alike(np.concatenate([plan.local] + [plan.pairs.view(
+        plan.local.dtype)] * (plan.pairs.ndim == 2), axis=1))
+        for plan in fronts.parts]
     rep, lead = np.full(parent.size, -1), np.arange(parent.size)
     signed = np.zeros(parent.size, dtype=bool)
     flips = np.ones(flat.size, dtype=np.int8)  # key's first node's signs
@@ -690,25 +759,14 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
         keys = [np.stack([sizes[nodes], pivots[nodes], n_kids[nodes],
                           *entering[:, nodes]]
                          + [np.where(has, rep[c], -1) for c, has in children]
-                         + [has & signed[c] for c, has in children], axis=1),
-                _padded(codes, code_at[nodes], np.diff(code_at)[nodes])[0]]
+                         + [has & signed[c] for c, has in children], axis=1)]
+        keys += [_padded(part, plan.starts[nodes], count)[0] for plan, part,
+                 count in zip(fronts.parts, ids, entering[:, nodes])]
         for c, has in children:  # where each update lands, and its signs
             u = np.where(has, sizes[c] - pivots[c], 0)
-            keys.append((update(fronts.lands, c, u)[0] << 8)
+            keys.append((update(fronts.lands, c, u)[0].astype(np.int64) << 8)
                         | update(flips, lead[c], u)[0].view(np.uint8))
-        keys = np.concatenate(keys, axis=1)
-        # Rows of equal hash are compared entry by entry with the first, and
-        # those that differ from it are split off and compared again.
-        group = keys.view(np.uint64) @ np.random.default_rng(0).integers(
-            1 << 63, size=keys.shape[1], dtype=np.uint64)
-        while True:
-            _, first, group = np.unique(group, return_index=True,
-                                        return_inverse=True)
-            same = (keys == keys[first[group]]).all(axis=1)
-            if same.all():
-                break
-            group = np.where(same, group, group + first.size)
-        lead[nodes] = nodes[first[group]]
+        lead[nodes] = nodes[_first_alike(np.concatenate(keys, axis=1))]
 
         new = nodes[lead[nodes] == nodes]
         rep[new] = new
@@ -829,19 +887,22 @@ def _assemble_front(plans: list[_PartPlan], s: int, p: int, m: int,
                     at: tuple[int, int, int]) -> None:
     """Add the scaled blocks of the element parts that enter node s into
     its zeroed F11, F21 and F22, which start at the entries ``at`` of
-    ``work``, F11 and F22 in RFP. Each block entry is rounded to the dtype
-    of ``work`` and summed in it, in the order the parts list the entries.
-    Only lower triangles are filled: the factorization reads no other part."""
+    ``work``, F11 and F22 in RFP. ``scale`` holds the scale at the m front
+    rows and then a zero, which a left-out DOF (row -1) reads. Each block
+    entry is rounded to the dtype of ``work`` and summed in it, in the order
+    the parts list the entries. Only lower triangles are filled: the
+    factorization reads no other part."""
     q = m - p
     for plan in plans:
         e0, e1 = plan.starts[s], plan.starts[s + 1]
         if e0 == e1:
             continue
-        sc = scale[plan.positions[e0:e1]]
+        local = plan.local[e0:e1]
+        sc = scale[local]
         values = np.take(sc, plan.a, axis=1)
         values *= np.take(sc, plan.b, axis=1)
         values *= plan.pairs if plan.pairs.ndim == 1 else plan.pairs[e0:e1]
-        local = plan.local[e0:e1]
+        local = np.maximum(local, 0, dtype=np.intp)  # left out: row 0
         r, c = np.take(local, plan.a, axis=1), np.take(local, plan.b, axis=1)
         hi, lo = np.maximum(r, c), np.minimum(r, c)
         np.add.at(work, np.where(lo >= p, at[2] + _rfp_offset(hi - p, lo - p, q),
@@ -955,7 +1016,6 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
     n = bounds[-1]
     rep = plan.rep.tolist()
     factor_at, update_at = plan.factor.tolist(), plan.update.tolist()
-    scale = np.append(scale, 0.0)  # position -1 reads this zero
     pftrf, tfsm, sfrk = get_lapack_funcs(("pftrf", "tfsm", "sfrk"),
                                          dtype=dtype)
     work = np.empty(plan.size, dtype=dtype)
@@ -983,7 +1043,8 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
                  work[at[2]:at[2] + q * (q + 1) // 2])
         built.fill(0.0)
         front[2].fill(0.0)
-        _assemble_front(fronts.parts, s, p, m, scale, work, at)
+        d = scale[rows]
+        _assemble_front(fronts.parts, s, p, m, np.append(d, 0.0), work, at)
         for c, pos in plan.lands[s]:
             pc, r = bounds[c + 1] - bounds[c], rep[c]
             if not pos.size:  # a child without an update
@@ -1014,7 +1075,7 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
             if flush:
                 _flush(l21, flush)
             sfrk(q, p, -1.0, l21, 1.0, f22, uplo="L", overwrite_c=1)
-        factor.append((f11, l21 if q else None, scale[rows].astype(dtype)))
+        factor.append((f11, l21 if q else None, d.astype(dtype)))
     return factor
 
 
@@ -1112,11 +1173,12 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     """Cholesky factorization on ``tree`` of the matrix scaled by ``scale``
     (powers of two) on both sides, as a function of the precision:
     ``factor(dtype)`` returns (solve, factor_nnz, factor_stored, workspace,
-    distinct_fronts, analysis_time), where solve(b) returns A^-1 b to the
-    factor's precision. The analysis, by tree height, runs once, here: the
-    pivot order, the symbolic phase, the twins, the workspace plan and the
-    solve's groups. Every call checks the workspace and the element blocks
-    against physical memory and runs the numeric phase in ``dtype``."""
+    distinct_fronts, analysis_time, analysis_bytes), where solve(b) returns
+    A^-1 b to the factor's precision. The analysis, by tree height, runs
+    once, here: the pivot order, the symbolic phase, the twins, the
+    workspace plan and the solve's groups. Every call checks the workspace
+    and the element blocks against physical memory and runs the numeric
+    phase in ``dtype``."""
     n = elements.dim
     if tree.perm.size != n or tree.bounds[-1] != n:
         raise ValueError(f"tree covers {tree.perm.size} DOFs, matrix has {n}")
@@ -1126,13 +1188,14 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     start = time.perf_counter()
     tree = _pivot_order(elements, tree)
     fronts = _symbolic_phase(elements, tree)
-    perm = tree.perm
+    perm, scale = tree.perm, scale[tree.perm]
     rep, signs = _representatives(fronts, tree, _mirror_maps(elements, tree))
     distinct = rep == np.arange(rep.size)
     stored = int(fronts.entries[distinct].sum())
     plan = _plan_workspace(fronts, tree, rep, signs)
     fronts, groups = _solve_groups(fronts, tree, rep, signs)
     analysis_time = time.perf_counter() - start
+    analysis_bytes = _nbytes(tree, fronts, plan, groups)
     held = sum(group.block.nbytes for group in elements.groups)
 
     def numeric(dtype):
@@ -1144,7 +1207,7 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
                 f"{plan.size} entries and {held / 2**30:.1f} GiB of element "
                 f"blocks ({needed / 2**30:.1f} GiB in all), more than the "
                 f"{memory / 2**30:.1f} GiB of physical memory")
-        factor = _factor_fronts(fronts, tree, scale[perm], plan, dtype)
+        factor = _factor_fronts(fronts, tree, scale, plan, dtype)
 
         def solve(rhs):
             x = np.empty(n)
@@ -1153,7 +1216,7 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
             return x
 
         return (solve, fronts.factor_nnz, stored, plan.size,
-                int(distinct.sum()), analysis_time)
+                int(distinct.sum()), analysis_time, analysis_bytes)
 
     return numeric
 
@@ -1243,7 +1306,7 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
     rhs = np.asarray(rhs, dtype=float)
     if float(np.linalg.norm(rhs)) == 0.0:
         report = SolveReport(method, 0, 0.0, time.perf_counter() - start,
-                             0, 0, 0, 0, 0.0)
+                             0, 0, 0, 0, 0.0, 0)
         return np.zeros_like(rhs), report
     diag = elements.diagonal()
     if np.any(diag <= 0.0):
@@ -1256,9 +1319,8 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
     # breaks down (N=8) or CG takes more steps or falls back (N=16, 32).
     # It adds no rounding error, so twins whose scales differ still share
     # one factor (see ``_representatives``).
-    scale = _power_of_two_scale(diag)
-
-    factor = _tree_factor(elements, scale, tree)
+    factor = _tree_factor(elements, _power_of_two_scale(diag), tree)
+    del diag  # before the numeric phase
     iterations, x, rel, *counts = (
         _solve_pcg(elements, rhs, tol, factor) if method == "pcg"
         else (0, *_solve_direct(elements, rhs, tol, factor)))

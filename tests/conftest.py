@@ -1,5 +1,7 @@
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from unittest import mock
 
 import numpy as np
@@ -8,9 +10,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from wg_shishkin import solver
-from wg_shishkin.basis import legendre_table, project_cell, project_edge
-from wg_shishkin.mesh import SIDES, Cell, Edge, MeshParams, build_mesh
+from wg_shishkin import basis, solver
+from wg_shishkin.basis import legendre_table
+from wg_shishkin.mesh import SIDES, Cell, MeshParams, build_mesh
 from wg_shishkin.quadrature import gauss_legendre
 from wg_shishkin.solver import (ElementGroup, ElementMatrix, SeparatorTree,
                                 SolverError)
@@ -32,6 +34,37 @@ def mesh_n128_eps1e7():
     return build_mesh(MeshParams(n=128, eps=1e-7, k=3))
 
 
+@dataclass(frozen=True)
+class Edge:
+    """Mesh edge; the canonical normal is +x (vertical) or +y (horizontal)."""
+
+    id: int
+    orientation: str  # "horizontal" or "vertical"
+    endpoints: tuple[tuple[float, float], tuple[float, float]]
+    length: float
+    cells: tuple[int, ...]
+    on_boundary: bool
+
+
+def mesh_edge(mesh, e: int) -> Edge:
+    """Record of edge ``e`` of ``mesh``, read from its closed-form tables
+    (numbering in the ``mesh`` module docstring)."""
+    if not 0 <= e < mesh.n_edges:
+        raise IndexError(f"edge {e} outside 0..{mesh.n_edges - 1}")
+    n = mesh.n
+    vertical, i, j = (int(v) for v in mesh._edge_ij(int(e)))
+    points, w = mesh.breakpoints, mesh.axis_widths()
+    if vertical:
+        end, length = (points[i], points[j + 1]), w[j]
+        cells = tuple(a * n + j for a in (i - 1, i) if 0 <= a < n)
+    else:
+        end, length = (points[i + 1], points[j]), w[i]
+        cells = tuple(i * n + b for b in (j - 1, j) if 0 <= b < n)
+    return Edge(id=int(e), orientation="vertical" if vertical else "horizontal",
+                endpoints=((points[i], points[j]), end), length=float(length),
+                cells=cells, on_boundary=bool(mesh.boundary_edges[e]))
+
+
 def all_cells(mesh):
     """Every cell record, in id order."""
     return [mesh.cell(c) for c in range(mesh.n_cells)]
@@ -39,7 +72,47 @@ def all_cells(mesh):
 
 def all_edges(mesh):
     """Every edge record, in id order."""
-    return [mesh.edge(e) for e in range(mesh.n_edges)]
+    return [mesh_edge(mesh, e) for e in range(mesh.n_edges)]
+
+
+@cache
+def reference_table(k: int, q: int):
+    """The reference q-point rule and the orthonormal Legendre table at its
+    nodes times its weights, built once per (k, q) for the projections
+    below, from the table of ``basis.project_all_cells``."""
+    return basis._weighted_legendre(k, q)
+
+
+def project_cell(fun, cell, k: int, q: int | None = None) -> np.ndarray:
+    """Coefficients of the L2 projection of ``fun(x, y)`` onto Q_k(cell),
+    one cell at a time: an oracle for the cell's row of
+    ``basis.project_all_cells``. ``fun`` must accept equal-shaped coordinate
+    arrays. Exact for fun in Q_k whenever q >= k+1."""
+    q = basis._checked_quadrature(k, q)
+    rule, U = reference_table(k, q)
+    xq, _ = rule.mapped(*cell.x_range)
+    yq, _ = rule.mapped(*cell.y_range)
+    X, Y = np.meshgrid(xq, yq, indexing="ij")
+    values = np.broadcast_to(fun(X.ravel(), Y.ravel()), X.size).reshape(q, q)
+    h1, h2 = cell.widths
+    return (U @ values @ U.T).ravel() * (0.5 * np.sqrt(h1 * h2))
+
+
+def project_edge(fun, edge: Edge, k: int, q: int | None = None) -> np.ndarray:
+    """Coefficients of the L2 projection of ``fun(x, y)`` onto P_k(edge),
+    one edge at a time: an oracle for the edge's row of
+    ``basis.project_all_edges``."""
+    q = basis._checked_quadrature(k, q)
+    rule, U = reference_table(k, q)
+    (xa, ya), (xb, yb) = edge.endpoints
+    if edge.orientation == "horizontal":
+        x, _ = rule.mapped(xa, xb)
+        y = np.full_like(x, ya)
+    else:
+        y, _ = rule.mapped(ya, yb)
+        x = np.full_like(y, xa)
+    values = np.broadcast_to(fun(x, y), x.shape)
+    return (U @ values) * np.sqrt(0.5 * edge.length)
 
 
 def loop_records(mesh):
@@ -458,7 +531,7 @@ def representatives_per_node(fronts, tree, mirrors):
     A node's key holds everything its unscaled front is built from: the
     front's shape; for each element part that enters it, the part's index,
     the elements' rows in the front, which of their DOFs the matrix holds (a
-    left-out DOF reads row 0, as a held one may) and, in the solver's
+    left-out DOF reads row -1) and, in the solver's
     merged parts of one entry, the only parts whose elements hold values
     of their own, their values; for each child, its representative
     and signs (whose update equals the child's up to scaling and signs, by
@@ -481,7 +554,7 @@ def representatives_per_node(fronts, tree, mirrors):
     order of the children, so s's front is t's so signed, bit for bit."""
     pivots = np.diff(tree.bounds).tolist()
     node_of = np.append(np.repeat(np.arange(len(pivots)), pivots), -1)
-    parts = [(plan.starts.tolist(), plan.local, plan.positions >= 0,
+    parts = [(plan.starts.tolist(), plan.local, plan.local >= 0,
               plan.pairs if plan.pairs.ndim == 2 else None)
              for plan in fronts.parts]
     entering: list[list[int]] = [[] for _ in fronts.rows]

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from conftest import CellBasis, EdgeBasis, all_cells, region_end_cells
-from wg_shishkin.basis import (project_all_cells, project_all_edges,
-                               project_cell, project_edge)
+from conftest import (CellBasis, EdgeBasis, all_cells, mesh_edge,
+                      project_cell, project_edge, region_end_cells)
+from wg_shishkin.basis import project_all_cells, project_all_edges
 from wg_shishkin.mesh import MeshParams, build_mesh
 
 RNG = np.random.default_rng(20240817)
@@ -53,7 +53,7 @@ class TestCellBasis:
 
 class TestEdgeBasis:
     def test_mass_matrix_is_identity(self, mesh_n4_eps1e2):
-        for edge in [mesh_n4_eps1e2.edge(e) for e in range(6)]:
+        for edge in [mesh_edge(mesh_n4_eps1e2, e) for e in range(6)]:
             basis = EdgeBasis(edge, 3)
             x, y, w = basis.quad_points(6)
             t = x if edge.orientation == "horizontal" else y
@@ -113,14 +113,14 @@ class TestProjectCell:
 
 class TestProjectEdge:
     def test_constant(self, mesh_n4_eps1e2):
-        edge = mesh_n4_eps1e2.edge(0)
+        edge = mesh_edge(mesh_n4_eps1e2, 0)
         coeffs = project_edge(lambda x, y: np.full_like(x, 3.0), edge, 3)
         expected = np.zeros(4)
         expected[0] = 3.0 * np.sqrt(edge.length)
         assert coeffs == pytest.approx(expected, abs=1e-13)
 
     def test_reproduces_pk(self, mesh_n4_eps1e2):
-        edge = mesh_n4_eps1e2.edge(9)
+        edge = mesh_edge(mesh_n4_eps1e2, 9)
         c = RNG.standard_normal(4)
 
         def poly(x, y):
@@ -137,7 +137,7 @@ class TestProjectEdge:
 
     def test_sine_against_high_order_reference(self):
         mesh = build_mesh(MeshParams(n=8, eps=1.0, k=3))
-        edge = mesh.edge(3)
+        edge = mesh_edge(mesh, 3)
         assert edge.length == pytest.approx(0.125)
 
         def fun(x, y):
@@ -174,13 +174,13 @@ class TestMeshWideProjections:
         fun = lambda x, y: np.cos(x - 2 * y)
         table = project_all_edges(mesh_n4_eps1e2, 3, fun)
         for e in (0, 7, 21, 39):
-            edge = mesh_n4_eps1e2.edge(e)
+            edge = mesh_edge(mesh_n4_eps1e2, e)
             assert table[e] == pytest.approx(project_edge(fun, edge, 3), abs=1e-13)
 
         mesh = mesh_n128_eps1e7
         table = project_all_edges(mesh, 3, fun)
         for cell in region_end_cells(mesh):
             for e in cell.edge_ids:
-                single = project_edge(fun, mesh.edge(e), 3)
+                single = project_edge(fun, mesh_edge(mesh, e), 3)
                 assert np.abs(table[e] - single).max() \
                     <= 1e-13 * np.abs(table[e]).max(), f"edge {e}"

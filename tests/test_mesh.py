@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_cells, all_edges, loop_records
+from conftest import all_cells, all_edges, loop_records, mesh_edge
 from wg_shishkin.mesh import (EPS_MIN, MeshParams, axis_partition,
                               build_mesh, transition_point)
 
@@ -92,7 +92,7 @@ class TestBuildMesh:
     def test_cell_edge_consistency(self, n):
         mesh = build_mesh(MeshParams(n=n, eps=1e-2, k=3))
         for c, cell in enumerate(all_cells(mesh)):
-            south, east, north, west = (mesh.edge(e) for e in cell.edge_ids)
+            south, east, north, west = (mesh_edge(mesh, e) for e in cell.edge_ids)
             assert south.orientation == north.orientation == "horizontal"
             assert east.orientation == west.orientation == "vertical"
             for edge in (south, east, north, west):
@@ -175,4 +175,4 @@ class TestLatticeTables:
                 mesh.cell(index)
         for index in (-1, mesh.n_edges):
             with pytest.raises(IndexError):
-                mesh.edge(index)
+                mesh_edge(mesh, index)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
 import wg_shishkin.solver as solver
 from conftest import (assert_same_sharing, elements_of, one_front,
-                      rfp_indices, superlu_solve, unpack_rfp)
+                      representatives_per_node, rfp_indices, superlu_solve,
+                      unpack_rfp)
 from wg_shishkin.analytic import ExactSolution
 from wg_shishkin.assembly import assemble_system, fill_reducing_ordering
 from wg_shishkin.mesh import MeshParams, build_mesh
@@ -146,6 +148,40 @@ class TestTreeSolve:
                                       rel=1e-13)
         elements = elements_of(matrix)
         assert_same_sharing(elements, solver._pivot_order(elements, tree))
+
+    def test_keys_beyond_32_bits(self):
+        # A chain of 2^16 DOFs bisected down to one DOF per node: a balanced
+        # tree of 2^16 nodes, so the symbolic phase's keys node << shift |
+        # position reach 2^33, past any 32-bit integer.
+        n = 1 << 16
+        perm, parent = [], []
+
+        def bisect(lo, hi):  # the subtree of DOFs lo..hi-1, and its root
+            if lo == hi:
+                return -1
+            mid = (lo + hi) // 2
+            children = (bisect(lo, mid), bisect(mid + 1, hi))
+            perm.append(mid)
+            parent.append(-1)
+            for child in children:
+                if child >= 0:
+                    parent[child] = len(perm) - 1
+            return len(perm) - 1
+
+        bisect(0, n)
+        tree = make_tree(perm, np.arange(n + 1), parent)
+        assert (len(parent) - 1) << n.bit_length() >= 1 << 31
+        matrix = tridiagonal(n)
+        rhs = RNG.standard_normal(n)
+        x, _ = solve_sparse(matrix, rhs, tree=tree)
+        reference = spla.spsolve(matrix.tocsc(), rhs)
+        assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+        elements = elements_of(matrix)
+        tree = solver._pivot_order(elements, tree)
+        fronts = solver._symbolic_phase(elements, tree)
+        rep, _ = solver._representatives(fronts, tree, [])
+        assert np.array_equal(rep,
+                              representatives_per_node(fronts, tree, [])[0])
 
     def test_rejects_tree_that_does_not_separate(self):
         # Positions 2 and 3 are coupled but lie in sibling leaves.
@@ -379,6 +415,17 @@ class TestFactorSize:
         _, report = solve_spd(system.elements, system.rhs, method, tol=1e-8,
                               tree=tree)
         assert 0.0 < report.analysis_time <= report.wall_time
+
+    @pytest.mark.parametrize("method", ["direct", "pcg"])
+    def test_reports_analysis_bytes(self, method):
+        # The index data the analysis holds through the numeric phase stays
+        # below the workspace of a double-precision factorization.
+        mesh = build_mesh(MeshParams(n=16, eps=1e-3, k=3))
+        system = assemble_system(mesh, 3, 1e-3, ExactSolution(1, 1e-3).forcing,
+                                 condense=True)
+        _, report = solve_spd(system.elements, system.rhs, method, tol=1e-8,
+                              tree=fill_reducing_ordering(system))
+        assert 0 < report.analysis_bytes < 8 * report.workspace
 
     def test_factor_beyond_physical_memory_raises_before_numeric_work(
             self, mesh_system, monkeypatch):
@@ -720,6 +767,28 @@ class TestElementMatrix:
             with pytest.raises(ValueError, match=r"one \(2, 2\) block"):
                 ElementGroup(index, block, no_faces)
 
+    def test_rejects_index_outside_the_matrix(self):
+        # -1 marks a left-out position and reads a zero; -2 would read x[2]
+        # and add its term to the element's held rows, and an index of 3
+        # would read past x.
+        no_faces = np.empty((0, 0), dtype=np.int64)
+
+        def matrix(index):
+            return ElementMatrix(3, (ElementGroup(index, np.ones((2, 2)),
+                                                  no_faces),))
+
+        for index in ([[0, -2]], [[0, 3]], [[-5, 1], [0, 1]]):
+            with pytest.raises(ValueError, match=r"lie in \[-1, 3\)"):
+                matrix(np.array(index))
+        for index in (np.array([[0.0, 1.0]]), np.array([[True, False]])):
+            with pytest.raises(ValueError, match="must be integers"):
+                matrix(index)
+        for dtype in (np.int32, np.int64, np.uint8):
+            held = matrix(np.array([[2, 0], [0, 1]], dtype=dtype))
+            assert held @ np.ones(3) == pytest.approx([4.0, 2.0, 2.0])
+        assert matrix(np.array([[-1, 2]])) @ np.ones(3) == pytest.approx(
+            [0.0, 0.0, 1.0])
+
     @pytest.mark.parametrize("n", [4, 8])
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("mesh_kind", ["shishkin", "uniform"])
@@ -926,8 +995,10 @@ def first_pivots_of_a_twin(elements, tree):
             continue
         for plan in fronts.parts:
             node = np.repeat(np.arange(bounds.size - 1), np.diff(plan.starts))
-            mine = ((plan.positions >= b0) & (plan.positions < b1)).sum(axis=1)
-            holds = (plan.positions == b0).any(axis=1)
+            positions = np.where(plan.local >= 0, fronts.flat[
+                fronts.starts[node][:, None] + plan.local], -1)
+            mine = ((positions >= b0) & (positions < b1)).sum(axis=1)
+            holds = (positions == b0).any(axis=1)
             if np.any(holds & ((node != t) | (mine < 2))):
                 break
         else:

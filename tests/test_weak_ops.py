@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import (ROUNDOFF_FACTOR, CellBasis, all_cells,
-                      decimal_class_block, local_projection_dofs,
+                      decimal_class_block, local_projection_dofs, project_cell,
                       reference_cell_moments, region_end_cells, roundoff_ratio)
 from wg_shishkin.analytic import ExactSolution
 from wg_shishkin.assembly import assemble_system
-from wg_shishkin.basis import project_cell
 from wg_shishkin.mesh import SIDES, MeshParams, build_mesh
 from wg_shishkin.weak_ops import (LocalDofLayout, local_stiffness,
                                   stabilizer_matrix, weak_gradient_matrix,
