@@ -1,22 +1,32 @@
 """Global DOF numbering, element-form assembly, boundary elimination and
 static condensation.
 
-Global raw numbering: all cell-interior DOFs (cells in id order), then all
-edge-trace DOFs, then all edge grad-x DOFs, then all edge grad-y DOFs (edges
-in id order within each block). Cell and edge ids follow the numbering of
-the ``mesh`` module docstring, and every index here comes from its tables.
-Homogeneous essential conditions (zero trace and zero normal gradient
-component on boundary edges) are eliminated by dropping rows and columns,
-which keeps the reduced matrix SPD.
+Three numberings of the DOFs (``DofMap``):
+
+- raw: all cell-interior DOFs (cells in id order), then all edge-trace DOFs,
+  then all edge grad-x DOFs, then all edge grad-y DOFs (edges in id order
+  within each block). Cell and edge ids follow the numbering of the
+  ``mesh`` module docstring, and every index here comes from its tables.
+- free: the raw DOFs in raw order without the constrained ones. Homogeneous
+  essential conditions (zero trace and zero normal gradient component on
+  boundary edges) are eliminated by dropping rows and columns, which keeps
+  the reduced matrix SPD. Solutions and the energy norm live here.
+- solved: the free DOFs without one per edge, the top Legendre mode of its
+  tangential gradient (grad-y on vertical edges, grad-x on horizontal
+  ones). The stabilizer pairs vg only with grad v0 on the edge, whose
+  tangential part has degree k - 1, and nothing else reads vg's tangential
+  component, so that mode couples to nothing but itself and carries no
+  load: its solution is exactly 0. The system is assembled and solved in
+  this numbering; ``SparseSystem.expand`` writes the 0 back.
 
 Local stiffness blocks depend on a cell only through its widths, so they are
 built once per width class (at most four classes on a Shishkin mesh). The
 system stays in element form (``solver.ElementMatrix``): per cell a scatter
-map into the free (or condensed) numbering, and per width class one block,
-the cell matrix A or its Schur complement onto the edge DOFs, each computed
-in extended precision and rounded once. The mesh and every block are
-symmetric about x = 1/2 and y = 1/2, and each group of elements says so
-(``ElementGroup.mirrors``). The solver factors that form;
+map into the solved numbering (or its edge DOFs, condensed), and per width
+class one block, the cell matrix A or its Schur complement onto the edge
+DOFs, each computed in extended precision and rounded once. The mesh and
+every block are symmetric about x = 1/2 and y = 1/2, and each group of
+elements says so (``ElementGroup.mirrors``). The solver factors that form;
 ``SparseSystem.matrix`` assembles it as CSR for tests and the benchmark
 tracer only.
 """
@@ -36,7 +46,7 @@ from .weak_ops import (LocalDofLayout, LocalOperators, local_stiffness,
 
 
 class DofMap:
-    """Raw/free global numbering with boundary-constraint bookkeeping."""
+    """The raw, free and solved numberings (see the module docstring)."""
 
     def __init__(self, mesh: ShishkinMesh, k: int):
         self.mesh = mesh
@@ -73,11 +83,18 @@ class DofMap:
         self.free_raw = np.flatnonzero(~constrained).astype(index)
         self.n_free = self.free_raw.size
         self.n_constrained = self.n_raw - self.n_free
-        self.free_index = np.full(self.n_raw, -1, dtype=index)
-        self.free_index[self.free_raw] = np.arange(self.n_free, dtype=index)
-        # Interior DOFs come first and are never constrained, so their free
-        # index equals their raw index; edge free DOFs follow contiguously.
-        self.n_free_edge = self.n_free - self.n_interior_total
+        # Each edge's top tangential-gradient mode is free but not solved.
+        left_out = np.zeros(self.n_raw, dtype=bool)
+        left_out[self.edge_dofs[np.arange(n_edges),
+                                np.where(vertical, 3 * kk - 1, 2 * kk - 1)]] = True
+        solved = ~left_out[self.free_raw]
+        #: The free index of each solved DOF, and each raw DOF's solved
+        #: index, -1 where constrained or left out. Interior DOFs come first
+        #: in all three numberings, at equal indices.
+        self.solved_free = np.flatnonzero(solved).astype(index)
+        self.solved_index = np.full(self.n_raw, -1, dtype=index)
+        self.solved_index[self.free_raw[solved]] = np.arange(
+            self.solved_free.size, dtype=index)
 
     def expand_free(self, free_values: np.ndarray) -> np.ndarray:
         """Raw vector with zeros at constrained entries."""
@@ -107,8 +124,9 @@ class _AssemblyContext:
 
 @dataclass
 class SparseSystem:
-    """Assembled SPD system over the free DOFs (optionally condensed to the
-    free edge DOFs, with exact interior back-substitution data retained).
+    """Assembled SPD system over the solved DOFs (optionally condensed to
+    the solved edge DOFs, with exact interior back-substitution data
+    retained).
 
     ``elements`` holds the matrix in element form, one group per width
     class, and ``matrix`` assembles it as CSR on first use, for tests and
@@ -128,23 +146,24 @@ class SparseSystem:
         return self.elements.to_csr()
 
     def expand(self, x: np.ndarray) -> np.ndarray:
-        """Free-DOF solution vector; back-substitutes interiors if condensed."""
-        if not self.condensed:
-            return np.asarray(x, dtype=float)
-        ctx = self.ctx
+        """Free-DOF solution vector of a solution of the system: 0 at the
+        DOFs left out of it, and interiors back-substituted if condensed."""
         dofmap = self.dofmap
+        free = np.zeros(dofmap.n_free)
+        first = dofmap.n_interior_total if self.condensed else 0
+        free[dofmap.solved_free[first:]] = x
+        if not self.condensed:
+            return free
+        ctx = self.ctx
         ni = dofmap.layout.n_interior
-        full = np.empty(dofmap.n_free)
-        full[dofmap.n_interior_total:] = x
-        edge_raw = np.zeros(dofmap.n_raw)
-        edge_raw[dofmap.free_raw[dofmap.n_interior_total:]] = x
+        raw = dofmap.expand_free(free)
         for widths, cells in ctx.classes.items():
             coupling = ctx.ops[widths].A[:ni, ni:]
-            u_edge = edge_raw[dofmap.cell_dofs[cells, ni:]]
+            u_edge = raw[dofmap.cell_dofs[cells, ni:]]
             b = ctx.interior_rhs[cells] - u_edge @ coupling.T
             u_int = cho_solve(self.interior_factors[widths], b.T).T
-            full[(cells[:, None] * ni + np.arange(ni)[None, :]).ravel()] = u_int.ravel()
-        return full
+            free[(cells[:, None] * ni + np.arange(ni)[None, :]).ravel()] = u_int.ravel()
+        return free
 
 
 def schur_complement(a_ii: np.ndarray, a_ie: np.ndarray, a_ee: np.ndarray,
@@ -210,12 +229,12 @@ def _assemble_full(ctx: _AssemblyContext) -> SparseSystem:
     dofmap = ctx.dofmap
     faces = _side_faces(dofmap.layout, dofmap.layout.n_interior)
     groups = tuple(
-        ElementGroup(dofmap.free_index[dofmap.cell_dofs[cells]],
+        ElementGroup(dofmap.solved_index[dofmap.cell_dofs[cells]],
                      ctx.ops[widths].A, faces, _mirrors(ctx, cells, 0))
         for widths, cells in ctx.classes.items())
-    rhs = np.zeros(dofmap.n_free)
+    rhs = np.zeros(dofmap.solved_free.size)
     rhs[:dofmap.n_interior_total] = ctx.interior_rhs.ravel()
-    return SparseSystem(elements=ElementMatrix(dofmap.n_free, groups), rhs=rhs,
+    return SparseSystem(elements=ElementMatrix(rhs.size, groups), rhs=rhs,
                         dofmap=dofmap, condensed=False, ctx=ctx,
                         interior_factors={})
 
@@ -223,7 +242,7 @@ def _assemble_full(ctx: _AssemblyContext) -> SparseSystem:
 def _assemble_condensed(ctx: _AssemblyContext) -> SparseSystem:
     dofmap = ctx.dofmap
     ni = dofmap.layout.n_interior
-    n_cond = dofmap.n_free_edge
+    n_cond = dofmap.solved_free.size - dofmap.n_interior_total
     faces = _side_faces(dofmap.layout, 0)
     groups, factors = [], {}
     rhs = np.zeros(n_cond)
@@ -233,8 +252,8 @@ def _assemble_condensed(ctx: _AssemblyContext) -> SparseSystem:
         schur, factors[widths] = schur_complement(
             exact[:ni, :ni], exact[:ni, ni:], exact[ni:, ni:],
             [(positions, signs) for _, positions, signs in mirrors])
-        fidx = dofmap.free_index[dofmap.cell_dofs[cells, ni:]]
-        cond_idx = np.where(fidx >= 0, fidx - dofmap.n_interior_total, -1)
+        sidx = dofmap.solved_index[dofmap.cell_dofs[cells, ni:]]
+        cond_idx = np.where(sidx >= 0, sidx - dofmap.n_interior_total, -1)
         groups.append(ElementGroup(cond_idx, schur, faces, mirrors))
         contrib = -cho_solve(factors[widths], ctx.interior_rhs[cells].T).T @ A[:ni, ni:]
         keep = cond_idx >= 0
@@ -343,13 +362,13 @@ def fill_reducing_ordering(system: SparseSystem) -> SeparatorTree:
     dofmap = system.dofmap
     mesh = dofmap.mesh
     points = mesh.lattice  # cells, then edges
-    dofs = dofmap.free_index[dofmap.edge_dofs]  # -1 marks a constrained DOF
+    dofs = dofmap.solved_index[dofmap.edge_dofs]  # -1 marks an unsolved DOF
     if system.condensed:
         points = points[mesh.n_cells:]
         dofs = np.where(dofs >= 0, dofs - dofmap.n_interior_total, -1)
     else:
         ni = dofmap.layout.n_interior
-        cell_dofs = dofmap.cell_dofs[:, :ni]  # free index = raw index
+        cell_dofs = dofmap.cell_dofs[:, :ni]  # solved index = raw index
         width = max(ni, dofs.shape[1])
         dofs = np.concatenate([
             np.pad(cell_dofs, ((0, 0), (0, width - ni)), constant_values=-1),
@@ -369,8 +388,8 @@ def fill_reducing_ordering(system: SparseSystem) -> SeparatorTree:
     node_of = np.repeat(np.arange(len(groups)), [g.size for g in groups])
     counts = np.bincount(node_of, weights=(ordered >= 0).sum(axis=1),
                          minlength=len(groups)).astype(np.int64)
-    if perm.size != (dofmap.n_free_edge if system.condensed else dofmap.n_free):
-        raise RuntimeError("ordering does not cover every free DOF")
+    if perm.size != system.elements.dim:
+        raise RuntimeError("ordering does not cover every solved DOF")
     return SeparatorTree(perm=perm,
                          bounds=np.concatenate([[0], np.cumsum(counts)]),
                          parent=np.asarray(parents, dtype=np.int64))

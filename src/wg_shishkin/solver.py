@@ -37,15 +37,15 @@ exactly E L S_p, with S_p the signs on the pivots. Unscaled, D^-1 L, the
 factors are equal up to those signs, and the solve uses them so.
 
 The numeric phase runs in one array (Amestoy, Duff, L'Excellent & Koster
-2001): the distinct fronts' factors fill it from the start in postorder,
-each front's blocks F11 and F21 built and factored in place at their final
-slot. F11 and the update F22 are triangles in rectangular full packed
-format (RFP: Gustavson, Waśniewski, Dongarra & Langou 2010, ACM TOMS
-37(2)), on which LAPACK's ``pftrf``, ``tfsm`` and ``sfrk`` work at BLAS-3
-speed. A dry run places each update, largest first, at the lowest offset
-past the factor written by its last reader and clear of those placed that
-live at the same time. So no front is allocated on its own, and the
-physical-memory check counts this array and the element blocks.
+2001), which holds the distinct fronts' factors, each front's blocks F11
+and F21 built and factored in place at their final slot. F11 and the
+update F22 are triangles in rectangular full packed format (RFP:
+Gustavson, Waśniewski, Dongarra & Langou 2010, ACM TOMS 37(2)), on which
+LAPACK's ``pftrf``, ``tfsm`` and ``sfrk`` work at BLAS-3 speed. A dry run
+places every factor slot and update, longest-lived first, at the lowest
+offset clear of those placed that live at the same time. So no front is
+allocated on its own, and the physical-memory check counts this array and
+the element blocks.
 
 Beside it the solve holds the analysis's index data, kept compact
 (``SolveReport.analysis_bytes``): an index array with an entry per DOF,
@@ -57,16 +57,15 @@ analysis's temporaries live for one tree height, and a node's key lists
 one id per element (``_first_alike``), not the element's rows: glibc
 returns freed heap only from its top, so what they free stays resident.
 
-Python steps per node are kept few. Each node lists its DOFs that couple
-beyond their own face first and the face-only ones last (``_pivot_order``),
-so a child's update lands in at most four runs of consecutive rows of its
-parent's front and is added by a few slice-adds. The analysis takes a few
-array passes per tree height and no step per node: the symbolic phase one
-sort, the twins one array of keys (Liu 1992 keeps it cheap next to the
-factorization). A triangular solve steps by height too (level scheduling,
-Anderson & Saad 1989): the twins of one height share one factor, so each
-group of twins takes one triangular solve and one product over all their
-columns of the right-hand side.
+Python steps per node are kept few. A child's update lands in a few runs
+of consecutive rows of its parent's front and is added by a few slice-adds
+(``_extend_add``). The analysis takes a few array passes per tree height
+and no step per node: the symbolic phase one sort, the twins one array of
+keys (Liu 1992 keeps it cheap next to the factorization). A triangular
+solve steps by height too (level scheduling, Anderson & Saad 1989): the
+twins of one height share one factor, so each group of twins takes one
+triangular solve and one product over all their columns of the
+right-hand side.
 
 The iterative method is CG on the given matrix, preconditioned by the tree
 factorization run in single precision: half the factor's memory, and a few
@@ -109,7 +108,8 @@ class ElementGroup:
     may hold too, as a mesh cell shares each side with its neighbour. An
     entry between two positions of one face may be a sum over the elements
     that hold the face, who list its DOFs in the same order; every other
-    entry comes from one element alone.
+    entry comes from one element alone. Only ``ElementMatrix.abs_matmul``
+    reads them, to sum such entries before their absolute values.
 
     ``mirrors`` lists symmetries of the matrix the solver may use to share
     factors between mirror-image fronts (see ``_mirror_maps``): for each,
@@ -285,15 +285,15 @@ class SolveReport:
     the distinct fronts (distinct_fronts) only: twins, fronts equal up to a
     signed power-of-two scaling of their rows and columns, as translated
     copies and mirror images are, share one copy. workspace counts the
-    entries of the one array the numeric phase works in: factor_stored, and
-    above it the updates, in RFP, that outgrow the factor's unfilled part.
+    entries of the one array the numeric phase works in, which holds those
+    and the updates, in RFP, while they live (``_plan_workspace``).
     For pcg all four count its preconditioner: this factor, in single precision.
     analysis_time is the part of wall_time, in seconds, spent before the
-    numeric phase, from the pivot order to the solve's groups (``_tree_factor``).
-    analysis_bytes counts the bytes of the index data the analysis holds
-    through the numeric phase: the pivot order, the front rows laid out for
-    the solve, the element parts' rows, the workspace plan, the twins'
-    signs and the solve's groups, each array once (``_nbytes``).
+    numeric phase, from the symbolic phase to the solve's groups
+    (``_tree_factor``). analysis_bytes counts the bytes of the index data
+    the analysis holds through the numeric phase: the tree, the front rows
+    laid out for the solve, the element parts' rows, the workspace plan,
+    the twins' signs and the solve's groups, each array once (``_nbytes``).
     """
 
     method: str
@@ -338,63 +338,19 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _links(group: ElementGroup) -> tuple[np.ndarray, ...]:
-    """(nonzero, face, linked) of a group's local positions: which block
-    entries are nonzero, the face of every position, and whether its block
-    row has a nonzero entry outside its own face. A position in no face is a
-    face by itself."""
-    m = group.index.shape[1]
-    nonzero = group.block != 0
-    face = np.arange(m, 2 * m)
-    for f, positions in enumerate(group.faces):
-        face[positions] = f
-    return nonzero, face, (nonzero & (face[:, None] != face)).any(axis=1)
-
-
 def _element_parts(group: ElementGroup) -> list[tuple[np.ndarray, ...]]:
-    """Split every element of a group into parts, each a clique whose DOFs
-    meet in one front. A part is (its DOFs, one row per element; its
-    nonzero block entries on and below the diagonal, which its elements
-    share; the rows and the columns of those entries among its DOFs).
-
-    The entries among linked positions (see ``_links``) form one part.
-    Every other nonzero entry lies within one face, since an entry across
-    faces links both its positions, so the rest forms one part per face. A
-    DOF that couples only within its face, as a tangential gradient couples
-    only along its edge, then widens no front but its own node's, just as in
-    the assembled matrix.
-    """
-    nonzero, face, linked = _links(group)
+    """The elements of a group as one part, a clique whose DOFs meet in one
+    front, or none where the block is zero: (its DOFs, one row per element;
+    its nonzero block entries on and below the diagonal, which its elements
+    share; the rows and the columns of those entries among its DOFs)."""
     a, b = np.tril_indices(group.index.shape[1])
-    keep = nonzero[a, b]
+    keep = group.block[a, b] != 0
     a, b = a[keep], b[keep]
-    among_linked = linked[a] & linked[b]
-    selections = [among_linked] + [~among_linked & (face[a] == f)
-                                   for f in np.unique(face[a[~among_linked]])]
-    parts = []
-    for sel in selections:
-        if sel.any():
-            cols = np.union1d(a[sel], b[sel])
-            parts.append((group.index[:, cols], group.block[a[sel], b[sel]],
-                          np.searchsorted(cols, a[sel]),
-                          np.searchsorted(cols, b[sel])))
-    return parts
-
-
-def _pivot_order(elements: ElementMatrix, tree: SeparatorTree) -> SeparatorTree:
-    """``tree`` with each node's positions stably reordered: the DOFs some
-    element links beyond their face (see ``_links``) first, the face-only
-    ones last. Nodes, bounds and parents stay. A face-only DOF reaches no
-    front but its own node's, so the rows a child's update reaches in its
-    parent's front, the parent's linked pivots and ancestor rows, fall in a
-    few runs of consecutive rows and not in one run per face."""
-    face_only = np.ones(elements.dim + 1, dtype=bool)  # index -1 writes the last
-    for group in elements.groups:
-        face_only[group.index[:, _links(group)[2]]] = False
-    node = np.repeat(np.arange(tree.parent.size, dtype=tree.perm.dtype),
-                     np.diff(tree.bounds))
-    order = np.argsort(2 * node + face_only[tree.perm], kind="stable")
-    return SeparatorTree(tree.perm[order], tree.bounds, tree.parent)
+    if not a.size:
+        return []
+    cols = np.union1d(a, b)
+    return [(group.index[:, cols], group.block[a, b],
+             np.searchsorted(cols, a), np.searchsorted(cols, b))]
 
 
 @dataclass(frozen=True)
@@ -597,8 +553,7 @@ def _mirror_maps(elements: ElementMatrix, tree: SeparatorTree) -> list:
     DOF that some element holds which breaks the claim. An element breaks
     it if its mirror element does not hold the images of its DOFs with
     their signs; a whole group does if its maps are no involutions, if its
-    block, or its faces, which shape its parts (``_element_parts``), do not
-    map onto themselves, or if it claims no such symmetry."""
+    block does not map onto itself, or if it claims no such symmetry."""
     n = elements.dim
     count = max((len(group.mirrors) for group in elements.groups), default=0)
     itype = index_dtype(n + 1)
@@ -628,14 +583,10 @@ def _mirror_maps(elements: ElementMatrix, tree: SeparatorTree) -> list:
                   | ((src < 0) & (dst < 0))).all(axis=1)
             pictured = (signs[:, None] * group.block[slots[:, None], slots]
                         * signs)
-            face = _links(group)[1]
-            same_face = face[:, None] == face
             ok &= (np.array_equal(elems[elems], np.arange(elems.size))
                    and np.array_equal(slots[slots], np.arange(slots.size))
                    and np.array_equal(signs[slots], signs)
-                   and np.array_equal(pictured, group.block)
-                   and np.array_equal(same_face[slots[:, None], slots],
-                                      same_face))
+                   and np.array_equal(pictured, group.block))
             tainted[at[~ok]] = True
         maps.append((image[:n], sign[:n], tainted[:n]))
     return maps
@@ -814,46 +765,48 @@ class _Workspace:
 
 def _plan_workspace(fronts: _Fronts, tree: SeparatorTree, rep: np.ndarray,
                     signs: list) -> _Workspace:
-    """Lay out the numeric phase in one array (Amestoy et al. 2001): the
-    distinct fronts' factors fill it from the start in postorder, and every
-    update F22, q(q+1)/2 entries in RFP, goes where the factor has not yet
-    reached. A dry run of the schedule of ``_factor_fronts``: node s's
-    update is made while s is factored and lives until the last distinct
-    node that adds it as a child's update (Liu 1992). Largest first, each
-    goes to the lowest offset clear of the factor written by the end of that
-    node, its F21 included, and of every update placed whose lifetime
-    overlaps its own. At N=128, k=3 the array so meets the live-set bound,
-    the most factor and live updates at any node; an online best fit in
-    postorder needed 7% more."""
-    parent = tree.parent
-    distinct = rep == np.arange(rep.size)
+    """Lay out the numeric phase in one array (Amestoy et al. 2001). A dry
+    run of the schedule of ``_factor_fronts``: distinct node s writes its
+    factor slot, F11 and F21, which lives to the end, and its update F22,
+    q(q+1)/2 entries in RFP, which lives until the last distinct node that
+    adds it as a child's update (Liu 1992). Longest-lived first, and largest
+    first among equal lifetimes, each block goes to the lowest offset clear
+    of the blocks placed before it whose lifetimes overlap its own. On the
+    trees of ``assembly.fill_reducing_ordering`` the array so meets the
+    live-set bound, the most factor and live updates at any node, exactly
+    (N=4 to 128, k=3 to 6, both mesh kinds, full and condensed)."""
+    parent, n = tree.parent, rep.size
+    distinct = rep == np.arange(n)
     below = fronts.sizes - np.diff(tree.bounds)
-    ends = np.cumsum(np.where(distinct, fronts.entries, 0))
     # The last node to add a representative's update: the greatest distinct
     # parent among the nodes it stands for.
     feeds = (parent >= 0) & distinct[np.maximum(parent, 0)]
-    last = np.arange(rep.size)
+    last = np.arange(n)
     np.maximum.at(last, rep[feeds], parent[feeds])
-    entries = np.where(distinct, below * (below + 1) // 2, 0)
-    factor = np.where(distinct, ends - fronts.entries, 0)
-    update = np.zeros_like(factor)
-    placed = np.argsort(-entries, kind="stable")[:np.count_nonzero(entries)]
-    for i, s in enumerate(placed.tolist()):
-        others = placed[:i][(placed[:i] <= last[s]) & (last[placed[:i]] >= s)]
-        at = int(ends[last[s]])
-        for start, stop in sorted(zip(update[others].tolist(),
-                                      (update + entries)[others].tolist())):
-            if start >= at + entries[s]:
-                break
-            at = max(at, stop)
-        update[s] = at
-    size = int(max(ends[-1], (update + entries).max()))
+    # Block b < n is node b's factor slot, block n + s node s's update.
+    size = np.where(np.tile(distinct, 2), np.concatenate(
+        [fronts.entries, below * (below + 1) // 2]), 0)
+    born, dies = np.tile(np.arange(n), 2), np.concatenate([np.full(n, n), last])
+    order = np.lexsort((-size, born - dies))
+    order = order[size[order] > 0]
+    offset = np.zeros(2 * n, dtype=np.int64)
+    for i, b in enumerate(order.tolist()):
+        before = order[:i]
+        live = before[(born[before] <= dies[b]) & (dies[before] >= born[b])]
+        lo = offset[live]
+        by = np.argsort(lo, kind="stable")
+        lo, hi = lo[by], np.maximum.accumulate(lo[by] + size[live][by])
+        # The gaps run from the top of the blocks that start lower to the
+        # start of the next; the lowest gap that fits takes the block.
+        gaps = np.append(0, hi)
+        offset[b] = gaps[np.argmax(np.append(lo, np.inf) - gaps >= size[b])]
     lands: dict = {s: [] for s in np.flatnonzero(distinct).tolist()}
     end = fronts.starts + fronts.sizes
     for c in np.flatnonzero(feeds).tolist():
         lands[int(parent[c])].append((c, fronts.lands[end[c] - below[c]:
                                                       end[c]].copy()))
-    return _Workspace(rep, size, factor, update, signs, lands)
+    return _Workspace(rep, int((offset + size).max(initial=0)), offset[:n],
+                      offset[n:], signs, lands)
 
 
 def _rfp(flat: np.ndarray, n: int):
@@ -930,12 +883,11 @@ def _extend_add(front: tuple[np.ndarray, ...], update: np.ndarray,
     of a block, by chunks of at most ``_CHUNK`` entries where rescaled or on
     the diagonal, where it adds its lower triangle alone (see ``_rfp``).
 
-    The pivot order of ``_pivot_order`` keeps the runs few: an update
-    reaches the parent's linked pivots, first in its positions, and ancestor
-    rows, linked DOFs too, and skips the face-only DOFs at the end of each
-    node's positions. So its rows fall in at most four runs, where with one
-    face-only DOF per edge between the linked ones they would break at every
-    edge (32 runs at the root of N=32, k=3)."""
+    On a mesh the runs are few: an update reaches whole edges of its
+    parent's separator and of the ancestors', whose DOFs lie together, so
+    its rows fall in at most four runs. A DOF that coupled only to itself
+    would sit between them and break the runs at every edge; the assembly
+    leaves the one such DOF per edge out (``assembly.DofMap``)."""
     f21, (q, p) = front[1], front[1].shape
     f11, f22, u = _rfp(front[0], p), _rfp(front[2], q), _rfp(update, pos.size)
     cols = _runs(pos, [(p + 1) // 2, p, p + (q + 1) // 2,
@@ -1175,10 +1127,9 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     ``factor(dtype)`` returns (solve, factor_nnz, factor_stored, workspace,
     distinct_fronts, analysis_time, analysis_bytes), where solve(b) returns
     A^-1 b to the factor's precision. The analysis, by tree height, runs
-    once, here: the pivot order, the symbolic phase, the twins, the
-    workspace plan and the solve's groups. Every call checks the workspace
-    and the element blocks against physical memory and runs the numeric
-    phase in ``dtype``."""
+    once, here: the symbolic phase, the twins, the workspace plan and the
+    solve's groups. Every call checks the workspace and the element blocks
+    against physical memory and runs the numeric phase in ``dtype``."""
     n = elements.dim
     if tree.perm.size != n or tree.bounds[-1] != n:
         raise ValueError(f"tree covers {tree.perm.size} DOFs, matrix has {n}")
@@ -1186,7 +1137,6 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
                   | (tree.parent == -1)):
         raise ValueError("tree nodes are not in postorder")
     start = time.perf_counter()
-    tree = _pivot_order(elements, tree)
     fronts = _symbolic_phase(elements, tree)
     perm, scale = tree.perm, scale[tree.perm]
     rep, signs = _representatives(fronts, tree, _mirror_maps(elements, tree))

@@ -627,8 +627,8 @@ def representatives_per_node(fronts, tree, mirrors):
 
 def assert_same_sharing(elements, tree):
     """``solver._representatives`` finds the (rep, signs) of the per-node
-    reference on ``tree`` (in the solver's pivot order), with and without
-    the mirror maps: signs int8, None where all are +1."""
+    reference on ``tree``, with and without the mirror maps: signs int8,
+    None where all are +1."""
     fronts = solver._symbolic_phase(elements, tree)
     for mirrors in ([], solver._mirror_maps(elements, tree)):
         rep, signs = solver._representatives(fronts, tree, mirrors)

@@ -238,8 +238,9 @@ def test_criterion_7_structural_suite():
                   tree=fill_reducing_ordering(system))  # certifies SPD
 
         # Norm equals the assembled quadratic form.
-        v = rng.standard_normal(system.dofmap.n_free)
-        norm = triple_bar_norm(v, mesh, 3, eps, dofmap=system.dofmap)
+        v = rng.standard_normal(system.elements.dim)
+        norm = triple_bar_norm(system.expand(v), mesh, 3, eps,
+                               dofmap=system.dofmap)
         assert norm ** 2 == pytest.approx(v @ (system.matrix @ v), rel=1e-12)
 
     # Condensed and uncondensed paths agree.

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from conftest import all_cells, all_edges, loop_dof_tables, superlu_solve
 from wg_shishkin.analytic import ExactSolution
@@ -62,7 +63,8 @@ class TestDofMap:
     def test_interior_free_indices_are_raw_indices(self, mesh_n4_eps1e2):
         dofmap = DofMap(mesh_n4_eps1e2, 3)
         n_int = dofmap.n_interior_total
-        assert np.all(dofmap.free_index[:n_int] == np.arange(n_int))
+        for index in (dofmap.free_raw, dofmap.solved_free, dofmap.solved_index):
+            assert np.array_equal(index[:n_int], np.arange(n_int))
 
     def test_cell_dofs_cover_each_cell_once(self, mesh_n4_eps1e2):
         dofmap = DofMap(mesh_n4_eps1e2, 3)
@@ -98,10 +100,11 @@ class TestAssemble:
         sol = ExactSolution(1, eps)
         system = assemble_system(mesh, 3, eps, sol.forcing)
         dofmap = system.dofmap
-        u = RNG.standard_normal(dofmap.n_free)
-        v = RNG.standard_normal(dofmap.n_free)
+        u = RNG.standard_normal(system.elements.dim)
+        v = RNG.standard_normal(system.elements.dim)
         global_value = u @ (system.matrix @ v)
-        u_raw, v_raw = dofmap.expand_free(u), dofmap.expand_free(v)
+        u_raw = dofmap.expand_free(system.expand(u))
+        v_raw = dofmap.expand_free(system.expand(v))
         local_value = 0.0
         for c, cell in enumerate(all_cells(mesh)):
             ops = local_stiffness(cell, 3, eps, mesh.h_fine, mesh.h_coarse)
@@ -142,14 +145,14 @@ class TestCondensation:
         sol = ExactSolution(1, 1e-2)
         system = assemble_system(mesh_n8_eps1e2, 3, 1e-2, sol.forcing,
                                  condense=True)
-        assert system.matrix.shape == (1472, 1472)  # 2496 - 1024
+        # 2496 free DOFs, less 1024 interior ones and one per edge (144).
+        assert system.matrix.shape == (1328, 1328)
 
     def test_schur_of_uncoupled_blocks_is_trivial(self):
         a_ii = np.diag([2.0, 3.0])
         a_ee = np.array([[5.0, 1.0], [1.0, 4.0]])
         schur, factor = schur_complement(a_ii, np.zeros((2, 2)), a_ee)
         assert np.array_equal(schur, a_ee)
-        from scipy.linalg import cho_solve
         assert cho_solve(factor, np.array([4.0, 9.0])) == pytest.approx([2, 3])
 
     def test_schur_matches_dense_elimination(self):
@@ -158,6 +161,59 @@ class TestCondensation:
         schur, _ = schur_complement(a[:2, :2], a[:2, 2:], a[2:, 2:])
         expected = a[2:, 2:] - a[:2, 2:].T @ np.linalg.solve(a[:2, :2], a[:2, 2:])
         assert schur == pytest.approx(expected, rel=1e-12)
+
+
+class TestLeftOutModes:
+    """The top Legendre mode of each edge's tangential gradient, grad-y on
+    vertical edges and grad-x on horizontal ones, couples to nothing but
+    itself and carries no load, so the system leaves it out and its
+    solution is exactly 0."""
+
+    @pytest.mark.parametrize("mesh_kind", ["shishkin", "uniform"])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_mode_couples_to_nothing(self, k, mesh_kind):
+        mesh = build_mesh(MeshParams(n=4, eps=1e-3, k=k, mesh_kind=mesh_kind))
+        forcing = ExactSolution(1, 1e-3).forcing
+        full = assemble_system(mesh, k, 1e-3, forcing)
+        condensed = assemble_system(mesh, k, 1e-3, forcing, condense=True)
+        dofmap, layout = full.dofmap, full.dofmap.layout
+        ni = layout.n_interior
+        # The mode's local position on each side (south, east, north, west).
+        left = np.array([(layout.grad_y if side % 2 else layout.grad_x)(side)
+                         .stop - 1 for side in range(4)])
+        assert len(full.ctx.classes) == len(condensed.elements.groups)
+        for (widths, cells), whole, group in zip(full.ctx.classes.items(),
+                                                 full.elements.groups,
+                                                 condensed.elements.groups):
+            block, schur = whole.block, group.block
+            for matrix, at in ((block, left), (schur, left - ni)):
+                off = matrix[at].copy()
+                off[np.arange(4), at] = 0.0
+                assert not off.any()
+                assert np.all(np.diag(matrix)[at] > 0.0)
+            load = -cho_solve(condensed.interior_factors[widths],
+                              full.ctx.interior_rhs[cells].T).T @ block[:ni, ni:]
+            assert not load[:, left - ni].any()
+            assert np.all(whole.index[:, left] == -1)
+            assert np.all(group.index[:, left - ni] == -1)
+
+        # One mode per edge is free and left out; expand writes 0.0 there
+        # and the solution in order at every other free DOF.
+        kk = k + 1
+        modes = dofmap.edge_dofs[np.arange(mesh.n_edges),
+                                 np.where(mesh.edge_vertical, 3 * kk - 1,
+                                          2 * kk - 1)]
+        at = np.searchsorted(dofmap.free_raw, modes)
+        assert np.array_equal(dofmap.free_raw[at], modes)
+        others = np.setdiff1d(np.arange(dofmap.n_free), at)
+        assert full.elements.dim == others.size == dofmap.n_free - mesh.n_edges
+        x = RNG.standard_normal(full.elements.dim)
+        edges = x[dofmap.n_interior_total:]
+        for system, solution in ((full, x), (condensed, edges)):
+            u = system.expand(solution)
+            assert np.all(u[at] == 0.0)
+            assert np.array_equal(u[others][-edges.size:], edges)
+        assert np.array_equal(full.expand(x)[others], x)
 
 
 class TestOrdering:

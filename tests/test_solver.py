@@ -147,7 +147,7 @@ class TestTreeSolve:
             assert x == pytest.approx(np.linalg.solve(matrix.toarray(), rhs),
                                       rel=1e-13)
         elements = elements_of(matrix)
-        assert_same_sharing(elements, solver._pivot_order(elements, tree))
+        assert_same_sharing(elements, tree)
 
     def test_keys_beyond_32_bits(self):
         # A chain of 2^16 DOFs bisected down to one DOF per node: a balanced
@@ -177,7 +177,6 @@ class TestTreeSolve:
         reference = spla.spsolve(matrix.tocsc(), rhs)
         assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
         elements = elements_of(matrix)
-        tree = solver._pivot_order(elements, tree)
         fronts = solver._symbolic_phase(elements, tree)
         rep, _ = solver._representatives(fronts, tree, [])
         assert np.array_equal(rep,
@@ -447,8 +446,8 @@ class TestFactorSize:
         solve_spd(system.elements, system.rhs, tol=1e-10, tree=tree)
 
     @pytest.mark.parametrize("n, k, eps, quad, entries", [
-        (128, 3, 1e-4, None, 98_089_344),
-        (64, 4, 1e-3, 5, 32_321_680),
+        (128, 3, 1e-4, None, 88_695_792),
+        (64, 4, 1e-3, 5, 29_806_720),
     ])
     def test_benchmark_case_factor_entries(self, n, k, eps, quad, entries):
         # The factor sizes of the assembled-matrix fronts: the element form
@@ -461,8 +460,8 @@ class TestFactorSize:
         assert fronts.factor_nnz == entries
 
     @pytest.mark.parametrize("n, k, quad, entries, stored, workspace", [
-        (32, 3, None, 4_086_528, 1_011_132, 1_073_260),
-        (16, 4, 5, 1_235_200, 347_560, 374_240),
+        (32, 3, None, 3_677_776, 907_547, 969_675),
+        (16, 4, 5, 1_130_144, 317_144, 342_344),
     ])
     def test_small_case_factor_sizes(self, n, k, quad, entries, stored,
                                      workspace):
@@ -478,8 +477,9 @@ class TestFactorSize:
 
 
 class TestPivotOrder:
-    """Within each node the DOFs linked beyond their face come first, so a
-    child's update lands in a few runs of its parent's front."""
+    """Every DOF a mesh cell holds couples beyond its own edge, so a child's
+    update lands in a few runs of its parent's front, in the order of the
+    tree as ``fill_reducing_ordering`` builds it."""
 
     @pytest.mark.parametrize("mesh_kind", ["shishkin", "uniform"])
     @pytest.mark.parametrize("k", [3, 4])
@@ -489,36 +489,27 @@ class TestPivotOrder:
         system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
                                  condense=True)
         elements = system.elements
-        original = fill_reducing_ordering(system)
-        tree = solver._pivot_order(elements, original)
-        assert np.array_equal(tree.bounds, original.bounds)
-        assert np.array_equal(tree.parent, original.parent)
-        for s in range(tree.parent.size):
-            b0, b1 = tree.bounds[s], tree.bounds[s + 1]
-            assert np.array_equal(np.sort(tree.perm[b0:b1]),
-                                  np.sort(original.perm[b0:b1]))
-
-        linked = np.zeros(elements.dim + 1, dtype=bool)
+        tree = fill_reducing_ordering(system)
         for group in elements.groups:
-            held = group.index >= 0
-            for position in np.flatnonzero(solver._links(group)[2]):
-                linked[group.index[held[:, position], position]] = True
-        linked = linked[tree.perm]  # by tree position
+            # Every DOF an element holds couples beyond its own face (a
+            # position in no face is a face by itself). No element holds a
+            # left-out DOF, which couples to nothing but itself.
+            m = group.block.shape[0]
+            face = np.arange(m, 2 * m)
+            for f, positions in enumerate(group.faces):
+                face[positions] = f
+            beyond = ((group.block != 0) & (face[:, None] != face)).any(axis=1)
+            assert beyond[(group.index >= 0).any(axis=0)].all()
         fronts = solver._symbolic_phase(elements, tree)
         most = 0
         for c in np.flatnonzero(tree.parent >= 0):
             s = tree.parent[c]
-            b0, b1 = tree.bounds[s], tree.bounds[s + 1]
-            # Linked DOFs first: no face-only DOF precedes a linked one.
-            assert np.all(np.diff(linked[b0:b1].astype(int)) <= 0), s
             child_rows = fronts.rows[c][tree.bounds[c + 1] - tree.bounds[c]:]
             if not child_rows.size:
                 continue
-            # An update reaches no face-only DOF: the parent's pivots it
-            # reaches are its linked ones.
-            assert linked[child_rows].all(), c
             pos = np.searchsorted(fronts.rows[s], child_rows)
-            most = max(most, len(solver._runs(pos, b1 - b0)))
+            most = max(most, len(solver._runs(pos, tree.bounds[s + 1]
+                                              - tree.bounds[s])))
         assert 1 < most <= 4
 
 
@@ -538,8 +529,7 @@ class TestWorkspacePlan:
         mesh = build_mesh(MeshParams(n=n, eps=1e-3, k=k, mesh_kind=mesh_kind))
         system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
                                  condense=condense)
-        tree = solver._pivot_order(system.elements,
-                                   fill_reducing_ordering(system))
+        tree = fill_reducing_ordering(system)
         fronts = solver._symbolic_phase(system.elements, tree)
         plan = solver._plan_workspace(fronts, tree, *solver._representatives(
             fronts, tree, solver._mirror_maps(system.elements, tree)))
@@ -555,19 +545,18 @@ class TestWorkspacePlan:
             blocks.append((plan.update[s],
                            plan.update[s] + below * (below + 1) // 2, s,
                            last_read.get(s, s), f"F22 of {s}"))
+            # Node s's factor slot, F21 included, is read to the end.
+            blocks.append((plan.factor[s], plan.factor[s] + fronts.entries[s],
+                           s, rep.size, f"factor of {s}"))
         blocks = [block for block in blocks if block[1] > block[0]]
-        written = 0
         for s in distinct:
-            # The factor fills the array from the start in postorder.
-            assert plan.factor[s] == written
-            written += fronts.entries[s]  # node s's slot, F21 included
             live = sorted(block for block in blocks
                           if block[2] <= s <= block[3])
             for start, stop, *_, name in live:
-                assert written <= start and stop <= plan.size, (s, name)
+                assert 0 <= start and stop <= plan.size, (s, name)
             for before, after in zip(live, live[1:]):
                 assert before[1] <= after[0], (s, before[4], after[4])
-        assert written == fronts.entries[distinct].sum() <= plan.size
+        assert fronts.entries[distinct].sum() <= plan.size
 
     def test_reported_and_shared_by_both_methods(self, mesh_system):
         system, tree = mesh_system
@@ -585,8 +574,7 @@ class TestWorkspacePlan:
         mesh = build_mesh(MeshParams(n=n, eps=1e-3, k=k))
         system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
                                  q=quad, condense=True)
-        tree = solver._pivot_order(system.elements,
-                                   fill_reducing_ordering(system))
+        tree = fill_reducing_ordering(system)
         fronts = solver._symbolic_phase(system.elements, tree)
         rep, signs = solver._representatives(
             fronts, tree, solver._mirror_maps(system.elements, tree))
@@ -690,7 +678,7 @@ class TestRectangularFullPacked:
         system = assemble_system(mesh, 3, 1e-3, ExactSolution(1, 1e-3).forcing,
                                  condense=True)
         elements = system.elements
-        tree = solver._pivot_order(elements, fill_reducing_ordering(system))
+        tree = fill_reducing_ordering(system)
         fronts = solver._symbolic_phase(elements, tree)
         rep, signs = solver._representatives(
             fronts, tree, solver._mirror_maps(elements, tree))
@@ -859,7 +847,7 @@ class TestFrontSharing:
                 == stored(elements_of(system.matrix), tree)
                 < report.factor_nnz)
         for elements in (system.elements, own_block(system.elements, 17)):
-            assert_same_sharing(elements, solver._pivot_order(elements, tree))
+            assert_same_sharing(elements, tree)
 
     @pytest.mark.parametrize("change", ["cell diagonal", "cell off-diagonal",
                                         "held to left out",
@@ -891,7 +879,8 @@ class TestFrontSharing:
             # only the key's mask of held DOFs tells this front from its
             # representative's. A new element couples the pivot to the
             # next, and the representative's first two pivots alike, so
-            # that both nodes keep their pivot order and their parts.
+            # that the pivot stays in the matrix and both fronts take the
+            # new element's part alike.
             (d, e), pair = first_pivots_of_a_twin(elements, tree)
             coupling = elements.diagonal()[d] * np.array([[1.0, -0.5],
                                                           [-0.5, 1.0]])
@@ -914,7 +903,7 @@ class TestFrontSharing:
             assert any(before[1][s] is not None for s in twins)
             assert [s for s in twins
                     if after[0][s] == after[0][node]] == [node]
-        assert_same_sharing(elements, solver._pivot_order(elements, tree))
+        assert_same_sharing(elements, tree)
         x_tree, changed = solve_spd(elements, system.rhs, tol=1e-10, tree=tree)
         x_lu = superlu_solve(elements.to_csr(), system.rhs)
         assert np.linalg.norm(x_tree - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
@@ -942,7 +931,7 @@ class TestFrontSharing:
         x_tree, report = solve_spd(elements, system.rhs, tol=1e-10, tree=tree)
         x_lu = superlu_solve(elements.to_csr(), system.rhs)
         assert np.linalg.norm(x_tree - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
-        assert_same_sharing(elements, solver._pivot_order(elements, tree))
+        assert_same_sharing(elements, tree)
         assert report.factor_stored < stored_if_twins_share_a_scale(elements,
                                                                     tree)
         if mesh_kind == "uniform":
@@ -952,7 +941,6 @@ class TestFrontSharing:
 def sharing(elements, tree):
     """(rep, signs) of ``_representatives`` on the solver's tree, mirror
     twins included."""
-    tree = solver._pivot_order(elements, tree)
     fronts = solver._symbolic_phase(elements, tree)
     return solver._representatives(fronts, tree,
                                    solver._mirror_maps(elements, tree))
@@ -961,7 +949,6 @@ def sharing(elements, tree):
 def stored(elements, tree) -> int:
     """The factor entries ``_tree_factor`` stores: those of the distinct
     fronts."""
-    tree = solver._pivot_order(elements, tree)
     fronts = solver._symbolic_phase(elements, tree)
     rep, _ = solver._representatives(fronts, tree,
                                      solver._mirror_maps(elements, tree))
@@ -972,7 +959,6 @@ def first_node_of(elements, tree, dofs):
     """The node of the first of ``dofs`` in the solver's tree: an element
     that holds them enters that node's front with the part that holds that
     DOF."""
-    tree = solver._pivot_order(elements, tree)
     position = np.empty(elements.dim, dtype=np.int64)
     position[tree.perm] = np.arange(elements.dim)
     first = position[dofs[dofs >= 0]].min()
@@ -985,7 +971,6 @@ def first_pivots_of_a_twin(elements, tree):
     every element that holds t's first pivot enters t's front and holds
     another pivot of t: left out there, its element parts still enter t,
     and no front changes its rows."""
-    tree = solver._pivot_order(elements, tree)
     fronts = solver._symbolic_phase(elements, tree)
     rep, _ = solver._representatives(fronts, tree, [])  # translated copies
     bounds = tree.bounds
@@ -1010,7 +995,6 @@ def first_pivots_of_a_twin(elements, tree):
 def stored_if_twins_share_a_scale(elements, tree) -> int:
     """The factor entries stored if twins had also to agree in the scale at
     every front row: a lower bound on those of a key that holds the scale."""
-    tree = solver._pivot_order(elements, tree)
     fronts = solver._symbolic_phase(elements, tree)
     rep, _ = solver._representatives(fronts, tree,
                                      solver._mirror_maps(elements, tree))

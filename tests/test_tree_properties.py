@@ -95,7 +95,7 @@ def test_grouped_solve_matches_per_node_solve(n, k, log_eps, mesh_kind,
     system = assemble_system(mesh, k, eps, ExactSolution(1, eps).forcing,
                              condense=condense)
     elements = system.elements
-    tree = solver._pivot_order(elements, fill_reducing_ordering(system))
+    tree = fill_reducing_ordering(system)
     scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
     fronts = solver._symbolic_phase(elements, tree)
     rep, signs = solver._representatives(fronts, tree,
@@ -134,7 +134,7 @@ def test_power_of_two_scaling_rescales_the_factor_exactly(n, k, log_eps,
     system = assemble_system(mesh, k, eps, ExactSolution(1, eps).forcing,
                              condense=condense)
     elements = system.elements
-    tree = solver._pivot_order(elements, fill_reducing_ordering(system))
+    tree = fill_reducing_ordering(system)
     fronts = solver._symbolic_phase(elements, tree)
     plan = solver._plan_workspace(fronts, tree, *solver._representatives(
         fronts, tree, solver._mirror_maps(elements, tree)))
@@ -177,7 +177,7 @@ def test_twins_build_signed_images_of_their_representatives(n, k, log_eps,
     system = assemble_system(mesh, k, eps, ExactSolution(1, eps).forcing,
                              condense=condense)
     elements = system.elements
-    tree = solver._pivot_order(elements, fill_reducing_ordering(system))
+    tree = fill_reducing_ordering(system)
     fronts = solver._symbolic_phase(elements, tree)
     rep, signs = solver._representatives(fronts, tree,
                                          solver._mirror_maps(elements, tree))
@@ -213,5 +213,4 @@ def test_twins_by_height_match_the_per_node_pass(n, k, log_eps, mesh_kind,
     system = assemble_system(mesh, k, eps, ExactSolution(1, eps).forcing,
                              condense=condense)
     elements = system.elements
-    assert_same_sharing(elements, solver._pivot_order(
-        elements, fill_reducing_ordering(system)))
+    assert_same_sharing(elements, fill_reducing_ordering(system))
