@@ -448,7 +448,7 @@ class TestFactorSize:
     @pytest.mark.parametrize("n, k, eps, quad, entries", [
         (128, 3, 1e-4, None, 88_695_792),
         (64, 4, 1e-3, 5, 29_806_720),
-    ])
+    ], ids=["N128-k3", "N64-k4"])
     def test_benchmark_case_factor_entries(self, n, k, eps, quad, entries):
         # The factor sizes of the assembled-matrix fronts: the element form
         # must not widen any front.
@@ -462,7 +462,7 @@ class TestFactorSize:
     @pytest.mark.parametrize("n, k, quad, entries, stored, workspace", [
         (32, 3, None, 3_677_776, 907_547, 969_675),
         (16, 4, 5, 1_130_144, 317_144, 342_344),
-    ])
+    ], ids=["N32-k3", "N16-k4"])
     def test_small_case_factor_sizes(self, n, k, quad, entries, stored,
                                      workspace):
         # The fronts' sizes, the twins (equal up to a signed power-of-two
