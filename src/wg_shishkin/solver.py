@@ -623,58 +623,71 @@ def _first_alike(rows: np.ndarray) -> np.ndarray:
 
 
 def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
-                     ) -> tuple[np.ndarray, list]:
-    """For every node s, its representative: a node no later in postorder
-    whose front equals s's before scaling up to the signs of its rows, bit
-    for bit, and those signs: (rep, signs), with signs[s] None where all
-    are +1, as for every representative (rep[s] == s). Node s's unscaled
-    front is then S rep[s]'s unscaled front S, with S = diag(signs[s]).
+                     ) -> tuple[_Fronts, np.ndarray, list]:
+    """For every node s, its representative: the first node in postorder
+    whose front equals s's before scaling up to a signed permutation of the
+    rows below the pivots, bit for bit, and those signs: (fronts, rep,
+    signs), with signs[s] None where all are +1, as for every
+    representative (rep[s] == s). The returned ``fronts`` list each twin's
+    rows, its ``lands`` and the rows its elements hold (``_PartPlan.local``)
+    as the images of its representative's rows, so that node s's unscaled
+    front is S rep[s]'s unscaled front S, row for row, with S =
+    diag(signs[s]); a representative keeps its rows in order. The given
+    ``fronts`` are left as they are.
 
-    A node's key holds everything its unscaled front is built from: the
-    front's shape; for each element part, how many elements enter it and,
-    for each, its id, which elements share where their rows in the front
-    (-1 where the matrix leaves a DOF out) are equal and, in the merged
-    parts of one entry, the only parts whose elements hold values of their
-    own, their values too; for each child, its representative and signs
-    (whose update equals the child's up to scaling and signs, by
-    induction) and the rows that update lands on
-    (``_Fronts.lands``). Nodes of equal key assemble the same numbers in
-    the same order, each scaled by a power of two, and their factors and
-    updates are exact rescalings of each other (see ``_factor_fronts``).
+    A node's rows below its pivots get canonical labels in order of first
+    appearance: in its entering elements by part, element and slot, then in
+    each child's update rows, listed as the images of the child's
+    representative's rows. A node's key holds everything its unscaled front
+    is built from, with rows by these labels, not by position: the front's
+    shape; for each element part, how many elements enter it and, for each,
+    its id, which elements share where their canonical rows (-1 where the
+    matrix leaves a DOF out) are equal and, in the merged parts of one
+    entry, the only parts whose elements hold values of their own, their
+    values too; for each child, its representative and the labels and signs
+    of the rows its update lands on (``_Fronts.lands``), whose update equals
+    the representative's up to scaling and those signs, by induction. Nodes
+    of equal key assemble the same numbers in the same order, each scaled by
+    a power of two, at rows of equal label, so their factors and updates are
+    exact rescalings of each other, rows permuted (see ``_factor_fronts``).
     Twins have equal heights, so each height takes one pass: its nodes'
     keys are the rows of one array, counts first (``_first_alike``).
 
-    A node whose key no earlier node has may still be the mirror image of
-    an earlier node t, under one of ``mirrors`` (``_mirror_maps``), whose
-    image map takes t's first pivot into s's. It is taken as t's twin, with
-    the signs of the map on t's rows times t's signs, only where that map
-    takes t's front rows, in order, onto s's; no pivot of either node is
-    tainted, so every element that enters s or t keeps the claim (an
-    element enters the node of its first DOF) and those that enter s are
-    the images of those that enter t; and each child of s has the
-    representative of the child of t at its place, with the signs that
-    make its update the image of that child's. A front entry sums at most
-    two element terms, whose order does not matter, and the updates in the
-    order of the children, so s's front is t's so signed, bit for bit. The
-    check reads no node's twins, so it runs on a height's new keys at once."""
+    A node s may also be the mirror image of an earlier node t of its
+    height, under one of ``mirrors`` (``_mirror_maps``), whose image map
+    takes t's first pivot into s's: where that map takes t's front rows, in
+    order, onto s's; no pivot of either node is tainted, so every element
+    that enters s or t keeps the claim (an element enters the node of its
+    first DOF) and those that enter s are the images of those that enter t;
+    and each child of s has the representative of the child of t at its
+    place, with the rows and signs that make its update the image of that
+    child's. A front entry sums at most two element terms, whose order does
+    not matter, and the updates in the order of the children, so s's front
+    is t's so signed, bit for bit. Each node takes its first such map.
+
+    A class of twins is a connected component of these two relations, equal
+    keys and mirror images, among the nodes of one height. Its
+    representative is its first node, and a twin's signed row map composes
+    the maps along a path to it: within a key, to its first node; between
+    keys, mirror images in passes over the nodes in postorder, each taking
+    the first map that reaches a key not yet reached. So a mirror pair
+    across an inner line of one quadrant joins through the translated copy
+    of one of them in the mirrored quadrant."""
     bounds, parent = tree.bounds, tree.parent
-    pivots, sizes, starts, flat = (np.diff(bounds), fronts.sizes,
-                                   fronts.starts, fronts.flat)
+    pivots, sizes, starts = np.diff(bounds), fronts.sizes, fronts.starts
+    flat, lands = fronts.flat.copy(), fronts.lands.copy()
+    parts = [_PartPlan(plan.starts, plan.local.copy(), plan.pairs, plan.a,
+                       plan.b) for plan in fronts.parts]
     height = _heights(parent)
     node_of = np.append(np.repeat(np.arange(parent.size, dtype=flat.dtype),
                                   pivots), -1)
     kids = np.argsort(parent, kind="stable")[np.count_nonzero(parent < 0):]
     first_kid = np.searchsorted(parent[kids], np.arange(parent.size + 1))
     n_kids = np.diff(first_kid)
-    entering = np.array([np.diff(plan.starts) for plan in fronts.parts])
-    # Elements of a part share an id where their rows in their fronts (-1
-    # where left out) and, in merged parts, their values are equal.
-    ids = [_first_alike(np.concatenate([plan.local] + [plan.pairs.view(
-        plan.local.dtype)] * (plan.pairs.ndim == 2), axis=1))
-        for plan in fronts.parts]
-    rep, lead = np.full(parent.size, -1), np.arange(parent.size)
+    entering = np.array([np.diff(plan.starts) for plan in parts])
+    rep, lead = np.arange(parent.size), np.arange(parent.size)
     signed = np.zeros(parent.size, dtype=bool)
-    flips = np.ones(flat.size, dtype=np.int8)  # key's first node's signs
+    flips = np.ones(flat.size, dtype=np.int8)  # in the representative's order
 
     def kid(s, j):  # child j of every node s, any node where s has none
         return kids[np.minimum(first_kid[s] + j, kids.size - 1)]
@@ -697,47 +710,151 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
             u = np.where(ok & (j < n_kids[s]), sizes[c] - pivots[c], 0)
             (rows, inside), rows_t = update(flat, c, u), update(flat, c_t, u)[0]
             ok &= (((image[rows_t] == rows)
-                    & (update(flips, lead[c], u)[0]
-                       == sign[rows_t] * update(flips, lead[c_t], u)[0]))
+                    & (update(flips, c, u)[0]
+                       == sign[rows_t] * update(flips, c_t, u)[0]))
                    | ~inside).all(axis=1)
         return ok
 
     for h in range(height.max() + 1):
         nodes = np.flatnonzero(height == h)
+        m, p = sizes[nodes], pivots[nodes]
+        lo = starts[nodes].min()
+        at = starts[nodes] - lo  # each node's rows in the height's block
+        block = int((at + m).max())
         children = [(kid(nodes, j), j < n_kids[nodes])
                     for j in range(n_kids[nodes].max())]
+        below = [np.where(has, sizes[c] - pivots[c], 0) for c, has in children]
+        # Every row's canonical index: a pivot its own, a row below the
+        # pivots p + its order of first appearance in the scan. Each piece
+        # of the scan, an element part or the j-th children, lists its rows
+        # node by node; ``scan`` numbers them node after node, piece after
+        # piece, and a row's first appearance is its least number.
+        counts = [entering[i, nodes] for i in range(len(parts))] + below
+        members = [_ranges(plan.starts[nodes], count)
+                   for plan, count in zip(parts, counts)]
+        length = np.array(counts) * np.array(
+            [[plan.local.shape[1]] for plan in parts] + [[1]] * len(below))
+        ends = np.cumsum(length.T).reshape(nodes.size, -1).T
+        scan = np.concatenate([_ranges(e - n, n) for e, n in zip(ends, length)])
+        by = np.concatenate([np.repeat(np.arange(nodes.size), n)
+                             for n in length])
+        seen = np.concatenate(
+            [plan.local[e].reshape(-1) for plan, e in zip(parts, members)]
+            + [lands[_ranges(starts[c] + pivots[c], u)]
+               for (c, _), u in zip(children, below)])
+        keep = seen >= p[by]
+        first = np.full(block, scan.size)
+        np.minimum.at(first, at[by[keep]] + seen[keep], scan[keep])
+        itype = flat.dtype
+        canon = np.empty(block, dtype=itype)
+        canon[_ranges(at, p)] = _ranges(np.zeros_like(p), p)
+        rest = _ranges(at + p, m - p)  # the rows below the pivots
+        firsts = np.zeros(scan.size, dtype=bool)
+        firsts[first[rest]] = True
+        canon[rest] = (np.cumsum(firsts)[first[rest]] - 1
+                       + np.repeat(p - np.cumsum(m - p) + m - p, m - p))
+        row = _ranges(np.zeros_like(m), m).astype(itype)
+        mine = np.repeat(at, m)  # each row's node's offset in the block
+        co = np.empty(block, dtype=itype)  # the row of each canonical index
+        co[mine + canon] = row
+        del scan, by, seen, keep, first, firsts
         # Rows of equal counts pad alike, so the counts come first.
-        keys = [np.stack([sizes[nodes], pivots[nodes], n_kids[nodes],
-                          *entering[:, nodes]]
-                         + [np.where(has, rep[c], -1) for c, has in children]
-                         + [has & signed[c] for c, has in children], axis=1)]
-        keys += [_padded(part, plan.starts[nodes], count)[0] for plan, part,
-                 count in zip(fronts.parts, ids, entering[:, nodes])]
-        for c, has in children:  # where each update lands, and its signs
-            u = np.where(has, sizes[c] - pivots[c], 0)
-            keys.append((update(fronts.lands, c, u)[0].astype(np.int64) << 8)
-                        | update(flips, lead[c], u)[0].view(np.uint8))
+        keys = [np.stack([m, p, n_kids[nodes], *entering[:, nodes]]
+                         + [np.where(has, rep[c], -1) for c, has in children],
+                         axis=1)]
+        for plan, e, count in zip(parts, members, counts):
+            local = plan.local[e]
+            rows = np.where(local >= 0, canon[np.repeat(at, count)[:, None]
+                                              + local], -1)
+            if plan.pairs.ndim == 2:
+                rows = np.concatenate([rows, plan.pairs[e].view(itype)], axis=1)
+            keys.append(_padded(_first_alike(rows), np.cumsum(count) - count,
+                                count)[0])
+        for (c, _), u in zip(children, below):
+            rows, inside = update(lands, c, u)
+            keys.append((np.where(inside, canon[at[:, None] + rows], 0)
+                         .astype(np.int64) << 8)
+                        | update(flips, c, u)[0].view(np.uint8))
         lead[nodes] = nodes[_first_alike(np.concatenate(keys, axis=1))]
+        del keys
 
-        new = nodes[lead[nodes] == nodes]
-        rep[new] = new
-        s = new[pivots[new] > 0]
-        twin, by = np.full(s.size, -1), np.zeros(s.size, dtype=np.int64)
+        # Mirror images: each node's first map onto an earlier node of its
+        # height with another key.
+        s = nodes[p > 0]
+        image_of, by = np.full(s.size, -1), np.zeros(s.size, dtype=np.int64)
         for r, (image, sign, tainted) in enumerate(mirrors):
             t = node_of[image[bounds[s]]]
-            look = (twin < 0) & (t >= 0) & (t < s)
+            look = (image_of < 0) & (t >= 0) & (t < s)
+            look[look] = (height[t[look]] == h) & (lead[t[look]]
+                                                   != lead[s[look]])
             look[look] = mirrored(s[look], t[look], image, sign, tainted)
-            twin[look], by[look] = t[look], r
-        # In postorder, as the first node of t's key may be found here too.
-        for s, t, r in zip(s[twin >= 0].tolist(), twin[twin >= 0].tolist(),
-                           by[twin >= 0].tolist()):
-            f = (mirrors[r][1][flat[starts[t]:starts[t] + sizes[t]]]
-                 * flips[starts[lead[t]]:starts[lead[t]] + sizes[t]])
-            rep[s], signed[s] = rep[lead[t]], np.any(f != 1)
-            flips[starts[s]:starts[s] + sizes[s]] = f
-        rep[nodes], signed[nodes] = rep[lead[nodes]], signed[lead[nodes]]
-    return rep, [flips[a:a + m] if g else None for a, m, g in zip(
-        starts[lead].tolist(), sizes.tolist(), signed.tolist())]
+            image_of[look], by[look] = t[look], r
+        edges = list(zip(s[image_of >= 0].tolist(),
+                         image_of[image_of >= 0].tolist(),
+                         by[image_of >= 0].tolist()))
+        # Each key's rows in its class's order (canonical indices), and
+        # their signs, found by passes over the mirror maps.
+        root = {}
+
+        def find(a):
+            while root.get(a, a) != a:
+                a = root[a]
+            return a
+
+        for x, y, _ in edges:
+            a, b = sorted((find(int(lead[x])), find(int(lead[y]))))
+            if a != b:
+                root[b] = a
+        order = canon.copy()  # by key: canonical indices in the class's order
+        sign_of = np.ones(block, dtype=np.int8)
+        known = {g for g in map(int, lead[nodes]) if find(g) == g}
+        while edges:
+            left = []
+            for x, y, r in edges:
+                x, y = int(x), int(y)
+                if lead[y] in known and lead[x] not in known:
+                    x, y = y, x
+                elif lead[x] not in known or lead[y] in known:
+                    if lead[x] not in known:
+                        left.append((x, y, r))
+                    continue
+                g, a, b = int(lead[x]), starts[x] - lo, starts[y] - lo
+                here = slice(starts[g] - lo, starts[g] - lo + sizes[x])
+                rows = co[a + order[here]]  # x's rows in the class's order
+                f = sign_of[here] * mirrors[r][1][flat[starts[x] + rows]]
+                g = int(lead[y])
+                there = slice(starts[g] - lo, starts[g] - lo + sizes[y])
+                order[there] = canon[b + rows]
+                sign_of[there] = f
+                known.add(g)
+            if len(left) == len(edges):
+                raise AssertionError("mirror maps reach no new key")
+            edges = left
+        # Every node's rows as the images of its representative's: the rows
+        # of its key's canonical indices, and its key's signs.
+        source = np.repeat(starts[lead[nodes]] - lo, m) + row
+        perm = mine + co[mine + order[source]]  # old row, in the block
+        block_rows = slice(lo, lo + block)
+        flips[block_rows] = sign_of[source]
+        signed[nodes] = np.bincount(np.repeat(np.arange(nodes.size), m),
+                                    flips[block_rows] != 1,
+                                    minlength=nodes.size) > 0
+        rep[nodes] = [find(g) for g in lead[nodes].tolist()]
+        flat[block_rows] = flat[lo + perm]
+        lands[block_rows] = lands[lo + perm]
+        new = np.empty(block, dtype=itype)  # the new row of each old row
+        new[perm] = row
+        for plan, e, count in zip(parts, members, counts):
+            local = plan.local[e]
+            plan.local[e] = np.where(local >= 0, new[np.repeat(at, count)[:, None]
+                                                     + local], -1)
+        for (c, _), u in zip(children, below):
+            where = _ranges(starts[c] + pivots[c], u)
+            lands[where] = new[np.repeat(at, u) + lands[where]]
+    return (_Fronts(flat, starts, sizes, fronts.steps, parts, fronts.entries,
+                    lands), rep,
+            [flips[a:a + k] if g else None for a, k, g in zip(
+                starts.tolist(), sizes.tolist(), signed.tolist())])
 
 
 #: Entries a temporary of the numeric phase holds at most, and the mask of
@@ -876,36 +993,48 @@ def _extend_add(front: tuple[np.ndarray, ...], update: np.ndarray,
                 pos: np.ndarray, scale: np.ndarray | None = None) -> None:
     """Add a child's update U, in RFP, at rows and columns ``pos`` of a
     front held as (F11, F21, F22), F11 and F22 in RFP (``_rfp``); where
-    ``scale`` is given, add E U E with E = diag(scale) on U's rows. The
-    child's rows fall in runs of consecutive front rows (``_runs``). Each
-    run of columns, split where the halves of an RFP triangle meet, and each
-    run of rows at or below it make one view of U added in place to one view
-    of a block, by chunks of at most ``_CHUNK`` entries where rescaled or on
-    the diagonal, where it adds its lower triangle alone (see ``_rfp``).
+    ``scale`` is given, add E U E with E = diag(scale) on U's rows. ``pos``
+    may come in any order. U's rows are taken in the order of their front
+    rows, in runs that are consecutive both in the front and in U
+    (``_runs``). Each run of columns, split where the halves of an RFP
+    triangle meet, and each run of rows at or below it make one view of U,
+    or of U's transpose where U holds the block above its diagonal, added in
+    place to one view of a block, by chunks of at most ``_CHUNK`` entries
+    where rescaled or on the diagonal, where it adds its lower triangle
+    alone (see ``_rfp``).
 
     On a mesh the runs are few: an update reaches whole edges of its
     parent's separator and of the ancestors', whose DOFs lie together, so
     its rows fall in at most four runs. A DOF that coupled only to itself
     would sit between them and break the runs at every edge; the assembly
-    leaves the one such DOF per edge out (``assembly.DofMap``)."""
+    leaves the one such DOF per edge out (``assembly.DofMap``). A twin
+    child, equal to its representative up to a signed permutation of the
+    rows below the pivots, lists its update rows as the images of the
+    representative's, so they reach the parent's edges in another order: at
+    N=128, k=3 that is 64 of the updates, each in at most four runs."""
     f21, (q, p) = front[1], front[1].shape
     f11, f22, u = _rfp(front[0], p), _rfp(front[2], q), _rfp(update, pos.size)
-    cols = _runs(pos, [(p + 1) // 2, p, p + (q + 1) // 2,
-                       *pos[(pos.size + 1) // 2:][:1]])
-    runs = cols[:1]  # the same, cut only where rows jump and at the pivots
-    for i0, i1, r0 in cols[1:]:
-        if r0 != p and r0 == runs[-1][2] + i0 - runs[-1][0]:
-            runs[-1] = (runs[-1][0], i1, runs[-1][2])
+    n1 = (pos.size + 1) // 2  # U's trailing columns start at this row
+    order = np.argsort(pos, kind="stable")  # U's rows by front row
+    jumps = np.flatnonzero(np.diff(order) != 1) + 1
+    cols = [(i0, i1, r0, int(order[i0])) for i0, i1, r0 in _runs(
+        pos[order], [(p + 1) // 2, p, p + (q + 1) // 2, *pos[n1:][:1],
+                     *pos[order[jumps]]])]
+    runs = cols[:1]  # the same, cut only where rows jump, at the pivots and
+    for i0, i1, r0, k0 in cols[1:]:  # where U's halves meet
+        j0, _, c0, l0 = runs[-1]
+        if r0 != p and k0 != n1 and r0 - c0 == k0 - l0 == i0 - j0:
+            runs[-1] = (j0, i1, c0, l0)
         else:
-            runs.append((i0, i1, r0))
-    for j0, j1, c0 in cols:
-        for i0, i1, r0 in (run for run in runs if run[1] > j0):
+            runs.append((i0, i1, r0, k0))
+    for j0, j1, c0, l0 in cols:
+        for i0, i1, r0, k0 in (run for run in runs if run[1] > j0):
             if diagonal := i0 <= j0:  # from the top of the columns
-                i0, r0 = j0, r0 + j0 - i0
+                i0, r0, k0 = j0, r0 + j0 - i0, k0 + j0 - i0
             a, b = i1 - i0, j1 - j0
             target = (f22(r0 - p, c0 - p, a, b) if c0 >= p else f11(r0, c0, a, b)
                       if r0 < p else f21[r0 - p:r0 - p + a, c0:c0 + b])
-            part = u(i0, j0, a, b)
+            part = u(k0, l0, a, b) if k0 >= l0 else u(l0, k0, b, a).T
             if scale is None and (not diagonal or a <= len(_LOWER)):
                 np.add(target, part, out=target,
                        where=_LOWER[:a, :b] if diagonal else True)
@@ -915,8 +1044,8 @@ def _extend_add(front: tuple[np.ndarray, ...], update: np.ndarray,
                 top = k if diagonal else 0  # no entry of the block above
                 chunk, dest = part[top:, k:k + step], target[top:, k:k + step]
                 if scale is not None:
-                    chunk = chunk * scale[i0 + top:i1, None]
-                    chunk *= scale[j0:j1][k:k + step]
+                    chunk = chunk * scale[k0 + top:k0 + a, None]
+                    chunk *= scale[l0 + k:l0 + k + chunk.shape[1]]
                 if diagonal:
                     w = chunk.shape[1]
                     np.add(dest[:w], chunk[:w], out=dest[:w],
@@ -1139,7 +1268,8 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     start = time.perf_counter()
     fronts = _symbolic_phase(elements, tree)
     perm, scale = tree.perm, scale[tree.perm]
-    rep, signs = _representatives(fronts, tree, _mirror_maps(elements, tree))
+    fronts, rep, signs = _representatives(fronts, tree,
+                                          _mirror_maps(elements, tree))
     distinct = rep == np.arange(rep.size)
     stored = int(fronts.entries[distinct].sum())
     plan = _plan_workspace(fronts, tree, rep, signs)

@@ -482,21 +482,25 @@ def front_solve_per_node(factor, fronts, bounds, y, signs=None):
     return y
 
 
-def assembled_fronts(fronts, tree, scale):
-    """Every node's front with pivots as the numeric phase builds it, just
-    before it is factored: copies of (F11, F21, F22), F11 and F22 unpacked
-    from RFP to their lower triangles, from a run of
-    ``solver._factor_fronts`` in which every node is factored on its own,
-    no twins shared."""
-    n_nodes = tree.parent.size
-    plan = solver._plan_workspace(fronts, tree, np.arange(n_nodes),
-                                  [None] * n_nodes)
-    built, pending = {}, []
-    assemble, lapack = solver._assemble_front, solver.get_lapack_funcs
+def _numeric_phase_seen(fronts, tree, scale, plan):
+    """Run ``solver._factor_fronts`` on ``plan`` and return what it built:
+    (fronts, updates), every factored node's front just before it is
+    factored, copies of (F11, F21, F22), F11 and F22 unpacked from RFP to
+    their lower triangles, and a copy of every update, in RFP, that a
+    parent adds, by the node whose update it is."""
+    built, updates, pending = {}, {}, []
+    assemble, extend_add = solver._assemble_front, solver._extend_add
+    lapack = solver.get_lapack_funcs
+    child_of = {id(pos): c for lands in plan.lands.values()
+                for c, pos in lands}
 
     def spy_assemble(plans, s, p, m, scale, work, at):
         assemble(plans, s, p, m, scale, work, at)
         pending.append((s, m, work, at))
+
+    def spy_extend_add(front, update, pos, scale=None):
+        updates[plan.rep[child_of[id(pos)]]] = update.copy()
+        extend_add(front, update, pos, scale)
 
     def spy_lapack(names, dtype):
         pftrf, *others = lapack(names, dtype=dtype)
@@ -513,133 +517,259 @@ def assembled_fronts(fronts, tree, scale):
         return (recorded, *others)
 
     with mock.patch.object(solver, "_assemble_front", spy_assemble), \
+            mock.patch.object(solver, "_extend_add", spy_extend_add), \
             mock.patch.object(solver, "get_lapack_funcs", spy_lapack):
         solver._factor_fronts(fronts, tree, scale, plan)
+    return built, updates
+
+
+def assembled_fronts(fronts, tree, scale):
+    """Every node's front with pivots as the numeric phase builds it, just
+    before it is factored: copies of (F11, F21, F22), F11 and F22 unpacked
+    from RFP to their lower triangles, from a run of
+    ``solver._factor_fronts`` in which every node is factored on its own,
+    no twins shared."""
+    n_nodes = tree.parent.size
+    plan = solver._plan_workspace(fronts, tree, np.arange(n_nodes),
+                                  [None] * n_nodes)
+    return _numeric_phase_seen(fronts, tree, scale, plan)[0]
+
+
+def shared_fronts(fronts, tree, scale, rep, signs):
+    """Every node's front with pivots, as ``assembled_fronts`` gives them:
+    a representative's as the numeric phase builds it, twins sharing, and a
+    twin's built the same way from its own elements and its children's
+    shared updates, the updates of their representatives, rescaled by the
+    ratio of the scales and signed, that land through the twin's rows."""
+    pivots = np.diff(tree.bounds)
+    built, updates = _numeric_phase_seen(
+        fronts, tree, scale, solver._plan_workspace(fronts, tree, rep, signs))
+    for s in np.flatnonzero((rep != np.arange(rep.size)) & (pivots > 0)):
+        rows, p = fronts.rows[s], pivots[s]
+        q = rows.size - p
+        at = (0, p * (p + 1) // 2, p * (p + 1) // 2 + q * p)
+        work = np.zeros(at[2] + q * (q + 1) // 2)
+        solver._assemble_front(fronts.parts, s, p, rows.size,
+                               np.append(scale[rows], 0.0), work, at)
+        front = (work[:at[1]], work[at[1]:at[2]].reshape((q, p), order="F"),
+                 work[at[2]:])
+        for c in np.flatnonzero(tree.parent == s):
+            r, pc = rep[c], pivots[c]
+            end = fronts.starts[c] + fronts.sizes[c]
+            pos = fronts.lands[end - fronts.sizes[c] + pc:end]
+            if not pos.size:
+                continue
+            ratio = scale[fronts.rows[c][pc:]] / scale[fronts.rows[r][pc:]]
+            if signs[c] is not None:
+                ratio *= signs[c][pc:]
+            solver._extend_add(front, updates[r], pos,
+                               None if np.all(ratio == 1.0) else ratio)
+        built[s] = (unpack_rfp(front[0], p), front[1].copy(),
+                    unpack_rfp(front[2], q))
     return built
 
 
 def representatives_per_node(fronts, tree, mirrors):
-    """(rep, signs) of ``solver._representatives``, found node by node in
-    postorder with one ``bytes`` key per node: the reference of its pass by
-    height. For every node s, its representative: a node no later in
-    postorder whose front equals s's before scaling up to the signs of its
-    rows, bit for bit, and those signs: (rep, signs), with signs[s] None
-    where all are +1, as for every representative (rep[s] == s). Node s's
-    unscaled front is then S rep[s]'s unscaled front S, with S =
-    diag(signs[s]).
+    """(rep, signs, rows) of ``solver._representatives``, found node by node
+    with one ``bytes`` key per node and a union-find per height: the
+    reference of its array pass by height. For every node s, its
+    representative: the first node in postorder whose front equals s's
+    before scaling up to a signed permutation of the rows below the pivots,
+    bit for bit; those signs, None where all are +1; and s's front rows, as
+    tree positions, listed as the images of its representative's rows.
+    Node s's unscaled front is then S rep[s]'s unscaled front S, row for
+    row, with S = diag(signs[s]).
 
-    A node's key holds everything its unscaled front is built from: the
-    front's shape; for each element part that enters it, the part's index,
-    the elements' rows in the front, which of their DOFs the matrix holds (a
-    left-out DOF reads row -1) and, in the solver's
-    merged parts of one entry, the only parts whose elements hold values
-    of their own, their values; for each child, its representative
-    and signs (whose update equals the child's up to scaling and signs, by
-    induction) and the rows that update lands on. Keys are compared as
-    bytes, so nodes of equal key assemble the same numbers in the same
-    order, each scaled by a power of two, and their factors and updates
-    are exact rescalings of each other (see ``_factor_fronts``).
+    A node's rows below its pivots get canonical labels in order of first
+    appearance: in its entering elements by part, element and slot, then in
+    each child's update rows, in the order of the child's rows. A node's key
+    holds everything its unscaled front is built from, rows by label: the
+    front's shape; for each element part that enters it, the part's index
+    and the elements' canonical rows (-1 where the matrix leaves a DOF out)
+    and, in the solver's merged parts of one entry, the only parts whose
+    elements hold values of their own, their values; for each child, its
+    representative and the labels and signs of the rows its update lands
+    on. Keys are compared as bytes.
 
-    A node whose key no earlier node has may still be the mirror image of
-    an earlier node t, under one of ``mirrors`` (``_mirror_maps``), whose
-    image map takes t's first pivot into s's. It is taken as t's twin, with
-    the signs of the map on t's rows times t's signs, only where that map
-    takes t's front rows, in order, onto s's; no pivot of either node is
-    tainted, so every element that enters s or t keeps the claim (an
-    element enters the node of its first DOF) and those that enter s are
-    the images of those that enter t; and each child of s has the
-    representative of the child of t at its place, with the signs that
-    make its update the image of that child's. A front entry sums at most
-    two element terms, whose order does not matter, and the updates in the
-    order of the children, so s's front is t's so signed, bit for bit."""
+    A node s may also be the mirror image of an earlier node t of its
+    height, under one of ``mirrors`` (``_mirror_maps``), whose image map
+    takes t's first pivot into s's: where that map takes t's front rows, in
+    order, onto s's; no pivot of either node is tainted; and each child of
+    s has the representative of the child of t at its place, its rows the
+    images of that child's rows with the signs of the map. Each node takes
+    its first such map onto a node of another key.
+
+    The twins of one class are a connected component of equal keys and
+    mirror maps among the nodes of a height, and its first node is their
+    representative. A node's rows and signs follow its key's first node's,
+    label by label. A key's first node is placed in passes over the mirror
+    maps in postorder, each placing the key of a map's other end once one
+    end's key is placed, the first key of a class being placed as it is."""
+    bounds = tree.bounds.tolist()
     pivots = np.diff(tree.bounds).tolist()
     node_of = np.append(np.repeat(np.arange(len(pivots)), pivots), -1)
-    parts = [(plan.starts.tolist(), plan.local, plan.local >= 0,
-              plan.pairs if plan.pairs.ndim == 2 else None)
-             for plan in fronts.parts]
-    entering: list[list[int]] = [[] for _ in fronts.rows]
+    children: list[list[int]] = [[] for _ in pivots]
+    for c in np.flatnonzero(tree.parent >= 0).tolist():
+        children[tree.parent[c]].append(c)
+    height = [0] * len(pivots)
+    for s, kids in enumerate(children):  # postorder: children come first
+        height[s] = max((height[c] + 1 for c in kids), default=0)
+    entering: list[list[int]] = [[] for _ in pivots]
     for i, plan in enumerate(fronts.parts):
         for s in np.flatnonzero(np.diff(plan.starts)).tolist():
             entering[s].append(i)
-    children: list[list[int]] = [[] for _ in range(tree.parent.size)]
-    for c in np.flatnonzero(tree.parent >= 0).tolist():
-        children[tree.parent[c]].append(c)
-    rep = np.empty(len(fronts.rows), dtype=np.int64)
-    signs: list = [None] * len(fronts.rows)
-    first: dict[bytes, int] = {}
+    rep = np.arange(len(pivots))
+    signs = [np.ones(fronts.rows[s].size, dtype=np.int8) for s in rep]
+    rows = [fronts.rows[s].tolist() for s in rep]  # in the class's order
 
-    def below(c):  # the signs of the rows of child c's update
-        return b"" if signs[c] is None else signs[c][pivots[c]:].tobytes()
+    def canonical(s):  # every front position's canonical index in node s
+        label = {q: q - bounds[s] for q in range(bounds[s], bounds[s + 1])}
+
+        def see(q):
+            label.setdefault(q, len(label))
+
+        front = fronts.rows[s]
+        for i in entering[s]:
+            plan = fronts.parts[i]
+            for element in plan.local[plan.starts[s]:plan.starts[s + 1]]:
+                for r in element.tolist():
+                    if r >= 0:
+                        see(int(front[r]))
+        for c in children[s]:
+            for q in rows[c][pivots[c]:]:
+                see(q)
+        return label
 
     def mirrored(s, t, image, sign, tainted):
-        rows, rows_t = fronts.rows[s], fronts.rows[t]
-        if (pivots[t] != pivots[s] or rows_t.size != rows.size
+        mine, theirs = fronts.rows[s], fronts.rows[t]
+        if (pivots[t] != pivots[s] or theirs.size != mine.size
                 or len(children[t]) != len(children[s])
-                or not np.array_equal(image[rows_t], rows)
-                or tainted[rows[:pivots[s]]].any()
-                or tainted[rows_t[:pivots[s]]].any()):
+                or not np.array_equal(image[theirs], mine)
+                or tainted[mine[:pivots[s]]].any()
+                or tainted[theirs[:pivots[s]]].any()):
             return False
         for c, c_t in zip(children[s], children[t]):
             p = pivots[c]
-            if rep[c] != rep[c_t] or not np.array_equal(
-                    image[fronts.rows[c_t][p:]], fronts.rows[c][p:]):
-                return False
-            ours = (np.ones(fronts.rows[c].size - p) if signs[c] is None
-                    else signs[c][p:])
-            theirs = sign[fronts.rows[c_t][p:]] * (
-                1 if signs[c_t] is None else signs[c_t][p:])
-            if not np.array_equal(ours, theirs):
+            ours, other = np.array(rows[c][p:]), np.array(rows[c_t][p:])
+            if (rep[c] != rep[c_t] or not np.array_equal(image[other], ours)
+                    or not np.array_equal(signs[c][p:],
+                                          sign[other] * signs[c_t][p:])):
                 return False
         return True
 
-    for s, rows in enumerate(fronts.rows):
-        # The counts first, then the arrays they size.
-        head = [rows.size, pivots[s], len(entering[s]), len(children[s])]
-        arrays = []
-        for i in entering[s]:
-            starts, local, held, pairs = parts[i]
-            e0, e1 = starts[s], starts[s + 1]
-            head += [i, e1 - e0]
-            arrays += [local[e0:e1], held[e0:e1]]
-            if pairs is not None:
-                arrays.append(pairs[e0:e1])
-        for c in children[s]:
-            pos = np.searchsorted(rows, fronts.rows[c][pivots[c]:])
-            head += [int(rep[c]), pos.size]
-            arrays += [pos, below(c)]
-        key = np.array(head).tobytes() + b"".join(
-            a if isinstance(a, bytes) else a.tobytes() for a in arrays)
-        seen = first.setdefault(key, s)
-        rep[s], signs[s] = (s, None) if seen == s else (rep[seen], signs[seen])
-        if seen != s or not pivots[s]:
-            continue
-        for image, sign, tainted in mirrors:
-            t = int(node_of[image[tree.bounds[s]]])
-            if 0 <= t < s and mirrored(s, t, image, sign, tainted):
-                flips = sign[fronts.rows[t]] * (1 if signs[t] is None
-                                                else signs[t])
-                rep[s] = rep[t]
-                signs[s] = None if np.all(flips == 1) else flips
-                break
-    return rep, signs
+    for h in range(max(height, default=-1) + 1):
+        nodes = [s for s in range(len(pivots)) if height[s] == h]
+        labels = {s: canonical(s) for s in nodes}
+        first: dict[bytes, int] = {}
+        lead = {}
+        for s in nodes:
+            label = labels[s]
+            head = [fronts.rows[s].size, pivots[s], len(children[s])]
+            arrays = []
+            for i in entering[s]:
+                plan = fronts.parts[i]
+                e0, e1 = plan.starts[s], plan.starts[s + 1]
+                head += [i, e1 - e0]
+                local = plan.local[e0:e1]
+                arrays.append(np.array(
+                    [[label[int(fronts.rows[s][r])] if r >= 0 else -1
+                      for r in element] for element in local.tolist()]))
+                if plan.pairs.ndim == 2:
+                    arrays.append(plan.pairs[e0:e1])
+            for c in children[s]:
+                head += [int(rep[c]), len(rows[c]) - pivots[c]]
+                arrays += [np.array([label[q] for q in rows[c][pivots[c]:]]),
+                           signs[c][pivots[c]:]]
+            key = np.array(head).tobytes() + b"".join(
+                np.ascontiguousarray(a).tobytes() for a in arrays)
+            lead[s] = first.setdefault(key, s)
+        edges = []
+        for s in nodes:
+            for r, (image, sign, tainted) in enumerate(mirrors):
+                t = int(node_of[image[bounds[s]]]) if pivots[s] else -1
+                if (0 <= t < s and height[t] == h and lead[t] != lead[s]
+                        and mirrored(s, t, image, sign, tainted)):
+                    edges.append((s, t, r))
+                    break
+        root = {g: g for g in set(lead.values())}
 
+        def find(g):
+            while root[g] != g:
+                g = root[g]
+            return g
+
+        for s, t, _ in edges:
+            a, b = sorted((find(lead[s]), find(lead[t])))
+            root[b] = a
+        # Each placed key: its first node's positions, by label in the
+        # class's order, and their signs.
+        placed = {}
+        for g in root:
+            if find(g) == g:
+                placed[g] = ([labels[g][q] for q in fronts.rows[g].tolist()],
+                             np.ones(fronts.rows[g].size, dtype=np.int8))
+        while edges:
+            left = []
+            for x, y, r in edges:
+                if lead[y] in placed and lead[x] not in placed:
+                    x, y = y, x
+                if lead[x] not in placed or lead[y] in placed:
+                    if lead[x] not in placed:
+                        left.append((x, y, r))
+                    continue
+                order, flips = placed[lead[x]]
+                at = {v: q for q, v in labels[x].items()}
+                mine = [at[v] for v in order]  # x's positions, class order
+                g = lead[y]
+                there = [int(mirrors[r][0][q]) for q in mine]
+                placed[g] = ([labels[y][q] for q in there],
+                             flips * mirrors[r][1][mine])
+            assert len(left) < len(edges)
+            edges = left
+        for s in nodes:
+            order, flips = placed[lead[s]]
+            at = {v: q for q, v in labels[s].items()}
+            rep[s] = find(lead[s])
+            rows[s] = [at[v] for v in order]
+            signs[s] = flips.copy()
+    return rep, [None if np.all(f == 1) else f for f in signs], rows
 
 
 def assert_same_sharing(elements, tree):
-    """``solver._representatives`` finds the (rep, signs) of the per-node
-    reference on ``tree``, with and without the mirror maps: signs int8,
-    None where all are +1."""
+    """``solver._representatives`` finds the (rep, signs, rows) of the
+    per-node reference on ``tree``, with and without the mirror maps: signs
+    int8, None where all are +1. Its fronts describe the same fronts, rows
+    permuted: every element part's rows and every update's landing rows
+    name the same tree positions as the symbolic phase's."""
     fronts = solver._symbolic_phase(elements, tree)
+    pivots = np.diff(tree.bounds)
     for mirrors in ([], solver._mirror_maps(elements, tree)):
-        rep, signs = solver._representatives(fronts, tree, mirrors)
-        want_rep, want_signs = representatives_per_node(fronts, tree, mirrors)
+        ours, rep, signs = solver._representatives(fronts, tree, mirrors)
+        want_rep, want_signs, want_rows = representatives_per_node(
+            fronts, tree, mirrors)
         assert np.array_equal(rep, want_rep)
         assert len(signs) == len(want_signs)
-        for s, (ours, theirs) in enumerate(zip(signs, want_signs)):
-            assert (ours is None) == (theirs is None), s
-            if ours is not None:
-                assert ours.dtype == np.int8, s
-                assert np.array_equal(ours, theirs), s
+        for s, (mine, theirs) in enumerate(zip(signs, want_signs)):
+            assert (mine is None) == (theirs is None), s
+            if mine is not None:
+                assert mine.dtype == np.int8, s
+                assert np.array_equal(mine, theirs), s
+        for s, rows in enumerate(ours.rows):
+            assert np.array_equal(rows, want_rows[s]), s
+            assert np.array_equal(rows[:pivots[s]], fronts.rows[s][:pivots[s]])
+        for old, new in zip(fronts.parts, ours.parts):
+            for s in range(pivots.size):
+                e0, e1 = old.starts[s], old.starts[s + 1]
+                was, now = old.local[e0:e1], new.local[e0:e1]
+                assert np.array_equal(now < 0, was < 0), s
+                assert np.array_equal(ours.rows[s][now[now >= 0]],
+                                      fronts.rows[s][was[was >= 0]]), s
+        for c in np.flatnonzero(tree.parent >= 0):
+            s, p = tree.parent[c], pivots[c]
+            end = ours.starts[c] + ours.sizes[c]
+            lands = ours.lands[end - ours.sizes[c] + p:end]
+            assert np.array_equal(ours.rows[s][lands], ours.rows[c][p:]), c
+
 
 # Extended-precision oracle of the class blocks: the Legendre polynomials in
 # exact rational arithmetic, everything after in 40-digit decimal arithmetic.

@@ -178,7 +178,7 @@ class TestTreeSolve:
         assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
         elements = elements_of(matrix)
         fronts = solver._symbolic_phase(elements, tree)
-        rep, _ = solver._representatives(fronts, tree, [])
+        _, rep, _ = solver._representatives(fronts, tree, [])
         assert np.array_equal(rep,
                               representatives_per_node(fronts, tree, [])[0])
 
@@ -459,14 +459,32 @@ class TestFactorSize:
                                         fill_reducing_ordering(system))
         assert fronts.factor_nnz == entries
 
+    def test_benchmark_case_shares_its_fronts(self):
+        # The analysis alone of the N=128, k=3 benchmark case: translated
+        # copies whose rows below the pivots come in another order, and
+        # mirror images across the inner lines of a quadrant, share one
+        # factor, so at most 100 fronts are distinct (310 when twins had to
+        # list their rows in the same order).
+        mesh = build_mesh(MeshParams(n=128, eps=1e-4, k=3))
+        system = assemble_system(mesh, 3, 1e-4, ExactSolution(1, 1e-4).forcing,
+                                 condense=True)
+        tree = fill_reducing_ordering(system)
+        fronts, rep, _ = solver._representatives(
+            solver._symbolic_phase(system.elements, tree), tree,
+            solver._mirror_maps(system.elements, tree))
+        distinct = rep == np.arange(rep.size)
+        assert distinct.sum() <= 100
+        assert fronts.entries[distinct].sum() <= 10_000_000
+
     @pytest.mark.parametrize("n, k, quad, entries, stored, workspace", [
-        (32, 3, None, 3_677_776, 907_547, 969_675),
-        (16, 4, 5, 1_130_144, 317_144, 342_344),
+        (32, 3, None, 3_677_776, 609_188, 671_316),
+        (16, 4, 5, 1_130_144, 257_782, 282_982),
     ], ids=["N32-k3", "N16-k4"])
     def test_small_case_factor_sizes(self, n, k, quad, entries, stored,
                                      workspace):
         # The fronts' sizes, the twins (equal up to a signed power-of-two
-        # scaling, mirror images included) and the workspace plan.
+        # scaling and a permutation of the rows below the pivots, mirror
+        # images included) and the workspace plan.
         mesh = build_mesh(MeshParams(n=n, eps=1e-3, k=k))
         system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
                                  q=quad, condense=True)
@@ -530,9 +548,10 @@ class TestWorkspacePlan:
         system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
                                  condense=condense)
         tree = fill_reducing_ordering(system)
-        fronts = solver._symbolic_phase(system.elements, tree)
-        plan = solver._plan_workspace(fronts, tree, *solver._representatives(
-            fronts, tree, solver._mirror_maps(system.elements, tree)))
+        fronts, *sharing = solver._representatives(
+            solver._symbolic_phase(system.elements, tree), tree,
+            solver._mirror_maps(system.elements, tree))
+        plan = solver._plan_workspace(fronts, tree, *sharing)
         rep, pivots = plan.rep, np.diff(tree.bounds)
         distinct = np.flatnonzero(rep == np.arange(rep.size))
         last_read = {}
@@ -575,9 +594,9 @@ class TestWorkspacePlan:
         system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
                                  q=quad, condense=True)
         tree = fill_reducing_ordering(system)
-        fronts = solver._symbolic_phase(system.elements, tree)
-        rep, signs = solver._representatives(
-            fronts, tree, solver._mirror_maps(system.elements, tree))
+        fronts, rep, signs = solver._representatives(
+            solver._symbolic_phase(system.elements, tree), tree,
+            solver._mirror_maps(system.elements, tree))
         distinct = np.flatnonzero(rep == np.arange(rep.size))
         last_read = {}
         for s in distinct:
@@ -679,9 +698,9 @@ class TestRectangularFullPacked:
                                  condense=True)
         elements = system.elements
         tree = fill_reducing_ordering(system)
-        fronts = solver._symbolic_phase(elements, tree)
-        rep, signs = solver._representatives(
-            fronts, tree, solver._mirror_maps(elements, tree))
+        fronts, rep, signs = solver._representatives(
+            solver._symbolic_phase(elements, tree), tree,
+            solver._mirror_maps(elements, tree))
         plan = solver._plan_workspace(fronts, tree, rep, signs)
         scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
         calls = []  # (routine, the argument it writes, what it returned)
@@ -943,15 +962,15 @@ def sharing(elements, tree):
     twins included."""
     fronts = solver._symbolic_phase(elements, tree)
     return solver._representatives(fronts, tree,
-                                   solver._mirror_maps(elements, tree))
+                                   solver._mirror_maps(elements, tree))[1:]
 
 
 def stored(elements, tree) -> int:
     """The factor entries ``_tree_factor`` stores: those of the distinct
     fronts."""
     fronts = solver._symbolic_phase(elements, tree)
-    rep, _ = solver._representatives(fronts, tree,
-                                     solver._mirror_maps(elements, tree))
+    _, rep, _ = solver._representatives(fronts, tree,
+                                        solver._mirror_maps(elements, tree))
     return int(fronts.entries[rep == np.arange(rep.size)].sum())
 
 
@@ -972,7 +991,7 @@ def first_pivots_of_a_twin(elements, tree):
     another pivot of t: left out there, its element parts still enter t,
     and no front changes its rows."""
     fronts = solver._symbolic_phase(elements, tree)
-    rep, _ = solver._representatives(fronts, tree, [])  # translated copies
+    _, rep, _ = solver._representatives(fronts, tree, [])  # translated copies
     bounds = tree.bounds
     for t in np.flatnonzero(rep != np.arange(rep.size)):
         b0, b1 = bounds[t], bounds[t + 1]
@@ -995,9 +1014,10 @@ def first_pivots_of_a_twin(elements, tree):
 def stored_if_twins_share_a_scale(elements, tree) -> int:
     """The factor entries stored if twins had also to agree in the scale at
     every front row: a lower bound on those of a key that holds the scale."""
-    fronts = solver._symbolic_phase(elements, tree)
-    rep, _ = solver._representatives(fronts, tree,
-                                     solver._mirror_maps(elements, tree))
+    # Rows in the order of their representative's.
+    fronts, rep, _ = solver._representatives(
+        solver._symbolic_phase(elements, tree), tree,
+        solver._mirror_maps(elements, tree))
     scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
     first = {}
     for s, rows in enumerate(fronts.rows):
