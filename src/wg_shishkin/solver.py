@@ -20,21 +20,26 @@ assembles serves tests and the benchmark tracer; no solve builds it.
 On a piecewise-uniform mesh most subtrees are translated copies of each
 other and build fronts that are equal before scaling, though a DOF next to
 the boundary or a transition line may have another diagonal, and so
-another scale, than its copy. The mesh is also symmetric about x = 1/2 and
-y = 1/2, and the top of the tree with it (``assembly.fill_reducing_ordering``),
-so the fronts of its four quadrants are mirror images: equal up to the
-signs of their rows, as a reflection negates a gradient component and the
-odd Legendre modes along it (``ElementGroup.mirrors``). Before any numeric
-work every node gets an exact key of what enters its unscaled front, and
-a node whose key is new is checked against its mirror images; only the
-first node of each kind is factored, and its twins share its factor
-(Przemieniecki 1963: repeated substructures are condensed once; Bossavit
-1986 on symmetry). Scaling by signed powers of two adds no rounding error
-(Higham 2002, ch. 10; LAPACK's ``DPOEQUB`` picks its factors so), so a
-twin's scaled front is E F E for its representative's F, with E the ratio
-of their scales on the front rows times the twin's signs, and its factor is
-exactly E L S_p, with S_p the signs on the pivots. Unscaled, D^-1 L, the
-factors are equal up to those signs, and the solve uses them so.
+another scale, than its copy, and the ancestors' rows below a copy's
+pivots may come in another order. The mesh is also symmetric about x = 1/2
+and y = 1/2, and the top of the tree with it
+(``assembly.fill_reducing_ordering``), so the fronts of its four quadrants
+are mirror images: equal up to the signs of their rows, as a reflection
+negates a gradient component and the odd Legendre modes along it
+(``ElementGroup.mirrors``). Before any numeric work every node gets an
+exact key of what enters its unscaled front, with its rows below the
+pivots by canonical labels, not by position, and nodes are checked against
+their mirror images; the twins of a class, fronts equal up to a signed
+permutation of the rows below the pivots, list those rows as the images of
+their representative's, only the first node of each class is factored, and
+its twins share its factor (Przemieniecki 1963: repeated substructures are
+condensed once; Bossavit 1986 on symmetry). Scaling by signed powers of two
+adds no rounding error (Higham 2002, ch. 10; LAPACK's ``DPOEQUB`` picks its
+factors so), so a twin's scaled front is E F E for its representative's F,
+row for row, with E the ratio of their scales on the front rows times the
+twin's signs, and its factor is exactly E L S_p, with S_p the signs on the
+pivots. Unscaled, D^-1 L, the factors are equal up to those signs, and the
+solve uses them so.
 
 The numeric phase runs in one array (Amestoy, Duff, L'Excellent & Koster
 2001), which holds the distinct fronts' factors, each front's blocks F11
@@ -283,8 +288,9 @@ class SolveReport:
     front rows below them of every node, as the symbolic phase counts them.
     factor_stored counts the entries the factor holds in memory, those of
     the distinct fronts (distinct_fronts) only: twins, fronts equal up to a
-    signed power-of-two scaling of their rows and columns, as translated
-    copies and mirror images are, share one copy. workspace counts the
+    signed power-of-two scaling of their rows and columns and a signed
+    permutation of the rows below the pivots, as translated copies and
+    mirror images are, share one copy. workspace counts the
     entries of the one array the numeric phase works in, which holds those
     and the updates, in RFP, while they live (``_plan_workspace``).
     For pcg all four count its preconditioner: this factor, in single precision.
@@ -371,11 +377,14 @@ class _PartPlan:
 
 @dataclass(frozen=True)
 class _Fronts:
-    """Result of the symbolic phase: the ascending tree positions of every
-    node's front, node s's the ``sizes[s]`` entries of ``flat`` from
-    ``starts[s]`` on in steps of ``steps[s]``, the element parts sorted by
-    node, and the number of factor entries of every node. ``lands``, laid
-    out as ``flat``, holds every update row's row in the parent's front."""
+    """Result of the symbolic phase: the tree positions of every node's
+    front, node s's the ``sizes[s]`` entries of ``flat`` from ``starts[s]``
+    on in steps of ``steps[s]``, its own positions first, the element parts
+    sorted by node, and the number of factor entries of every node.
+    ``lands``, laid out as ``flat``, holds every update row's row in the
+    parent's front. The symbolic phase lists a front's rows in ascending
+    order; ``_representatives`` lists a twin's rows below its pivots as the
+    images of its representative's."""
 
     flat: np.ndarray
     starts: np.ndarray
@@ -663,7 +672,8 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
     place, with the rows and signs that make its update the image of that
     child's. A front entry sums at most two element terms, whose order does
     not matter, and the updates in the order of the children, so s's front
-    is t's so signed, bit for bit. Each node takes its first such map.
+    is t's so signed, bit for bit. Each pair of keys takes the first such
+    map between their nodes, by s in postorder and then by map.
 
     A class of twins is a connected component of these two relations, equal
     keys and mirror images, among the nodes of one height. Its
@@ -715,57 +725,60 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
                    | ~inside).all(axis=1)
         return ok
 
+    itype, widths = flat.dtype, [plan.local.shape[1] for plan in parts]
     for h in range(height.max() + 1):
         nodes = np.flatnonzero(height == h)
         m, p = sizes[nodes], pivots[nodes]
-        lo = starts[nodes].min()
-        at = starts[nodes] - lo  # each node's rows in the height's block
-        block = int((at + m).max())
+        lo, block = starts[nodes[0]], int(m.sum())  # the height's rows
+        at = (starts[nodes] - lo).astype(itype)  # each node's first row
+        node = np.repeat(np.arange(nodes.size, dtype=itype), m)  # each row's
+        mine = at[node]
+        row = np.arange(block, dtype=itype) - mine  # its row in its front
         children = [(kid(nodes, j), j < n_kids[nodes])
                     for j in range(n_kids[nodes].max())]
         below = [np.where(has, sizes[c] - pivots[c], 0) for c, has in children]
         # Every row's canonical index: a pivot its own, a row below the
-        # pivots p + its order of first appearance in the scan. Each piece
-        # of the scan, an element part or the j-th children, lists its rows
-        # node by node; ``scan`` numbers them node after node, piece after
-        # piece, and a row's first appearance is its least number.
+        # pivots p + its order of first appearance in the scan. The pieces
+        # of the scan, each element part and each j-th child, list their
+        # rows node by node in ``seen``, one piece after the other; an
+        # entry's number in the scan, node after node and piece after
+        # piece, is its index there plus a shift per piece and node.
         counts = [entering[i, nodes] for i in range(len(parts))] + below
         members = [_ranges(plan.starts[nodes], count)
                    for plan, count in zip(parts, counts)]
-        length = np.array(counts) * np.array(
-            [[plan.local.shape[1]] for plan in parts] + [[1]] * len(below))
-        ends = np.cumsum(length.T).reshape(nodes.size, -1).T
-        scan = np.concatenate([_ranges(e - n, n) for e, n in zip(ends, length)])
-        by = np.concatenate([np.repeat(np.arange(nodes.size), n)
-                             for n in length])
+        length = np.array(counts) * np.array(widths + [1] * len(below))[:, None]
+        size = length.ravel()
+        shift = (np.cumsum(length.T).reshape(nodes.size, -1).T.ravel()
+                 - np.cumsum(size))
         seen = np.concatenate(
-            [plan.local[e].reshape(-1) for plan, e in zip(parts, members)]
+            [plan.local[e].ravel() for plan, e in zip(parts, members)]
             + [lands[_ranges(starts[c] + pivots[c], u)]
                for (c, _), u in zip(children, below)])
-        keep = seen >= p[by]
-        first = np.full(block, scan.size)
-        np.minimum.at(first, at[by[keep]] + seen[keep], scan[keep])
-        itype = flat.dtype
-        canon = np.empty(block, dtype=itype)
-        canon[_ranges(at, p)] = _ranges(np.zeros_like(p), p)
-        rest = _ranges(at + p, m - p)  # the rows below the pivots
-        firsts = np.zeros(scan.size, dtype=bool)
+        by = np.repeat(np.tile(np.arange(nodes.size, dtype=itype),
+                               len(counts)), size)
+        keep = np.flatnonzero(seen >= p[by])
+        first = np.full(block, seen.size)
+        np.minimum.at(first, at[by[keep]] + seen[keep],
+                      keep + np.repeat(shift, size)[keep])
+        del by, keep
+        rest = np.flatnonzero(row >= p[node])  # the rows below the pivots
+        firsts = np.zeros(seen.size, dtype=bool)
         firsts[first[rest]] = True
-        canon[rest] = (np.cumsum(firsts)[first[rest]] - 1
-                       + np.repeat(p - np.cumsum(m - p) + m - p, m - p))
-        row = _ranges(np.zeros_like(m), m).astype(itype)
-        mine = np.repeat(at, m)  # each row's node's offset in the block
+        canon = row.copy()
+        canon[rest] = (np.cumsum(firsts, dtype=itype)[first[rest]] - 1
+                       + (p - np.cumsum(m - p) + m - p).astype(itype)[
+                           node[rest]])
         co = np.empty(block, dtype=itype)  # the row of each canonical index
         co[mine + canon] = row
-        del scan, by, seen, keep, first, firsts
+        del seen, first, firsts, rest
         # Rows of equal counts pad alike, so the counts come first.
         keys = [np.stack([m, p, n_kids[nodes], *entering[:, nodes]]
                          + [np.where(has, rep[c], -1) for c, has in children],
                          axis=1)]
         for plan, e, count in zip(parts, members, counts):
             local = plan.local[e]
-            rows = np.where(local >= 0, canon[np.repeat(at, count)[:, None]
-                                              + local], -1)
+            rows = canon[np.repeat(at, count)[:, None] + local]
+            rows[local < 0] = -1
             if plan.pairs.ndim == 2:
                 rows = np.concatenate([rows, plan.pairs[e].view(itype)], axis=1)
             keys.append(_padded(_first_alike(rows), np.cumsum(count) - count,
@@ -778,22 +791,40 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
         lead[nodes] = nodes[_first_alike(np.concatenate(keys, axis=1))]
         del keys
 
-        # Mirror images: each node's first map onto an earlier node of its
-        # height with another key.
-        s = nodes[p > 0]
-        image_of, by = np.full(s.size, -1), np.zeros(s.size, dtype=np.int64)
-        for r, (image, sign, tainted) in enumerate(mirrors):
+        # Mirror images: each pair of keys takes the first map that passes
+        # the check, by node s in postorder and then by map, of a node s
+        # onto an earlier node t of the other key. A pair's first map is
+        # checked, and its others only where that one fails.
+        tried = [np.zeros((0, 3), dtype=np.int64)]
+        for r, (image, _, _) in enumerate(mirrors):
+            s = nodes[p > 0]
             t = node_of[image[bounds[s]]]
-            look = (image_of < 0) & (t >= 0) & (t < s)
+            look = (t >= 0) & (t < s)
             look[look] = (height[t[look]] == h) & (lead[t[look]]
                                                    != lead[s[look]])
-            look[look] = mirrored(s[look], t[look], image, sign, tainted)
-            image_of[look], by[look] = t[look], r
-        edges = list(zip(s[image_of >= 0].tolist(),
-                         image_of[image_of >= 0].tolist(),
-                         by[image_of >= 0].tolist()))
-        # Each key's rows in its class's order (canonical indices), and
-        # their signs, found by passes over the mirror maps.
+            tried.append(np.stack([s[look], t[look], np.full(look.sum(), r)],
+                                  axis=1))
+        tried = np.concatenate(tried)
+        tried = tried[np.lexsort((tried[:, 2], tried[:, 0]))]
+        a, b = lead[tried[:, 0]], lead[tried[:, 1]]
+        pair = np.minimum(a, b) * parent.size + np.maximum(a, b)
+        ok = np.zeros(pair.size, dtype=bool)
+
+        def check(now):
+            for r, (image, sign, tainted) in enumerate(mirrors):
+                q = now[tried[now, 2] == r]
+                ok[q] = mirrored(tried[q, 0], tried[q, 1], image, sign, tainted)
+
+        first = np.unique(pair, return_index=True)[1]
+        check(first)
+        again = np.isin(pair, pair[first[~ok[first]]])
+        again[first] = False
+        check(np.flatnonzero(again))
+        passed = np.flatnonzero(ok)
+        edges = tried[passed[np.sort(np.unique(pair[passed],
+                                               return_index=True)[1])]].tolist()
+        # Each key's rows in its class's order, as canonical indices, and
+        # their signs, placed by passes over the mirror maps.
         root = {}
 
         def find(a):
@@ -805,16 +836,16 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
             a, b = sorted((find(int(lead[x])), find(int(lead[y]))))
             if a != b:
                 root[b] = a
-        order = canon.copy()  # by key: canonical indices in the class's order
-        sign_of = np.ones(block, dtype=np.int8)
-        known = {g for g in map(int, lead[nodes]) if find(g) == g}
+        keyed, index = np.unique(lead[nodes], return_inverse=True)
+        known = {g for g in keyed.tolist() if find(g) == g}
+        order = canon.copy()  # at each key's first node
+        sign_of, flipped = np.ones(block, dtype=np.int8), []
         while edges:
             left = []
             for x, y, r in edges:
-                x, y = int(x), int(y)
                 if lead[y] in known and lead[x] not in known:
                     x, y = y, x
-                elif lead[x] not in known or lead[y] in known:
+                if lead[x] not in known or lead[y] in known:
                     if lead[x] not in known:
                         left.append((x, y, r))
                     continue
@@ -824,25 +855,23 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
                 f = sign_of[here] * mirrors[r][1][flat[starts[x] + rows]]
                 g = int(lead[y])
                 there = slice(starts[g] - lo, starts[g] - lo + sizes[y])
-                order[there] = canon[b + rows]
-                sign_of[there] = f
+                order[there], sign_of[there] = canon[b + rows], f
                 known.add(g)
+                if np.any(f != 1):
+                    flipped.append(g)
             if len(left) == len(edges):
                 raise AssertionError("mirror maps reach no new key")
             edges = left
         # Every node's rows as the images of its representative's: the rows
         # of its key's canonical indices, and its key's signs.
-        source = np.repeat(starts[lead[nodes]] - lo, m) + row
-        perm = mine + co[mine + order[source]]  # old row, in the block
-        block_rows = slice(lo, lo + block)
-        flips[block_rows] = sign_of[source]
-        signed[nodes] = np.bincount(np.repeat(np.arange(nodes.size), m),
-                                    flips[block_rows] != 1,
-                                    minlength=nodes.size) > 0
-        rep[nodes] = [find(g) for g in lead[nodes].tolist()]
-        flat[block_rows] = flat[lo + perm]
-        lands[block_rows] = lands[lo + perm]
-        new = np.empty(block, dtype=itype)  # the new row of each old row
+        source = (at[np.searchsorted(nodes, lead[nodes])][node] + row)
+        perm = mine + co[mine + order[source]]  # each row's old row
+        here = slice(lo, lo + block)
+        flips[here] = sign_of[source]
+        signed[nodes] = np.isin(lead[nodes], flipped)
+        rep[nodes] = np.array([find(g) for g in keyed.tolist()])[index]
+        flat[here], lands[here] = flat[lo + perm], lands[lo + perm]
+        new = np.empty(block, dtype=itype)  # each old row's new row
         new[perm] = row
         for plan, e, count in zip(parts, members, counts):
             local = plan.local[e]
@@ -1072,13 +1101,20 @@ def _factor_fronts(fronts: _Fronts, tree: SeparatorTree, scale: np.ndarray,
 
     Only representatives (``plan.rep[s] == s``, see ``_representatives``)
     are assembled and factored; a twin's entry is its representative's. A
-    twin's own factor would be E (L11, L21) S_p, with E = S d_twin / d on
+    twin lists its front rows as the images of its representative's, equal
+    up to a signed permutation of the rows below the pivots, so its own
+    factor would be E (L11, L21) S_p, row for row, with E = S d_twin / d on
     the front rows, S its signs (``plan.signs``) and S_p those on its
-    pivots, so the unscaled factor d^-1 (L11, L21) serves both up to the
+    pivots; the unscaled factor d^-1 (L11, L21) serves both up to the
     signs (``_front_solve``), and a distinct parent adds a twin child's
-    update as E U E from its representative's U (``_extend_add``). In
-    double precision this equals factoring the twin on its own, bit for
-    bit, barring over- and underflow. In single precision the flush below
+    update as E U E from its representative's U, through the child's rows
+    in whatever order they land (``_extend_add``). In double precision this
+    equals factoring the twin's front, built from its elements and its
+    children's shared updates, on its own, bit for bit, barring over- and
+    underflow. A twin whose rows come in another order than their positions
+    does not equal its own front built from its children's own updates bit
+    for bit: those children compute with their rows at other positions, so
+    their updates move in the last bits. In single precision the flush below
     zeroes the entries under sqrt(tiny) of the representative's front, not
     of the twin's, so a twin's preconditioner differs from its own factor
     only in entries under sqrt(tiny) * 2^12 for |E| within 2^[-6, 6], far
@@ -1363,7 +1399,8 @@ def solve_spd(elements: ElementMatrix, rhs: np.ndarray,
             raises if that array and the element blocks would not fit in
             physical memory, and a front that is not positive definite
             raises, naming the front. A front equal to an earlier one up
-            to a signed power-of-two scaling shares its factor. One step of
+            to a signed power-of-two scaling and a signed permutation of
+            the rows below the pivots shares its factor. One step of
             iterative refinement follows the solve.
     pcg: conjugate gradients on the given matrix, preconditioned by the
          same factorization run in single precision: its factor takes half

@@ -596,8 +596,9 @@ def representatives_per_node(fronts, tree, mirrors):
     takes t's first pivot into s's: where that map takes t's front rows, in
     order, onto s's; no pivot of either node is tainted; and each child of
     s has the representative of the child of t at its place, its rows the
-    images of that child's rows with the signs of the map. Each node takes
-    its first such map onto a node of another key.
+    images of that child's rows with the signs of the map. Each pair of
+    keys takes the first such map between their nodes, by s in postorder
+    and then by map.
 
     The twins of one class are a connected component of equal keys and
     mirror maps among the nodes of a height, and its first node is their
@@ -683,14 +684,16 @@ def representatives_per_node(fronts, tree, mirrors):
             key = np.array(head).tobytes() + b"".join(
                 np.ascontiguousarray(a).tobytes() for a in arrays)
             lead[s] = first.setdefault(key, s)
-        edges = []
+        edges, linked = [], set()
         for s in nodes:
             for r, (image, sign, tainted) in enumerate(mirrors):
                 t = int(node_of[image[bounds[s]]]) if pivots[s] else -1
+                pair = frozenset((lead[s], lead[t])) if t >= 0 else None
                 if (0 <= t < s and height[t] == h and lead[t] != lead[s]
+                        and pair not in linked
                         and mirrored(s, t, image, sign, tainted)):
                     edges.append((s, t, r))
-                    break
+                    linked.add(pair)
         root = {g: g for g in set(lead.values())}
 
         def find(g):

@@ -637,7 +637,8 @@ class TestRectangularFullPacked:
         assert np.array_equal(np.tril(trailing), np.tril(full[n1:, n1:]))
 
     @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
-    @pytest.mark.parametrize("rows", ["trailing", "through", "gaps"])
+    @pytest.mark.parametrize("rows", ["trailing", "through", "gaps",
+                                      "permuted"])
     @pytest.mark.parametrize("p, q", [(6, 7), (7, 6), (9, 9), (300, 301)])
     def test_extend_add_adds_lower_triangles_only(self, p, q, rows, scaled):
         # The front after the extend-add is its dense sum with the update,
@@ -646,11 +647,16 @@ class TestRectangularFullPacked:
         # gaps. The strict upper triangle of a view of a trailing triangle,
         # transposed in the RFP array, aliases the leading columns, so an
         # update on the trailing triangles leaves those columns, negative
-        # zeros included, bit for bit.
+        # zeros included, bit for bit. Permuted rows, as a twin child lists
+        # them, come in blocks out of order, one of them reversed, so that
+        # some blocks of the update land above their diagonal.
         p1, q1 = (p + 1) // 2, (q + 1) // 2
+        gaps = np.r_[0, 2:p + 1, p + 3:p + q]
+        pieces = np.array_split(gaps, 4)
         pos = {"trailing": np.r_[p1:p, p + q1:p + q],
-               "through": np.arange(1, p + q),
-               "gaps": np.r_[0, 2:p + 1, p + 3:p + q]}[rows]
+               "through": np.arange(1, p + q), "gaps": gaps,
+               "permuted": np.concatenate([pieces[2], pieces[0],
+                                           pieces[3][::-1], pieces[1]])}[rows]
         front = (RNG.standard_normal(p * (p + 1) // 2),
                  np.asfortranarray(RNG.standard_normal((q, p))),
                  RNG.standard_normal(q * (q + 1) // 2))
@@ -676,7 +682,8 @@ class TestRectangularFullPacked:
             u = u * scale[:, None] * scale
         expected = dense(*before)
         a, b = np.tril_indices(m)
-        expected[pos[a], pos[b]] += u[a, b]
+        expected[np.maximum(pos[a], pos[b]), np.minimum(pos[a], pos[b])] += (
+            u[a, b])
         assert np.array_equal(dense(*front), expected)
         if rows != "trailing":
             return
