@@ -632,17 +632,16 @@ def _first_alike(rows: np.ndarray) -> np.ndarray:
 
 
 def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
-                     ) -> tuple[_Fronts, np.ndarray, list]:
+                     ) -> tuple[np.ndarray, list]:
     """For every node s, its representative: the first node in postorder
     whose front equals s's before scaling up to a signed permutation of the
-    rows below the pivots, bit for bit, and those signs: (fronts, rep,
-    signs), with signs[s] None where all are +1, as for every
-    representative (rep[s] == s). The returned ``fronts`` list each twin's
-    rows, its ``lands`` and the rows its elements hold (``_PartPlan.local``)
-    as the images of its representative's rows, so that node s's unscaled
-    front is S rep[s]'s unscaled front S, row for row, with S =
-    diag(signs[s]); a representative keeps its rows in order. The given
-    ``fronts`` are left as they are.
+    rows below the pivots, bit for bit, and those signs: (rep, signs), with
+    signs[s] None where all are +1, as for every representative (rep[s] ==
+    s). In place, ``fronts`` then list each twin's rows, its ``lands`` and
+    the rows its elements hold (``_PartPlan.local``) as the images of its
+    representative's rows, so that node s's unscaled front is S rep[s]'s
+    unscaled front S, row for row, with S = diag(signs[s]); a
+    representative keeps its rows in order.
 
     A node's rows below its pivots get canonical labels in order of first
     appearance: in its entering elements by part, element and slot, then in
@@ -685,9 +684,7 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
     of one of them in the mirrored quadrant."""
     bounds, parent = tree.bounds, tree.parent
     pivots, sizes, starts = np.diff(bounds), fronts.sizes, fronts.starts
-    flat, lands = fronts.flat.copy(), fronts.lands.copy()
-    parts = [_PartPlan(plan.starts, plan.local.copy(), plan.pairs, plan.a,
-                       plan.b) for plan in fronts.parts]
+    flat, lands, parts = fronts.flat, fronts.lands, fronts.parts
     height = _heights(parent)
     node_of = np.append(np.repeat(np.arange(parent.size, dtype=flat.dtype),
                                   pivots), -1)
@@ -757,7 +754,7 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
         by = np.repeat(np.tile(np.arange(nodes.size, dtype=itype),
                                len(counts)), size)
         keep = np.flatnonzero(seen >= p[by])
-        first = np.full(block, seen.size)
+        first = np.full(block, seen.size, dtype=index_dtype(seen.size + 1))
         np.minimum.at(first, at[by[keep]] + seen[keep],
                       keep + np.repeat(shift, size)[keep])
         del by, keep
@@ -880,10 +877,8 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
         for (c, _), u in zip(children, below):
             where = _ranges(starts[c] + pivots[c], u)
             lands[where] = new[np.repeat(at, u) + lands[where]]
-    return (_Fronts(flat, starts, sizes, fronts.steps, parts, fronts.entries,
-                    lands), rep,
-            [flips[a:a + k] if g else None for a, k, g in zip(
-                starts.tolist(), sizes.tolist(), signed.tolist())])
+    return rep, [flips[a:a + k] if g else None for a, k, g in zip(
+        starts.tolist(), sizes.tolist(), signed.tolist())]
 
 
 #: Entries a temporary of the numeric phase holds at most, and the mask of
@@ -1304,8 +1299,7 @@ def _tree_factor(elements: ElementMatrix, scale: np.ndarray,
     start = time.perf_counter()
     fronts = _symbolic_phase(elements, tree)
     perm, scale = tree.perm, scale[tree.perm]
-    fronts, rep, signs = _representatives(fronts, tree,
-                                          _mirror_maps(elements, tree))
+    rep, signs = _representatives(fronts, tree, _mirror_maps(elements, tree))
     distinct = rep == np.arange(rep.size)
     stored = int(fronts.entries[distinct].sum())
     plan = _plan_workspace(fronts, tree, rep, signs)

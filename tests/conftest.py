@@ -570,9 +570,10 @@ def shared_fronts(fronts, tree, scale, rep, signs):
 
 
 def representatives_per_node(fronts, tree, mirrors):
-    """(rep, signs, rows) of ``solver._representatives``, found node by node
-    with one ``bytes`` key per node and a union-find per height: the
-    reference of its array pass by height. For every node s, its
+    """(rep, signs, rows): the representatives and signs that
+    ``solver._representatives`` returns and the rows it lists each front in,
+    found node by node with one ``bytes`` key per node and a union-find per
+    height: the reference of its array pass by height. For every node s, its
     representative: the first node in postorder whose front equals s's
     before scaling up to a signed permutation of the rows below the pivots,
     bit for bit; those signs, None where all are +1; and s's front rows, as
@@ -741,15 +742,16 @@ def representatives_per_node(fronts, tree, mirrors):
 def assert_same_sharing(elements, tree):
     """``solver._representatives`` finds the (rep, signs, rows) of the
     per-node reference on ``tree``, with and without the mirror maps: signs
-    int8, None where all are +1. Its fronts describe the same fronts, rows
-    permuted: every element part's rows and every update's landing rows
-    name the same tree positions as the symbolic phase's."""
-    fronts = solver._symbolic_phase(elements, tree)
+    int8, None where all are +1. The fronts it reorders describe the same
+    fronts, rows permuted: every element part's rows and every update's
+    landing rows name the same tree positions as the symbolic phase's."""
     pivots = np.diff(tree.bounds)
     for mirrors in ([], solver._mirror_maps(elements, tree)):
-        ours, rep, signs = solver._representatives(fronts, tree, mirrors)
+        fronts = solver._symbolic_phase(elements, tree)
         want_rep, want_signs, want_rows = representatives_per_node(
             fronts, tree, mirrors)
+        ours = solver._symbolic_phase(elements, tree)
+        rep, signs = solver._representatives(ours, tree, mirrors)
         assert np.array_equal(rep, want_rep)
         assert len(signs) == len(want_signs)
         for s, (mine, theirs) in enumerate(zip(signs, want_signs)):

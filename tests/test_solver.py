@@ -178,9 +178,9 @@ class TestTreeSolve:
         assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
         elements = elements_of(matrix)
         fronts = solver._symbolic_phase(elements, tree)
-        _, rep, _ = solver._representatives(fronts, tree, [])
-        assert np.array_equal(rep,
-                              representatives_per_node(fronts, tree, [])[0])
+        want = representatives_per_node(fronts, tree, [])[0]
+        rep, _ = solver._representatives(fronts, tree, [])
+        assert np.array_equal(rep, want)
 
     def test_rejects_tree_that_does_not_separate(self):
         # Positions 2 and 3 are coupled but lie in sibling leaves.
@@ -469,9 +469,9 @@ class TestFactorSize:
         system = assemble_system(mesh, 3, 1e-4, ExactSolution(1, 1e-4).forcing,
                                  condense=True)
         tree = fill_reducing_ordering(system)
-        fronts, rep, _ = solver._representatives(
-            solver._symbolic_phase(system.elements, tree), tree,
-            solver._mirror_maps(system.elements, tree))
+        fronts = solver._symbolic_phase(system.elements, tree)
+        rep, _ = solver._representatives(
+            fronts, tree, solver._mirror_maps(system.elements, tree))
         distinct = rep == np.arange(rep.size)
         assert distinct.sum() <= 100
         assert fronts.entries[distinct].sum() <= 10_000_000
@@ -548,10 +548,9 @@ class TestWorkspacePlan:
         system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
                                  condense=condense)
         tree = fill_reducing_ordering(system)
-        fronts, *sharing = solver._representatives(
-            solver._symbolic_phase(system.elements, tree), tree,
-            solver._mirror_maps(system.elements, tree))
-        plan = solver._plan_workspace(fronts, tree, *sharing)
+        fronts = solver._symbolic_phase(system.elements, tree)
+        plan = solver._plan_workspace(fronts, tree, *solver._representatives(
+            fronts, tree, solver._mirror_maps(system.elements, tree)))
         rep, pivots = plan.rep, np.diff(tree.bounds)
         distinct = np.flatnonzero(rep == np.arange(rep.size))
         last_read = {}
@@ -594,9 +593,9 @@ class TestWorkspacePlan:
         system = assemble_system(mesh, k, 1e-3, ExactSolution(1, 1e-3).forcing,
                                  q=quad, condense=True)
         tree = fill_reducing_ordering(system)
-        fronts, rep, signs = solver._representatives(
-            solver._symbolic_phase(system.elements, tree), tree,
-            solver._mirror_maps(system.elements, tree))
+        fronts = solver._symbolic_phase(system.elements, tree)
+        rep, signs = solver._representatives(
+            fronts, tree, solver._mirror_maps(system.elements, tree))
         distinct = np.flatnonzero(rep == np.arange(rep.size))
         last_read = {}
         for s in distinct:
@@ -705,9 +704,9 @@ class TestRectangularFullPacked:
                                  condense=True)
         elements = system.elements
         tree = fill_reducing_ordering(system)
-        fronts, rep, signs = solver._representatives(
-            solver._symbolic_phase(elements, tree), tree,
-            solver._mirror_maps(elements, tree))
+        fronts = solver._symbolic_phase(elements, tree)
+        rep, signs = solver._representatives(
+            fronts, tree, solver._mirror_maps(elements, tree))
         plan = solver._plan_workspace(fronts, tree, rep, signs)
         scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
         calls = []  # (routine, the argument it writes, what it returned)
@@ -969,15 +968,15 @@ def sharing(elements, tree):
     twins included."""
     fronts = solver._symbolic_phase(elements, tree)
     return solver._representatives(fronts, tree,
-                                   solver._mirror_maps(elements, tree))[1:]
+                                   solver._mirror_maps(elements, tree))
 
 
 def stored(elements, tree) -> int:
     """The factor entries ``_tree_factor`` stores: those of the distinct
     fronts."""
     fronts = solver._symbolic_phase(elements, tree)
-    _, rep, _ = solver._representatives(fronts, tree,
-                                        solver._mirror_maps(elements, tree))
+    rep, _ = solver._representatives(fronts, tree,
+                                     solver._mirror_maps(elements, tree))
     return int(fronts.entries[rep == np.arange(rep.size)].sum())
 
 
@@ -998,7 +997,7 @@ def first_pivots_of_a_twin(elements, tree):
     another pivot of t: left out there, its element parts still enter t,
     and no front changes its rows."""
     fronts = solver._symbolic_phase(elements, tree)
-    _, rep, _ = solver._representatives(fronts, tree, [])  # translated copies
+    rep, _ = solver._representatives(fronts, tree, [])  # translated copies
     bounds = tree.bounds
     for t in np.flatnonzero(rep != np.arange(rep.size)):
         b0, b1 = bounds[t], bounds[t + 1]
@@ -1021,10 +1020,9 @@ def first_pivots_of_a_twin(elements, tree):
 def stored_if_twins_share_a_scale(elements, tree) -> int:
     """The factor entries stored if twins had also to agree in the scale at
     every front row: a lower bound on those of a key that holds the scale."""
-    # Rows in the order of their representative's.
-    fronts, rep, _ = solver._representatives(
-        solver._symbolic_phase(elements, tree), tree,
-        solver._mirror_maps(elements, tree))
+    fronts = solver._symbolic_phase(elements, tree)
+    rep, _ = solver._representatives(fronts, tree,
+                                     solver._mirror_maps(elements, tree))
     scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
     first = {}
     for s, rows in enumerate(fronts.rows):

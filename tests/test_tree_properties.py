@@ -98,9 +98,9 @@ def test_grouped_solve_matches_per_node_solve(n, k, log_eps, mesh_kind,
     elements = system.elements
     tree = fill_reducing_ordering(system)
     scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
-    fronts, rep, signs = solver._representatives(
-        solver._symbolic_phase(elements, tree), tree,
-        solver._mirror_maps(elements, tree))
+    fronts = solver._symbolic_phase(elements, tree)
+    rep, signs = solver._representatives(fronts, tree,
+                                         solver._mirror_maps(elements, tree))
     dtype, rtol = (np.float32, 1e-5) if single else (np.float64, 1e-12)
     factor = solver._factor_fronts(
         fronts, tree, scale, solver._plan_workspace(fronts, tree, rep, signs),
@@ -136,10 +136,9 @@ def test_power_of_two_scaling_rescales_the_factor_exactly(n, k, log_eps,
                              condense=condense)
     elements = system.elements
     tree = fill_reducing_ordering(system)
-    fronts, *sharing = solver._representatives(
-        solver._symbolic_phase(elements, tree), tree,
-        solver._mirror_maps(elements, tree))
-    plan = solver._plan_workspace(fronts, tree, *sharing)
+    fronts = solver._symbolic_phase(elements, tree)
+    plan = solver._plan_workspace(fronts, tree, *solver._representatives(
+        fronts, tree, solver._mirror_maps(elements, tree)))
     scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
     rng = np.random.default_rng(seed)
     times = np.ldexp(rng.choice([-1.0, 1.0], elements.dim),
@@ -184,9 +183,9 @@ def test_twins_build_signed_images_of_their_representatives(n, k, log_eps,
                              condense=condense)
     elements = system.elements
     tree = fill_reducing_ordering(system)
-    fronts, rep, signs = solver._representatives(
-        solver._symbolic_phase(elements, tree), tree,
-        solver._mirror_maps(elements, tree))
+    fronts = solver._symbolic_phase(elements, tree)
+    rep, signs = solver._representatives(fronts, tree,
+                                         solver._mirror_maps(elements, tree))
     scale = solver._power_of_two_scale(elements.diagonal())[tree.perm]
     built = shared_fronts(fronts, tree, scale, rep, signs)
     pivots = np.diff(tree.bounds)
