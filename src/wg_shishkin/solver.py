@@ -754,7 +754,7 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
         by = np.repeat(np.tile(np.arange(nodes.size, dtype=itype),
                                len(counts)), size)
         keep = np.flatnonzero(seen >= p[by])
-        first = np.full(block, seen.size, dtype=index_dtype(seen.size + 1))
+        first = np.full(block, seen.size)
         np.minimum.at(first, at[by[keep]] + seen[keep],
                       keep + np.repeat(shift, size)[keep])
         del by, keep
