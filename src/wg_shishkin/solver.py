@@ -792,9 +792,8 @@ def _representatives(fronts: _Fronts, tree: SeparatorTree, mirrors: list
         # the check, by node s in postorder and then by map, of a node s
         # onto an earlier node t of the other key. A pair's first map is
         # checked, and its others only where that one fails.
-        tried = [np.zeros((0, 3), dtype=np.int64)]
+        s, tried = nodes[p > 0], [np.zeros((0, 3), dtype=np.int64)]
         for r, (image, _, _) in enumerate(mirrors):
-            s = nodes[p > 0]
             t = node_of[image[bounds[s]]]
             look = (t >= 0) & (t < s)
             look[look] = (height[t[look]] == h) & (lead[t[look]]
